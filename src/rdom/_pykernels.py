@@ -34,7 +34,24 @@ def solve_min(n, adj, dom_req, res_req, force_in=0, force_out=0):
     itself carrying) a constraint still in jeopardy, IN tried before OUT.
     When nothing is in jeopardy, sending all undecided vertices OUT is
     feasible, which closes the node. Lower bound: |IN| plus
-    ceil(undominated / (max degree + 1)).
+    ceil(undominated / (max degree + 1)), pruning only on a strict ``>``.
+
+    State is carried down the recursion rather than rescanned per node.
+    Besides the IN/OUT masks each node gets two masks:
+      * ``dom``, the union of N[v] over the IN vertices;
+      * ``trapped``, the ``res_req`` vertices outside IN whose neighbors
+        are all IN (such a vertex has to join S).
+    Closed neighborhoods are symmetric, so the lowest undecided vertex
+    whose N[u] meets an undominated ``dom_req`` vertex is the least
+    candidate of any undominated vertex, and the branch vertex is the
+    smaller of that and the lowest trapped vertex. A node dies when an
+    undominated vertex has no undecided candidate left or a trapped vertex
+    is OUT. Only the last decision can make either true, so the root checks
+    every vertex once and each edge checks the few it touches: OUT on ``b``
+    the undominated vertices of N[b] and ``b`` itself, IN on ``b`` the
+    ``res_req`` neighbors of ``b`` it traps. Branch order, bound and
+    tie-break are those of a per-node rescan, so the search tree and the
+    result are the same.
     """
     if force_in & force_out:
         return None
@@ -49,31 +66,26 @@ def solve_min(n, adj, dom_req, res_req, force_in=0, force_out=0):
     best_size = n + 1
     best_bits = -1
 
-    def search(inb, outb, cnt):
+    def search(inb, outb, cnt, dom, trapped):
         nonlocal best_size, best_bits
+        undom = dom_req & ~dom
         und = full & ~(inb | outb)
-        undominated = 0
         branch = n
-        for v in range(n):
-            bv = 1 << v
-            if dom_req & bv and not closed[v] & inb:
-                cand = closed[v] & und
-                if not cand:
-                    return  # v can never be dominated on this path
-                undominated += 1
-                low = (cand & -cand).bit_length() - 1
-                if low < branch:
-                    branch = low
-            if res_req & bv and not inb & bv:
-                if not adj[v] & ~inb:
-                    # all neighbors IN: v cannot sit outside S
-                    if outb & bv:
-                        return
-                    if v < branch:
-                        branch = v
-        if undominated:
-            if cnt + (undominated + denom - 1) // denom > best_size:
+        if undom:
+            if cnt + (undom.bit_count() + denom - 1) // denom > best_size:
                 return
+            rest = und
+            while rest:
+                low = rest & -rest
+                u = low.bit_length() - 1
+                if closed[u] & undom:
+                    branch = u
+                    break
+                rest ^= low
+        if trapped:
+            t = (trapped & -trapped).bit_length() - 1
+            if t < branch:
+                branch = t
         if branch == n:
             if cnt < best_size or (cnt == best_size and (best_bits < 0 or inb < best_bits)):
                 best_size = cnt
@@ -81,10 +93,46 @@ def solve_min(n, adj, dom_req, res_req, force_in=0, force_out=0):
             return
         bv = 1 << branch
         if cnt < best_size:
-            search(inb | bv, outb, cnt + 1)
-        search(inb, outb | bv, cnt)
+            # IN on branch: trap the res_req neighbors it leaves enclosed
+            inb2 = inb | bv
+            trapped2 = trapped & ~bv
+            nbrs = adj[branch] & res_req & ~inb2
+            while nbrs:
+                low = nbrs & -nbrs
+                if not adj[low.bit_length() - 1] & ~inb2:
+                    trapped2 |= low
+                nbrs ^= low
+            if not trapped2 & outb:
+                search(inb2, outb, cnt + 1, dom | closed[branch], trapped2)
+        # OUT on branch: dead if branch is trapped or leaves an undominated
+        # vertex of N[branch] without an undecided candidate
+        if trapped & bv:
+            return
+        und &= ~bv
+        hit = closed[branch] & undom
+        while hit:
+            low = hit & -hit
+            if not closed[low.bit_length() - 1] & und:
+                return
+            hit ^= low
+        search(inb, outb | bv, cnt, dom, trapped)
 
-    search(force_in, force_out, force_in.bit_count())
+    # the root checks every vertex once; below it each edge checks only
+    # what its own decision can have changed
+    dom = trapped = 0
+    for v in range(n):
+        bv = 1 << v
+        if force_in & bv:
+            dom |= closed[v]
+        elif res_req & bv and not adj[v] & ~force_in:
+            trapped |= bv
+    if trapped & force_out:
+        return None
+    und = full & ~(force_in | force_out)
+    for v in range(n):
+        if dom_req >> v & 1 and not dom >> v & 1 and not closed[v] & und:
+            return None
+    search(force_in, force_out, force_in.bit_count(), dom, trapped)
     if best_bits < 0:
         return None
     return best_size, best_bits

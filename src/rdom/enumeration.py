@@ -33,7 +33,7 @@ from typing import Callable, Iterator
 from rdom import kernels
 from rdom.graph import Graph, disjoint_union, is_cubic, is_degree_bipartite, is_special_subcubic, mask_of
 from rdom.graph6 import Graph6Error, parse_graph6
-from rdom.iso import canonical_certificate, canonical_graph
+from rdom.iso import canonical_certificate, canonical_graph, certificate_to_graph
 
 CLASS_CAPS = {"cubic": 14, "special-subcubic": 11, "degree-bipartite": 12, "all": 9}
 
@@ -131,7 +131,7 @@ def _augment_classes(n: int, cls: str) -> list[Graph]:
     predicate = CLASS_PREDICATES[cls]
     out = []
     for cert in sorted(level):
-        g = canonical_graph(Graph(n, level[cert]))
+        g = certificate_to_graph(cert)
         if predicate(g):
             out.append(g)
     return out

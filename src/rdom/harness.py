@@ -12,7 +12,6 @@ claims go through the exact solvers.
 from __future__ import annotations
 
 import time
-from concurrent.futures import ProcessPoolExecutor
 from dataclasses import dataclass, field
 from itertools import combinations
 from typing import Callable, Iterable, Sequence
@@ -539,6 +538,16 @@ def verify_known_bounds(max_n: int, jobs: int = 1) -> list[VerificationReport]:
     return [rep_a, rep_b]
 
 
+def _lemma1_worker(g6: str) -> tuple[str, list[str], str]:
+    from rdom.graph6 import parse_graph6
+
+    g = parse_graph6(g6)
+    problems = audit_lemma1(g)
+    ell = large_vertices(g).bit_count()
+    d, _ = lemma1_construct(g)
+    return g6, problems, f"{g6}: |D| = {d.bit_count()}, |L| = {ell}, gap {ell - d.bit_count()}"
+
+
 def verify_lemma1(max_n: int, jobs: int = 1) -> list[VerificationReport]:
     """Run the constructive RD-set builder on every connected degree-bipartite
     special subcubic graph up to max_n and audit the construction."""
@@ -546,16 +555,13 @@ def verify_lemma1(max_n: int, jobs: int = 1) -> list[VerificationReport]:
     report = VerificationReport(
         "lem1", f"connected degree-bipartite special subcubic graphs, n <= {max_n}"
     )
+    items = []
     for n in range(3, max_n + 1):
-        for g in connected_classes(n, "degree-bipartite"):
-            report.checked += 1
-            for problem in audit_lemma1(g):
-                report.add_violation(g, problem)
-            ell = large_vertices(g).bit_count()
-            d, _ = lemma1_construct(g)
-            report.notes.append(
-                f"{write_graph6(g)}: |D| = {d.bit_count()}, |L| = {ell}, gap {ell - d.bit_count()}"
-            )
+        items.extend(write_graph6(g) for g in connected_classes(n, "degree-bipartite"))
+    for g6, problems, note in _run_sweep(_lemma1_worker, items, jobs):
+        report.checked += 1
+        report.violations.extend((g6, problem) for problem in problems)
+        report.notes.append(note)
     return [_timed(report, t0)]
 
 
@@ -593,16 +599,23 @@ def audit_lemma1(g: Graph) -> list[str]:
     return problems
 
 
+def _extremal_worker(g6: str) -> tuple[str, bool]:
+    from rdom.graph6 import parse_graph6
+
+    g = parse_graph6(g6)
+    return g6, gamma_r_exact(g).size == (2 * g.n) // 5
+
+
 def extremal_search(n: int, jobs: int = 1) -> list[VerificationReport]:
     """All connected cubic graphs of order n achieving gamma_r = floor(2n/5)."""
     t0 = time.perf_counter()
     report = VerificationReport("extremal-cubic", f"connected cubic graphs of order {n}")
-    target = (2 * n) // 5
-    for g in connected_classes(n, "cubic"):
+    items = [write_graph6(g) for g in connected_classes(n, "cubic")]
+    for g6, tight in _run_sweep(_extremal_worker, items, jobs):
         report.checked += 1
-        if gamma_r_exact(g).size == target:
-            report.notes.append(f"extremal: {write_graph6(g)}")
-    report.notes.insert(0, f"target gamma_r = {target}")
+        if tight:
+            report.notes.append(f"extremal: {g6}")
+    report.notes.insert(0, f"target gamma_r = {(2 * n) // 5}")
     return [_timed(report, t0)]
 
 
@@ -613,6 +626,10 @@ def _run_sweep(worker, items: Iterable, jobs: int):
     items = list(items)
     if jobs <= 1:
         return [worker(it) for it in items]
+    # imported here: the pool machinery costs serial callers about 2 MB and
+    # a third of the harness import time
+    from concurrent.futures import ProcessPoolExecutor
+
     chunk = max(1, len(items) // (jobs * 8))
     with ProcessPoolExecutor(max_workers=jobs) as pool:
         return list(pool.map(worker, items, chunksize=chunk))

@@ -2,11 +2,19 @@
 
 Set ``RDOM_PURE=1`` in the environment to force the pure-Python kernels even
 when the compiled module is importable. ``ACTIVE`` reports which one won.
+
+``solve_min`` validates its arguments before handing them to the selected
+kernel, so malformed input raises ``ValueError`` in both modes instead of
+reaching the compiled kernel's fixed-width arrays. ``canonical_form`` is
+passed through unwrapped: it sits on the enumeration hot path and guards
+its own ``CERT_MAX_N``.
 """
 
 from __future__ import annotations
 
 import os
+
+from rdom.graph import MAX_N
 
 if os.environ.get("RDOM_PURE", "") in ("1", "true", "yes"):
     from rdom import _pykernels as _impl
@@ -23,5 +31,29 @@ else:
         ACTIVE = "python"
 
 CERT_MAX_N = _impl.CERT_MAX_N
-solve_min = _impl.solve_min
 canonical_form = _impl.canonical_form
+
+
+def solve_min(n, adj, dom_req, res_req, force_in=0, force_out=0):
+    """The selected kernel's ``solve_min`` (see ``rdom._pykernels``) behind
+    a guard: ``adj`` must hold ``n <= MAX_N`` (64, the compiled kernel's
+    row array) symmetric loop-free rows over ``range(n)``, and every mask
+    must lie inside ``range(n)``. The search relies on the symmetry."""
+    if not 0 <= n <= MAX_N:
+        raise ValueError(f"solve_min supports 0 <= n <= {MAX_N}, got {n}")
+    if len(adj) != n:
+        raise ValueError(f"expected {n} adjacency rows, got {len(adj)}")
+    for v, row in enumerate(adj):
+        if row >> n or row >> v & 1:
+            raise ValueError(f"row {v} has a loop or a bit outside range({n})")
+        rest = row
+        while rest:
+            low = rest & -rest
+            if not adj[low.bit_length() - 1] >> v & 1:
+                raise ValueError(f"asymmetric adjacency at vertex {v}")
+            rest ^= low
+    for name, mask in (("dom_req", dom_req), ("res_req", res_req),
+                       ("force_in", force_in), ("force_out", force_out)):
+        if mask >> n:
+            raise ValueError(f"{name} has bits outside range({n})")
+    return _impl.solve_min(n, adj, dom_req, res_req, force_in, force_out)

@@ -5,7 +5,9 @@ walk neighbor id lists instead of bitmasks, minimization enumerates subsets
 in increasing size, isomorphism tries permutations, and the graph6 encoder
 builds the bit string by hand. The one shared piece is the canonical
 certificate used to dedupe the labeled-mask enumeration, which is the
-documented dedupe currency.
+documented dedupe currency. ``seed_solve_min`` is the other kind of
+reference: the per-node rescan that the production search replaced, kept
+so that the new search can be held to the very same results.
 """
 
 from __future__ import annotations
@@ -93,6 +95,84 @@ def lex_least_mask(sets) -> int:
         if best is None or mask < best:
             best = mask
     return best
+
+
+def seed_solve_min(n, adj, dom_req, res_req, force_in=0, force_out=0):
+    """Node-by-node reference for ``rdom.kernels.solve_min``: every search
+    node rescans all n vertices. Kept verbatim from the solver it replaced,
+    so the differential test can demand the same ``(size, bits)``.
+
+    Minimize |S| over vertex sets S subject to the parametric constraints.
+
+    Constraints:
+      * ``force_in`` is a subset of S and S avoids ``force_out``;
+      * every vertex flagged in ``dom_req`` is dominated: N[v] meets S;
+      * every vertex flagged in ``res_req`` that lies outside S has a
+        neighbor outside S.
+
+    Returns ``(size, bits)`` for an optimal S, or ``None`` when no S
+    satisfies the constraints. Among optimal sets the one with the smallest
+    bitmask value wins, so the witness is independent of search order.
+
+    Search: depth-first branch and bound over IN/OUT/UNDECIDED labels. The
+    branch vertex is the lowest-index undecided vertex adjacent to (or
+    itself carrying) a constraint still in jeopardy, IN tried before OUT.
+    When nothing is in jeopardy, sending all undecided vertices OUT is
+    feasible, which closes the node. Lower bound: |IN| plus
+    ceil(undominated / (max degree + 1)).
+    """
+    if force_in & force_out:
+        return None
+    full = (1 << n) - 1
+    closed = [adj[v] | (1 << v) for v in range(n)]
+    maxdeg = 0
+    for v in range(n):
+        d = adj[v].bit_count()
+        if d > maxdeg:
+            maxdeg = d
+    denom = maxdeg + 1
+    best_size = n + 1
+    best_bits = -1
+
+    def search(inb, outb, cnt):
+        nonlocal best_size, best_bits
+        und = full & ~(inb | outb)
+        undominated = 0
+        branch = n
+        for v in range(n):
+            bv = 1 << v
+            if dom_req & bv and not closed[v] & inb:
+                cand = closed[v] & und
+                if not cand:
+                    return  # v can never be dominated on this path
+                undominated += 1
+                low = (cand & -cand).bit_length() - 1
+                if low < branch:
+                    branch = low
+            if res_req & bv and not inb & bv:
+                if not adj[v] & ~inb:
+                    # all neighbors IN: v cannot sit outside S
+                    if outb & bv:
+                        return
+                    if v < branch:
+                        branch = v
+        if undominated:
+            if cnt + (undominated + denom - 1) // denom > best_size:
+                return
+        if branch == n:
+            if cnt < best_size or (cnt == best_size and (best_bits < 0 or inb < best_bits)):
+                best_size = cnt
+                best_bits = inb
+            return
+        bv = 1 << branch
+        if cnt < best_size:
+            search(inb | bv, outb, cnt + 1)
+        search(inb, outb | bv, cnt)
+
+    search(force_in, force_out, force_in.bit_count())
+    if best_bits < 0:
+        return None
+    return best_size, best_bits
 
 
 def brute_isomorphic(g1: Graph, g2: Graph) -> bool:

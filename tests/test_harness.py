@@ -138,6 +138,23 @@ class TestReportMechanics:
         parallel.pop("elapsed_s")
         assert serial == parallel
 
+    @pytest.mark.parametrize("sweep", [harness.extremal_search, harness.verify_lemma1])
+    def test_jobs_reach_the_pool(self, sweep, monkeypatch):
+        seen = []
+        run_sweep = harness._run_sweep
+
+        def spy(worker, items, jobs):
+            seen.append(jobs)
+            return run_sweep(worker, items, jobs)
+
+        monkeypatch.setattr(harness, "_run_sweep", spy)
+        serial = sweep(10)[0].to_dict()
+        parallel = sweep(10, jobs=2)[0].to_dict()
+        assert seen == [1, 2]
+        serial.pop("elapsed_s")
+        parallel.pop("elapsed_s")
+        assert serial == parallel
+
     def test_violation_entries_carry_graph6(self):
         rep = harness.VerificationReport("demo", "scope")
         rep.add_violation(petersen_graph(), "details")

@@ -11,6 +11,8 @@ from rdom import _pykernels, kernels
 from rdom.family import all_family_members
 from rdom.graph import Graph, complete_graph, cycle_graph, petersen_graph
 
+from oracles import seed_solve_min
+
 try:
     from rdom import _kernels
 except ImportError:
@@ -32,6 +34,96 @@ def random_graphs(count, max_n, seed):
                     rows[j] |= 1 << i
         out.append(Graph(n, rows))
     return out
+
+
+def random_cubic(n, rng):
+    """Configuration model: pair up three stubs per vertex, redraw on a
+    loop or a repeated edge."""
+    while True:
+        stubs = [v for v in range(n) for _ in range(3)]
+        rng.shuffle(stubs)
+        rows = [0] * n
+        for a, b in zip(stubs[::2], stubs[1::2]):
+            if a == b or rows[a] >> b & 1:
+                break
+            rows[a] |= 1 << b
+            rows[b] |= 1 << a
+        else:
+            return Graph(n, rows)
+
+
+def solve_configs(g, rng):
+    """Full RD, domination only, one exempt vertex of each near-RD type,
+    and random dom/res/forcing masks (some of them infeasible)."""
+    full = g.vertex_mask()
+    configs = [(full, full, 0, 0), (full, 0, 0, 0)]
+    if g.n:
+        x = 1 << rng.randrange(g.n)
+        configs += [(full & ~x, full, 0, 0), (full, full & ~x, 0, x)]
+    for _ in range(3):
+        fi = fo = 0
+        for v in range(g.n):
+            r = rng.random()
+            if r < 0.12:
+                fi |= 1 << v
+            elif r < 0.24:
+                fo |= 1 << v
+        dom = rng.choice((full, full & rng.getrandbits(max(g.n, 1))))
+        res = rng.choice((full, full & rng.getrandbits(max(g.n, 1))))
+        configs.append((dom, res, fi, fo))
+    return configs
+
+
+class TestSearchMatchesSeed:
+    """The search that carries its masks down must return exactly what the
+    node-by-node rescan returned: same optimum, same lex-least witness,
+    same infeasibility verdicts."""
+
+    def check(self, corpus, seed):
+        rng = random.Random(seed)
+        infeasible = 0
+        for g in corpus:
+            for dom, res, fi, fo in solve_configs(g, rng):
+                want = seed_solve_min(g.n, g.adj, dom, res, fi, fo)
+                assert _pykernels.solve_min(g.n, g.adj, dom, res, fi, fo) == want, (g.adj, dom, res, fi, fo)
+                infeasible += want is None
+        return infeasible
+
+    def test_catalog_and_petersen(self):
+        self.check([m.graph for m in all_family_members()] + [petersen_graph()], seed=51)
+
+    def test_random_small_graphs(self):
+        assert self.check(random_graphs(400, 14, seed=52), seed=53) > 0
+
+    def test_random_cubic_graphs(self):
+        rng = random.Random(54)
+        corpus = [random_cubic(n, rng) for n in (16, 18, 20) for _ in range(10)]
+        assert self.check(corpus, seed=55) > 0
+
+
+class TestSolveGuard:
+    """``rdom.kernels.solve_min`` rejects malformed input in either kernel
+    mode; the compiled kernel would read past its fixed-width arrays."""
+
+    @pytest.mark.parametrize("args", [
+        (3, [0, 0], 7, 7),  # fewer rows than vertices
+        (80, [0] * 80, 0, 0),  # wider than one machine word
+        (-1, [], 0, 0),
+        (3, [0b011, 0b001, 0], 7, 7),  # self-loop at vertex 0
+        (2, [0b110, 0b001], 3, 3),  # bit outside range(n)
+        (3, [0b010, 0, 0], 7, 7),  # asymmetric row
+        (3, [0b010, 0b001, 0], 8, 7),  # dom_req outside range(n)
+        (3, [0b010, 0b001, 0], 7, 7, 0, -1),  # negative force_out
+    ])
+    def test_rejects(self, args):
+        with pytest.raises(ValueError):
+            kernels.solve_min(*args)
+
+    def test_accepts_well_formed(self):
+        g = petersen_graph()
+        full = g.vertex_mask()
+        assert kernels.solve_min(g.n, g.adj, full, full) == _pykernels.solve_min(g.n, g.adj, full, full)
+        assert kernels.solve_min(0, [], 0, 0) == (0, 0)
 
 
 @requires_compiled
