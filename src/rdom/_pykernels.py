@@ -2,8 +2,9 @@
 
 Two hot paths live here: the exact set-minimization search behind every
 solver variant, and canonical labeling by refinement plus branching over
-color classes. ``rdom._kernels`` is a compiled twin with identical
-signatures and identical deterministic behaviour; ``rdom.kernels`` picks
+color classes, pruned by the automorphisms it finds. ``rdom._kernels`` is
+a compiled twin with the same results: it searches without pruning, and
+its ``canonical_form`` takes no ``autos`` list. ``rdom.kernels`` picks
 whichever is available at import time.
 
 Graphs arrive as ``(n, adj)`` where ``adj`` is a sequence of ``n`` ints,
@@ -138,35 +139,63 @@ def solve_min(n, adj, dom_req, res_req, force_in=0, force_out=0):
     return best_size, best_bits
 
 
-def _refine(n, adj, cells):
-    """Stabilize an ordered partition under neighbor-count signatures."""
-    while True:
-        masks = []
-        for cell in cells:
-            m = 0
-            for v in cell:
-                m |= 1 << v
-            masks.append(m)
-        changed = False
+def _refine(adj, cells, splitters):
+    """Stabilize an ordered partition under neighbor-count signatures.
+
+    Cells and splitters are vertex masks; within a cell, vertices are taken
+    in increasing id order. Each round splits every cell by the vertices'
+    neighbor counts in the ``splitters`` and orders the parts by those
+    count tuples. The caller passes the cells that can still tell the
+    vertices of one cell apart: vertices sharing a cell already agree on
+    their counts in every other cell, and on the total over the parts the
+    last round made of a cell. The next round's splitters are therefore the
+    parts split off in this round, in cell order, minus the last part of
+    each split cell. Lex order on those short keys is lex order on the keys
+    over every cell, so each round yields the same partition as a round
+    that counts against all cells. A cell with no neighbor in any splitter
+    cannot split and is passed over. Stops after a round that splits
+    nothing.
+    """
+    while splitters:
+        touched = 0
+        for s in splitters:
+            while s:
+                low = s & -s
+                touched |= adj[low.bit_length() - 1]
+                s ^= low
+        single = splitters[0] if len(splitters) == 1 else 0
         out = []
+        nxt = []
         for cell in cells:
-            if len(cell) == 1:
+            if not cell & touched or not cell & (cell - 1):
                 out.append(cell)
                 continue
             sig = {}
-            for v in cell:
-                av = adj[v]
-                key = tuple((av & m).bit_count() for m in masks)
-                sig.setdefault(key, []).append(v)
+            rest = cell
+            while rest:
+                low = rest & -rest
+                av = adj[low.bit_length() - 1]
+                if single:
+                    key = (av & single).bit_count()
+                else:
+                    # one 5-bit digit per splitter: a count is at most
+                    # n - 1 < 32, so the integers order as the tuples do
+                    key = 0
+                    for s in splitters:
+                        key = key << 5 | (av & s).bit_count()
+                sig[key] = sig.get(key, 0) | low
+                rest ^= low
             if len(sig) == 1:
                 out.append(cell)
-            else:
-                changed = True
-                for key in sorted(sig):
-                    out.append(tuple(sig[key]))
-        cells = tuple(out)
-        if not changed:
-            return cells
+                continue
+            parts = [sig[key] for key in sorted(sig)]
+            out += parts
+            nxt += parts[:-1]
+        if len(out) == len(adj):
+            return out
+        cells = out
+        splitters = nxt
+    return cells
 
 
 def _pack(n, adj, perm):
@@ -183,16 +212,31 @@ def _pack(n, adj, perm):
     return bytes(buf)
 
 
-def canonical_form(n, adj):
+def canonical_form(n, adj, autos=None):
     """Canonical labeling for graphs with at most CERT_MAX_N vertices.
 
     Returns ``(cert, perm)``: ``cert`` is equal for two graphs iff they are
     isomorphic, and ``perm[i]`` is the original id of the vertex occupying
     position ``i`` in the canonical labeling. Vertices are first partitioned
-    by degree, the partition is refined to stability, and every vertex of
-    the first non-singleton cell is individualized in turn; the
-    lexicographically least packed adjacency over all leaves is the
-    certificate.
+    by degree, the partition is refined to stability (``_refine``), and
+    every vertex of the first non-singleton cell is individualized in turn,
+    depth first and in increasing id order; the lexicographically least
+    packed adjacency over all leaves is the certificate, and ``perm`` is the
+    first leaf in search order that reaches it.
+
+    After individualizing ``v`` in a stable partition, ``{v}`` is the only
+    splitter the refinement needs. A leaf whose packed adjacency equals the
+    best one so far yields the automorphism ``g[best_perm[i]] = perm[i]``.
+    A child ``v`` of a node is skipped when the automorphisms recorded so
+    far that fix the node's individualized vertices pointwise map an
+    earlier-tried sibling onto ``v``: its subtree is that sibling's subtree
+    relabeled, so it holds the same certificates and only later in search
+    order. The first least leaf is never skipped, so ``(cert, perm)`` is
+    what the unpruned search returns.
+
+    When ``autos`` is a list, the automorphisms found are appended to it as
+    tuples ``g`` with ``g[v]`` the image of ``v``. They generate a subgroup
+    of Aut(G), not necessarily all of it.
     """
     if n > CERT_MAX_N:
         raise ValueError(f"canonical labeling supports n <= {CERT_MAX_N}, got {n}")
@@ -200,25 +244,67 @@ def canonical_form(n, adj):
         return b"\x00", ()
     by_degree = {}
     for v in range(n):
-        by_degree.setdefault(adj[v].bit_count(), []).append(v)
-    cells = tuple(tuple(by_degree[d]) for d in sorted(by_degree))
+        d = adj[v].bit_count()
+        by_degree[d] = by_degree.get(d, 0) | 1 << v
+    cells = [by_degree[d] for d in sorted(by_degree)]
+    found = []  # (g, mask of the fixed points of g)
     best_cert = None
     best_perm = None
 
-    def descend(cells):
+    def descend(cells, splitters, fixed):
         nonlocal best_cert, best_perm
-        cells = _refine(n, adj, cells)
+        cells = _refine(adj, cells, splitters)
         for idx, cell in enumerate(cells):
-            if len(cell) > 1:
-                for v in cell:
-                    rest = tuple(u for u in cell if u != v)
-                    descend(cells[:idx] + ((v,), rest) + cells[idx + 1:])
+            if cell & (cell - 1):
+                orbit = None  # union-find over the stabilizer's orbits, once one is found
+                used = 0
+                tried = []
+                rest = cell
+                while rest:
+                    low = rest & -rest
+                    rest ^= low
+                    v = low.bit_length() - 1
+                    while used < len(found):
+                        g, stable = found[used]
+                        used += 1
+                        if not fixed & ~stable:
+                            if orbit is None:
+                                orbit = list(range(n))
+                            for u in range(n):
+                                if g[u] != u:
+                                    a, b = _root(orbit, u), _root(orbit, g[u])
+                                    if a != b:
+                                        orbit[max(a, b)] = min(a, b)
+                    if orbit is not None:
+                        r = _root(orbit, v)
+                        if any(_root(orbit, w) == r for w in tried):
+                            continue
+                    tried.append(v)
+                    descend(cells[:idx] + [low, cell ^ low] + cells[idx + 1:], [low], fixed | low)
                 return
-        perm = tuple(c[0] for c in cells)
+        perm = tuple(c.bit_length() - 1 for c in cells)
         cert = _pack(n, adj, perm)
         if best_cert is None or cert < best_cert:
             best_cert = cert
             best_perm = perm
+        elif cert == best_cert:
+            g = [0] * n
+            stable = 0
+            for i in range(n):
+                g[best_perm[i]] = perm[i]
+                if best_perm[i] == perm[i]:
+                    stable |= 1 << perm[i]
+            found.append((tuple(g), stable))
 
-    descend(cells)
+    # the degree cells agree on their totals over the whole vertex set
+    descend(cells, cells[:-1], 0)
+    if autos is not None:
+        autos.extend(g for g, _ in found)
     return best_cert, best_perm
+
+
+def _root(parent, u):
+    while parent[u] != u:
+        parent[u] = parent[parent[u]]
+        u = parent[u]
+    return u

@@ -33,7 +33,7 @@ from typing import Callable, Iterator
 from rdom import kernels
 from rdom.graph import Graph, disjoint_union, is_cubic, is_degree_bipartite, is_special_subcubic, mask_of
 from rdom.graph6 import Graph6Error, parse_graph6
-from rdom.iso import canonical_certificate, canonical_graph, certificate_to_graph
+from rdom.iso import canonical_certificate, certificate_to_graph
 
 CLASS_CAPS = {"cubic": 14, "special-subcubic": 11, "degree-bipartite": 12, "all": 9}
 
@@ -89,17 +89,50 @@ def _feasible_ss(degs: list[int], r: int) -> bool:
     return total <= 3 * r
 
 
+def _one_per_orbit(subsets, autos):
+    """Yield ``(subset, mask)`` for the first subset of each orbit of the
+    group generated by ``autos`` (tuples with ``g[v]`` the image of ``v``),
+    taking ``subsets`` (tuples of vertices, all of one size) in order."""
+    covered = set()
+    for subset in subsets:
+        mask = mask_of(subset)
+        if autos:
+            if mask in covered:
+                continue
+            covered.add(mask)
+            orbit = [mask]
+            for x in orbit:
+                for g in autos:
+                    y = 0
+                    rest = x
+                    while rest:
+                        low = rest & -rest
+                        y |= 1 << g[low.bit_length() - 1]
+                        rest ^= low
+                    if y not in covered:
+                        covered.add(y)
+                        orbit.append(y)
+        yield subset, mask
+
+
 def _augment_classes(n: int, cls: str) -> list[Graph]:
-    """Connected classes of order n for cubic / special-subcubic / all."""
+    """Connected classes of order n for cubic / special-subcubic / all.
+
+    Each class of a level is kept with the automorphisms its labeling
+    found. Subsets that one of them maps onto each other give isomorphic
+    children, so a parent is extended by the first subset of each orbit
+    only. The automorphisms may generate only part of Aut(parent); the
+    certificate dedupe removes the isomorphic children that remain.
+    """
     if n < _MIN_ORDER[cls]:
         return []
     if cls == "cubic" and n % 2:
         return []
-    level: dict[bytes, tuple[int, ...]] = {b"\x01": (0,)}
+    level: dict[bytes, tuple[tuple[int, ...], list]] = {b"\x01": ((0,), [])}
     for size in range(1, n):
         r_after = n - size - 1
-        nxt: dict[bytes, tuple[int, ...]] = {}
-        for rows in level.values():
+        nxt: dict[bytes, tuple[tuple[int, ...], list]] = {}
+        for rows, autos in level.values():
             if cls == "all":
                 eligible = list(range(size))
                 max_sz = size
@@ -111,11 +144,11 @@ def _augment_classes(n: int, cls: str) -> list[Graph]:
                     continue
                 if cls == "special-subcubic" and 2 - sz > r_after:
                     continue
-                for combo in combinations(eligible, sz):
+                for combo, attach in _one_per_orbit(combinations(eligible, sz), autos):
                     new_rows = list(rows)
                     for u in combo:
                         new_rows[u] |= 1 << size
-                    new_rows.append(mask_of(combo))
+                    new_rows.append(attach)
                     if cls == "cubic":
                         degs = [row.bit_count() for row in new_rows]
                         if not _feasible_cubic(degs, r_after):
@@ -124,9 +157,11 @@ def _augment_classes(n: int, cls: str) -> list[Graph]:
                         degs = [row.bit_count() for row in new_rows]
                         if max(degs) > 3 or not _feasible_ss(degs, r_after):
                             continue
-                    cert, _ = kernels.canonical_form(size + 1, new_rows)
+                    # the last level is not extended, so its automorphisms are not kept
+                    found = [] if size + 1 < n else None
+                    cert, _ = kernels.canonical_form(size + 1, new_rows, found)
                     if cert not in nxt:
-                        nxt[cert] = tuple(new_rows)
+                        nxt[cert] = (tuple(new_rows), found)
         level = nxt
     predicate = CLASS_PREDICATES[cls]
     out = []
@@ -193,7 +228,7 @@ def _degree_bipartite_classes(n: int) -> list[Graph]:
     if n < 5 or n % 5:
         return []
     num_large = 2 * n // 5
-    seen: dict[bytes, Graph] = {}
+    certs = set()
     for mult in _cubic_multigraphs(num_large):
         edges = []
         nxt = num_large
@@ -202,11 +237,8 @@ def _degree_bipartite_classes(n: int) -> list[Graph]:
                 edges.append((a, nxt))
                 edges.append((b, nxt))
                 nxt += 1
-        g = Graph.from_edges(n, edges)
-        cert = canonical_certificate(g)
-        if cert not in seen:
-            seen[cert] = canonical_graph(g)
-    return [seen[c] for c in sorted(seen)]
+        certs.add(canonical_certificate(Graph.from_edges(n, edges)))
+    return [certificate_to_graph(c) for c in sorted(certs)]
 
 
 @lru_cache(maxsize=None)
@@ -222,26 +254,31 @@ def _all_classes(n: int, cls: str) -> list[Graph]:
     """Connected and disconnected classes of order n."""
     minimum = _MIN_ORDER[cls]
 
-    results: list[Graph] = []
+    unions: list[Graph] = []
 
+    # components are chosen in non-decreasing (order, certificate) key; the
+    # index into the certificate-sorted connected_classes orders the same way
     def compose(remaining: int, min_key, chosen: list[Graph]):
         if remaining == 0:
             if len(chosen) > 1:
-                results.append(disjoint_union(chosen))
+                unions.append(disjoint_union(chosen))
             return
         if remaining < minimum:
             return
         for m in range(minimum, remaining + 1):
-            for g in connected_classes(m, cls):
-                key = (m, canonical_certificate(g))
+            for i, g in enumerate(connected_classes(m, cls)):
+                key = (m, i)
                 if key < min_key:
                     continue
                 compose(remaining - m, key, chosen + [g])
 
-    compose(n, (0, b""), [])
-    out = list(connected_classes(n, cls)) + [canonical_graph(g) for g in results]
-    out.sort(key=canonical_certificate)
-    return out
+    compose(n, (0, 0), [])
+    labeled = [(canonical_certificate(g), g) for g in connected_classes(n, cls)]
+    for g in unions:
+        cert = canonical_certificate(g)
+        labeled.append((cert, certificate_to_graph(cert)))
+    labeled.sort(key=lambda pair: pair[0])
+    return [g for _, g in labeled]
 
 
 def enumerate_graphs(spec: EnumSpec) -> Iterator[Graph]:

@@ -16,7 +16,7 @@ from dataclasses import dataclass, field
 from itertools import combinations
 from typing import Callable, Iterable, Sequence
 
-from rdom.construct import is_lemma1_applicable, lemma1_construct
+from rdom.construct import Lemma1Trace, is_lemma1_applicable, lemma1_construct
 from rdom.enumeration import connected_classes
 from rdom.family import all_family_members, classify_brdom, weight
 from rdom.graph import (
@@ -542,9 +542,9 @@ def _lemma1_worker(g6: str) -> tuple[str, list[str], str]:
     from rdom.graph6 import parse_graph6
 
     g = parse_graph6(g6)
-    problems = audit_lemma1(g)
+    d, trace = lemma1_construct(g)
+    problems = _construction_problems(g, d, trace)
     ell = large_vertices(g).bit_count()
-    d, _ = lemma1_construct(g)
     return g6, problems, f"{g6}: |D| = {d.bit_count()}, |L| = {ell}, gap {ell - d.bit_count()}"
 
 
@@ -568,10 +568,14 @@ def verify_lemma1(max_n: int, jobs: int = 1) -> list[VerificationReport]:
 def audit_lemma1(g: Graph) -> list[str]:
     """All constructive-step facts violated by the builder on g (empty list
     when everything checks out)."""
-    problems = []
     if not is_lemma1_applicable(g):
         return ["precondition does not hold"]
-    d, trace = lemma1_construct(g)
+    return _construction_problems(g, *lemma1_construct(g))
+
+
+def _construction_problems(g: Graph, d: int, trace: Lemma1Trace) -> list[str]:
+    """The facts of ``audit_lemma1`` checked on a construction already built."""
+    problems = []
     ell = large_vertices(g).bit_count()
     if not is_restrained_dominating(g, d):
         problems.append("output is not a restrained dominating set")

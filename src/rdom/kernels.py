@@ -6,8 +6,12 @@ when the compiled module is importable. ``ACTIVE`` reports which one won.
 ``solve_min`` validates its arguments before handing them to the selected
 kernel, so malformed input raises ``ValueError`` in both modes instead of
 reaching the compiled kernel's fixed-width arrays. ``canonical_form`` is
-passed through unwrapped: it sits on the enumeration hot path and guards
-its own ``CERT_MAX_N``.
+not validated: it sits on the enumeration hot path and guards its own
+``CERT_MAX_N``. It takes ``canonical_form(n, adj, autos=None)`` in both
+modes. The pure kernel appends the automorphisms its search found to a
+list passed as ``autos``; the compiled kernel keeps its ``(n, adj)``
+signature and finds none, so the list stays empty and the enumerator's
+orbit pruning is simply off.
 """
 
 from __future__ import annotations
@@ -31,7 +35,12 @@ else:
         ACTIVE = "python"
 
 CERT_MAX_N = _impl.CERT_MAX_N
-canonical_form = _impl.canonical_form
+if ACTIVE == "python":
+    canonical_form = _impl.canonical_form
+else:
+
+    def canonical_form(n, adj, autos=None):
+        return _impl.canonical_form(n, adj)
 
 
 def solve_min(n, adj, dom_req, res_req, force_in=0, force_out=0):

@@ -5,9 +5,11 @@ walk neighbor id lists instead of bitmasks, minimization enumerates subsets
 in increasing size, isomorphism tries permutations, and the graph6 encoder
 builds the bit string by hand. The one shared piece is the canonical
 certificate used to dedupe the labeled-mask enumeration, which is the
-documented dedupe currency. ``seed_solve_min`` is the other kind of
-reference: the per-node rescan that the production search replaced, kept
-so that the new search can be held to the very same results.
+documented dedupe currency. ``seed_solve_min`` and ``seed_canonical_form``
+are the other kind of reference: the per-node rescan that the production
+search replaced, and the labeling that refined against every cell and
+walked every leaf, kept so that the new code can be held to the very same
+results.
 """
 
 from __future__ import annotations
@@ -173,6 +175,97 @@ def seed_solve_min(n, adj, dom_req, res_req, force_in=0, force_out=0):
     if best_bits < 0:
         return None
     return best_size, best_bits
+
+
+def _seed_refine(n, adj, cells):
+    """Stabilize an ordered partition under neighbor-count signatures."""
+    while True:
+        masks = []
+        for cell in cells:
+            m = 0
+            for v in cell:
+                m |= 1 << v
+            masks.append(m)
+        changed = False
+        out = []
+        for cell in cells:
+            if len(cell) == 1:
+                out.append(cell)
+                continue
+            sig = {}
+            for v in cell:
+                av = adj[v]
+                key = tuple((av & m).bit_count() for m in masks)
+                sig.setdefault(key, []).append(v)
+            if len(sig) == 1:
+                out.append(cell)
+            else:
+                changed = True
+                for key in sorted(sig):
+                    out.append(tuple(sig[key]))
+        cells = tuple(out)
+        if not changed:
+            return cells
+
+
+def _seed_pack(n, adj, perm):
+    # canonical form: n, then upper-triangle bits column-major, MSB first
+    buf = bytearray(1 + (n * (n - 1) // 2 + 7) // 8)
+    buf[0] = n
+    k = 0
+    for j in range(1, n):
+        aj = adj[perm[j]]
+        for i in range(j):
+            if aj >> perm[i] & 1:
+                buf[1 + (k >> 3)] |= 0x80 >> (k & 7)
+            k += 1
+    return bytes(buf)
+
+
+def seed_canonical_form(n, adj):
+    """Unpruned reference for ``rdom._pykernels.canonical_form``: every
+    round refines against every cell, and every leaf is visited. Kept
+    verbatim from the labeling it replaced, so the differential test can
+    demand the same ``(cert, perm)``.
+
+    Canonical labeling for graphs with at most CERT_MAX_N vertices.
+
+    Returns ``(cert, perm)``: ``cert`` is equal for two graphs iff they are
+    isomorphic, and ``perm[i]`` is the original id of the vertex occupying
+    position ``i`` in the canonical labeling. Vertices are first partitioned
+    by degree, the partition is refined to stability, and every vertex of
+    the first non-singleton cell is individualized in turn; the
+    lexicographically least packed adjacency over all leaves is the
+    certificate.
+    """
+    if n > 16:
+        raise ValueError(f"canonical labeling supports n <= 16, got {n}")
+    if n == 0:
+        return b"\x00", ()
+    by_degree = {}
+    for v in range(n):
+        by_degree.setdefault(adj[v].bit_count(), []).append(v)
+    cells = tuple(tuple(by_degree[d]) for d in sorted(by_degree))
+    best_cert = None
+    best_perm = None
+
+    def descend(cells):
+        nonlocal best_cert, best_perm
+        cells = _seed_refine(n, adj, cells)
+        for idx, cell in enumerate(cells):
+            if len(cell) > 1:
+                for v in cell:
+                    rest = tuple(u for u in cell if u != v)
+                    descend(cells[:idx] + ((v,), rest) + cells[idx + 1:])
+                return
+        perm = tuple(c[0] for c in cells)
+        cert = _seed_pack(n, adj, perm)
+        if best_cert is None or cert < best_cert:
+            best_cert = cert
+            best_perm = perm
+
+    descend(cells)
+    return best_cert, best_perm
 
 
 def brute_isomorphic(g1: Graph, g2: Graph) -> bool:

@@ -1,15 +1,19 @@
 from __future__ import annotations
 
+from itertools import combinations
+
 import pytest
 
+from rdom import kernels
 from rdom.enumeration import (
     CLASS_PREDICATES,
     EnumSpec,
+    _one_per_orbit,
     connected_classes,
     enumerate_from_file,
     enumerate_graphs,
 )
-from rdom.graph import complete_bipartite, complete_graph, is_connected, is_cubic, is_special_subcubic, path_graph
+from rdom.graph import complete_bipartite, complete_graph, is_connected, is_cubic, is_special_subcubic, mask_of, path_graph
 from rdom.graph6 import Graph6Error, write_graph6
 from rdom.iso import are_isomorphic, canonical_certificate
 from oracles import labeled_cubic_classes, mask_connected_classes
@@ -114,6 +118,32 @@ class TestStreamProperties:
     def test_sorted_by_certificate(self):
         certs = [canonical_certificate(g) for g in enumerate_graphs(EnumSpec(8, "cubic"))]
         assert certs == sorted(certs)
+
+    def test_one_subset_per_orbit(self):
+        # the dihedral group of the 6-cycle 0-1-2-3-4-5, by a rotation and a reflection
+        rotation, reflection = (1, 2, 3, 4, 5, 0), (0, 5, 4, 3, 2, 1)
+        subsets = lambda sz: combinations(range(6), sz)
+        firsts = lambda sz, autos: [s for s, _ in _one_per_orbit(subsets(sz), autos)]
+        assert firsts(2, [rotation, reflection]) == [(0, 1), (0, 2), (0, 3)]
+        assert firsts(3, [rotation, reflection]) == [(0, 1, 2), (0, 1, 3), (0, 2, 4)]
+        assert firsts(3, [reflection]) == [s for s in subsets(3) if s <= tuple(sorted(-v % 6 for v in s))]
+        assert firsts(2, []) == list(subsets(2))
+        assert all(m == mask_of(s) for s, m in _one_per_orbit(subsets(4), [rotation]))
+
+    def test_orbit_pruning_keeps_every_class(self, monkeypatch):
+        # a labeler that reports no automorphisms turns the orbit pruning
+        # off, as the compiled kernel does
+        pruned = {(n, cls): [write_graph6(g) for g in connected_classes(n, cls)]
+                  for cls, ns in (("cubic", (8, 10)), ("special-subcubic", (7, 8)), ("all", (6,)))
+                  for n in ns}
+        labeler = kernels.canonical_form
+        monkeypatch.setattr(kernels, "canonical_form", lambda n, adj, autos=None: labeler(n, adj))
+        connected_classes.cache_clear()
+        try:
+            for (n, cls), lines in pruned.items():
+                assert [write_graph6(g) for g in connected_classes(n, cls)] == lines
+        finally:
+            connected_classes.cache_clear()
 
     def test_caps_enforced(self):
         with pytest.raises(ValueError, match="cap"):

@@ -7,11 +7,12 @@ import sys
 
 import pytest
 
-from rdom import _pykernels, kernels
+from rdom import _pykernels, enumeration, kernels
 from rdom.family import all_family_members
 from rdom.graph import Graph, complete_graph, cycle_graph, petersen_graph
+from rdom.iso import canonical_graph, certificate_to_graph
 
-from oracles import seed_solve_min
+from oracles import seed_canonical_form, seed_solve_min
 
 try:
     from rdom import _kernels
@@ -99,6 +100,77 @@ class TestSearchMatchesSeed:
         rng = random.Random(54)
         corpus = [random_cubic(n, rng) for n in (16, 18, 20) for _ in range(10)]
         assert self.check(corpus, seed=55) > 0
+
+
+def is_automorphism(n, adj, g):
+    for v in range(n):
+        image = 0
+        for u in range(n):
+            if adj[v] >> u & 1:
+                image |= 1 << g[u]
+        if adj[g[v]] != image:
+            return False
+    return sorted(g) == list(range(n))
+
+
+class TestLabelingMatchesSeed:
+    """Splitter-only refinement and automorphism pruning must leave the
+    labeling exactly as it was: same certificate, same first least leaf,
+    and every automorphism handed out must preserve adjacency."""
+
+    def check(self, n, adj):
+        autos = []
+        got = _pykernels.canonical_form(n, adj, autos)
+        assert got == seed_canonical_form(n, adj), adj
+        assert all(is_automorphism(n, adj, g) for g in autos), adj
+        return len(autos)
+
+    def test_enumeration_calls(self, monkeypatch):
+        seen = []
+
+        def checked(n, adj, autos=None):
+            seen.append(self.check(n, adj))
+            return _pykernels.canonical_form(n, adj, autos)
+
+        monkeypatch.setattr(kernels, "canonical_form", checked)
+        enumeration.connected_classes.cache_clear()
+        try:
+            for n in range(4, 11, 2):
+                enumeration.connected_classes(n, "cubic")
+            for n in range(3, 10):
+                enumeration.connected_classes(n, "special-subcubic")
+        finally:
+            enumeration.connected_classes.cache_clear()
+        assert len(seen) > 1000 and sum(seen) > 0
+
+    def test_catalog_and_random_graphs(self):
+        corpus = [m.graph for m in all_family_members()] + [petersen_graph()]
+        corpus += random_graphs(600, 12, seed=61)
+        assert sum(self.check(g.n, g.adj) for g in corpus) > 0
+
+    def test_selected_kernel_takes_autos(self):
+        g = petersen_graph()
+        autos = []
+        assert kernels.canonical_form(g.n, g.adj, autos) == kernels.canonical_form(g.n, g.adj)
+        assert all(is_automorphism(g.n, g.adj, a) for a in autos)
+        if kernels.ACTIVE == "python":
+            assert autos
+
+
+class TestSymmetricLabeling:
+    """Graphs with 16! symmetric leaves label in bounded time because the
+    automorphisms found at equal leaves prune the tree."""
+
+    @pytest.mark.parametrize("g", [complete_graph(16), Graph(16, [0] * 16), cycle_graph(16)],
+                             ids=["K16", "edgeless16", "C16"])
+    def test_round_trip(self, g):
+        cert, perm = _pykernels.canonical_form(g.n, g.adj)
+        back = certificate_to_graph(cert)
+        assert _pykernels.canonical_form(back.n, back.adj)[0] == cert
+        assert sorted(perm) == list(range(g.n))
+        assert back.edge_count() == g.edge_count()
+        if kernels.ACTIVE == "python":
+            assert canonical_graph(g).adj == back.adj
 
 
 class TestSolveGuard:
