@@ -1,11 +1,16 @@
 """Isomorph-free generation of small graph corpora.
 
-The workhorse grows connected graphs one vertex at a time: every level
-holds one representative per isomorphism class (a hash set of canonical
-certificates), each representative is extended by a new vertex attached to
-every eligible subset of existing vertices, and degree-feasibility pruning
-discards partial graphs that can no longer reach the target class. Because
-every connected graph admits a build order with all prefixes connected,
+The workhorse grows connected graphs one vertex at a time by canonical
+construction paths (McKay, *Isomorph-free exhaustive generation*, J.
+Algorithms 26, 1998). Every level holds one representative per
+isomorphism class. Each representative is extended by a new vertex
+attached to one eligible subset per orbit of the automorphisms found
+while labeling it, and degree-feasibility pruning discards partial graphs
+that can no longer reach the target class. A child is kept only when its
+new vertex is, up to automorphism, the child's canonical deletion vertex,
+so each class is reached from one parent only; most other children are
+turned away by a vertex invariant before they are labeled. Because every
+connected graph admits a build order with all prefixes connected,
 attaching to at least one existing vertex loses nothing.
 
 Graph classes:
@@ -33,7 +38,7 @@ from typing import Callable, Iterator
 from rdom import kernels
 from rdom.graph import Graph, disjoint_union, is_cubic, is_degree_bipartite, is_special_subcubic, mask_of
 from rdom.graph6 import Graph6Error, parse_graph6
-from rdom.iso import canonical_certificate, certificate_to_graph
+from rdom.iso import canonical_certificate, certificate_to_graph, labeled_certificate
 
 CLASS_CAPS = {"cubic": 14, "special-subcubic": 11, "degree-bipartite": 12, "all": 9}
 
@@ -115,14 +120,131 @@ def _one_per_orbit(subsets, autos):
         yield subset, mask
 
 
+def _is_cut(rows, u):
+    """Whether deleting u disconnects the connected graph with these rows."""
+    row = rows[u]
+    if not row & (row - 1):
+        return False  # a leaf
+    rest = ((1 << len(rows)) - 1) ^ (1 << u)
+    seen = frontier = row & -row
+    while frontier:
+        low = frontier & -frontier
+        frontier ^= low
+        new = rows[low.bit_length() - 1] & rest & ~seen
+        seen |= new
+        frontier |= new
+    return seen != rest
+
+
+def _invariant(rows, degs, u):
+    """The sum of u's neighbour degrees, twice the edges among its
+    neighbours and the size of its second neighbourhood, one byte each (all
+    below 256 for n <= 16) so that integer order is tuple order. After the
+    degree it ranks the candidates for deletion."""
+    row = rows[u]
+    s1 = tri = 0
+    reach = row | 1 << u
+    rest = row
+    while rest:
+        low = rest & -rest
+        rest ^= low
+        w = low.bit_length() - 1
+        s1 += degs[w]
+        tri += (rows[w] & row).bit_count()
+        reach |= rows[w]
+    return (s1 << 16) | (tri << 8) | (reach & ~row & ~(1 << u)).bit_count()
+
+
+def _beaten(rows, degs, v):
+    """Whether a non-cut vertex other than v ranks above v by degree, then
+    by ``_invariant``; v is the last vertex."""
+    dv = degs[v]
+    fv = None
+    for u in range(v):
+        du = degs[u]
+        if du < dv:
+            continue
+        if du == dv:
+            if fv is None:
+                fv = _invariant(rows, degs, v)
+            if _invariant(rows, degs, u) <= fv:
+                continue
+        if not _is_cut(rows, u):
+            return True
+    return False
+
+
+def _without(rows, c):
+    """The rows of the graph with vertex c deleted and the later ids shifted down."""
+    keep = (1 << c) - 1
+    return [row & keep | row >> (c + 1) << c for u, row in enumerate(rows) if u != c]
+
+
+def _in_orbit(autos, v, c):
+    """Whether some product of ``autos`` maps v to c."""
+    orbit = [v]
+    seen = 1 << v
+    for x in orbit:
+        for g in autos:
+            y = g[x]
+            if not seen >> y & 1:
+                seen |= 1 << y
+                orbit.append(y)
+    return bool(seen >> c & 1)
+
+
+def _canonical_deletion(rows, degs, perm, autos, parent_cert):
+    """Whether the last vertex v lies in the orbit of the canonical deletion
+    vertex c: the first vertex in canonical order among the non-cut ones that
+    rank with v (``_beaten`` has ruled out any that rank above it)."""
+    v = len(rows) - 1
+    dv = degs[v]
+    fv = _invariant(rows, degs, v)
+    for c in perm:
+        if c == v:
+            return True
+        if degs[c] == dv and _invariant(rows, degs, c) == fv and not _is_cut(rows, c):
+            break
+    if _in_orbit(autos, v, c):
+        return True
+    # autos may generate only part of Aut(G), and none in compiled mode
+    return kernels.canonical_form(v, _without(rows, c))[0] == parent_cert
+
+
 def _augment_classes(n: int, cls: str) -> list[Graph]:
     """Connected classes of order n for cubic / special-subcubic / all.
 
-    Each class of a level is kept with the automorphisms its labeling
-    found. Subsets that one of them maps onto each other give isomorphic
-    children, so a parent is extended by the first subset of each orbit
-    only. The automorphisms may generate only part of Aut(parent); the
-    certificate dedupe removes the isomorphic children that remain.
+    A level holds the connected graphs with maximum degree at most 3
+    (any degree for "all") that can still be completed with the vertices
+    left, one per class, keyed by certificate and kept with the
+    automorphisms their labeling found. Deletion rule for a child G = P + v:
+    the deletable vertices D are the non-cut vertices of G; rank them by
+    degree, then by ``_invariant``; the canonical deletion vertex c is the
+    first vertex in canonical order among the top-ranked ones. G is kept
+    when v is in the Aut(G)-orbit of c.
+
+    * Deleting any u in D leaves a graph of the previous level: G - u is
+      connected, and ``_feasible_cubic`` / ``_feasible_ss`` stay true with
+      one more vertex to add. Each vertex's need grows by at most one, and
+      for cubic the other conditions reduce to r + deg(u) >= 3, which the
+      per-vertex check 3 - deg(u) <= r already guarantees.
+    * Completeness: a graph G of the level reduces to P = G - c with P in
+      the previous level (up to isomorphism). The representative of P is
+      extended by an attachment in the orbit of c's neighbourhood, which
+      yields a copy of G in which the new vertex lies in the orbit of c,
+      so it is kept.
+    * One parent per class: if G is kept from P1 + v1 and from P2 + v2,
+      both v1 and v2 lie in the orbit of c, so P1 and P2 are isomorphic
+      and are the same representative. Isomorphic children of one parent
+      that its found automorphisms did not identify meet the
+      ``cert not in nxt`` guard.
+    * The labeler hands out automorphisms that may generate only part of
+      Aut(G), and none at all in compiled mode. When c is not in the
+      orbit of v they generate, G is still kept if G - c has the parent's
+      certificate; without this fallback classes would be lost.
+
+    ``_beaten`` rejects a child before labeling when a vertex of D ranks
+    above v; it tests connectivity only for those vertices.
     """
     if n < _MIN_ORDER[cls]:
         return []
@@ -132,7 +254,7 @@ def _augment_classes(n: int, cls: str) -> list[Graph]:
     for size in range(1, n):
         r_after = n - size - 1
         nxt: dict[bytes, tuple[tuple[int, ...], list]] = {}
-        for rows, autos in level.values():
+        for parent_cert, (rows, autos) in level.items():
             if cls == "all":
                 eligible = list(range(size))
                 max_sz = size
@@ -149,18 +271,18 @@ def _augment_classes(n: int, cls: str) -> list[Graph]:
                     for u in combo:
                         new_rows[u] |= 1 << size
                     new_rows.append(attach)
+                    degs = [row.bit_count() for row in new_rows]
                     if cls == "cubic":
-                        degs = [row.bit_count() for row in new_rows]
                         if not _feasible_cubic(degs, r_after):
                             continue
                     elif cls == "special-subcubic":
-                        degs = [row.bit_count() for row in new_rows]
                         if max(degs) > 3 or not _feasible_ss(degs, r_after):
                             continue
-                    # the last level is not extended, so its automorphisms are not kept
-                    found = [] if size + 1 < n else None
-                    cert, _ = kernels.canonical_form(size + 1, new_rows, found)
-                    if cert not in nxt:
+                    if _beaten(new_rows, degs, size):
+                        continue
+                    found = []
+                    cert, perm = kernels.canonical_form(size + 1, new_rows, found)
+                    if cert not in nxt and _canonical_deletion(new_rows, degs, perm, found, parent_cert):
                         nxt[cert] = (tuple(new_rows), found)
         level = nxt
     predicate = CLASS_PREDICATES[cls]
@@ -273,7 +395,7 @@ def _all_classes(n: int, cls: str) -> list[Graph]:
                 compose(remaining - m, key, chosen + [g])
 
     compose(n, (0, 0), [])
-    labeled = [(canonical_certificate(g), g) for g in connected_classes(n, cls)]
+    labeled = [(labeled_certificate(g), g) for g in connected_classes(n, cls)]
     for g in unions:
         cert = canonical_certificate(g)
         labeled.append((cert, certificate_to_graph(cert)))

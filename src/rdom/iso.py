@@ -3,13 +3,15 @@
 The canonical labeling (degree partition, refinement, branching over color
 classes) lives in the kernels; this module wraps it with Graph-level
 conveniences. Certificates are byte strings that agree for two graphs iff
-the graphs are isomorphic, so set membership on certificates is the dedupe
-currency of the enumerators.
+the graphs are isomorphic. The enumerators key each level by certificate
+and sort their output by it; their canonical construction paths leave the
+keys to catch only isomorphic children of one parent.
 """
 
 from __future__ import annotations
 
 from rdom import kernels
+from rdom._pykernels import _pack
 from rdom.graph import Graph
 
 CERT_MAX_N = kernels.CERT_MAX_N
@@ -46,6 +48,16 @@ def certificate_to_graph(cert: bytes) -> Graph:
                 rows[j] |= 1 << i
             k += 1
     return Graph(n, rows)
+
+
+def labeled_certificate(g: Graph) -> bytes:
+    """g's adjacency packed in the certificate format under g's own labels.
+
+    The inverse of ``certificate_to_graph``: for the canonically labeled
+    graphs that it returns, and that the enumerators emit, this is the
+    certificate, obtained without a labeling search.
+    """
+    return _pack(g.n, g.adj, range(g.n))
 
 
 def isomorphism(g1: Graph, g2: Graph) -> list[int] | None:

@@ -10,8 +10,9 @@ not validated: it sits on the enumeration hot path and guards its own
 ``CERT_MAX_N``. It takes ``canonical_form(n, adj, autos=None)`` in both
 modes. The pure kernel appends the automorphisms its search found to a
 list passed as ``autos``; the compiled kernel keeps its ``(n, adj)``
-signature and finds none, so the list stays empty and the enumerator's
-orbit pruning is simply off.
+signature and finds none, so the list stays empty: the enumerator's
+orbit pruning is off, and its canonical test labels the child minus its
+deletion vertex whenever that vertex is not the new one.
 """
 
 from __future__ import annotations

@@ -4,20 +4,23 @@ Everything here deliberately avoids the production code paths: predicates
 walk neighbor id lists instead of bitmasks, minimization enumerates subsets
 in increasing size, isomorphism tries permutations, and the graph6 encoder
 builds the bit string by hand. The one shared piece is the canonical
-certificate used to dedupe the labeled-mask enumeration, which is the
-documented dedupe currency. ``seed_solve_min`` and ``seed_canonical_form``
-are the other kind of reference: the per-node rescan that the production
-search replaced, and the labeling that refined against every cell and
-walked every leaf, kept so that the new code can be held to the very same
-results.
+certificate used to dedupe the labeled-mask enumeration, which agrees for
+two graphs iff they are isomorphic. ``seed_solve_min``,
+``seed_canonical_form`` and ``dedupe_augment_classes`` are the other kind
+of reference: the per-node rescan that the production search replaced,
+the labeling that refined against every cell and walked every leaf, and
+the generator that labeled every child and deduped by certificate, kept
+so that the new code can be held to the very same results.
 """
 
 from __future__ import annotations
 
 from itertools import combinations, permutations
 
+from rdom import kernels
+from rdom.enumeration import CLASS_PREDICATES, _MIN_ORDER, _feasible_cubic, _feasible_ss, _one_per_orbit
 from rdom.graph import Graph, bits_of
-from rdom.iso import canonical_certificate
+from rdom.iso import canonical_certificate, certificate_to_graph
 
 
 def neighbor_lists(g: Graph) -> list[list[int]]:
@@ -430,4 +433,66 @@ def encode_graph6_oracle(g: Graph) -> str:
     out = chr(g.n + 63)
     for k in range(0, len(bits), 6):
         out += chr(int(bits[k:k + 6], 2) + 63)
+    return out
+
+
+def dedupe_augment_classes(n: int, cls: str) -> list[Graph]:
+    """Reference for ``rdom.enumeration._augment_classes``: every child is
+    labeled and a global certificate set removes the duplicates. Kept
+    verbatim from the generator that canonical construction paths replaced,
+    so the differential test can demand the same streams.
+
+    Connected classes of order n for cubic / special-subcubic / all.
+
+    Each class of a level is kept with the automorphisms its labeling
+    found. Subsets that one of them maps onto each other give isomorphic
+    children, so a parent is extended by the first subset of each orbit
+    only. The automorphisms may generate only part of Aut(parent); the
+    certificate dedupe removes the isomorphic children that remain.
+    """
+    if n < _MIN_ORDER[cls]:
+        return []
+    if cls == "cubic" and n % 2:
+        return []
+    level: dict[bytes, tuple[tuple[int, ...], list]] = {b"\x01": ((0,), [])}
+    for size in range(1, n):
+        r_after = n - size - 1
+        nxt: dict[bytes, tuple[tuple[int, ...], list]] = {}
+        for rows, autos in level.values():
+            if cls == "all":
+                eligible = list(range(size))
+                max_sz = size
+            else:
+                eligible = [v for v in range(size) if rows[v].bit_count() < 3]
+                max_sz = 3
+            for sz in range(1, min(max_sz, len(eligible)) + 1):
+                if cls == "cubic" and 3 - sz > r_after:
+                    continue
+                if cls == "special-subcubic" and 2 - sz > r_after:
+                    continue
+                for combo, attach in _one_per_orbit(combinations(eligible, sz), autos):
+                    new_rows = list(rows)
+                    for u in combo:
+                        new_rows[u] |= 1 << size
+                    new_rows.append(attach)
+                    if cls == "cubic":
+                        degs = [row.bit_count() for row in new_rows]
+                        if not _feasible_cubic(degs, r_after):
+                            continue
+                    elif cls == "special-subcubic":
+                        degs = [row.bit_count() for row in new_rows]
+                        if max(degs) > 3 or not _feasible_ss(degs, r_after):
+                            continue
+                    # the last level is not extended, so its automorphisms are not kept
+                    found = [] if size + 1 < n else None
+                    cert, _ = kernels.canonical_form(size + 1, new_rows, found)
+                    if cert not in nxt:
+                        nxt[cert] = (tuple(new_rows), found)
+        level = nxt
+    predicate = CLASS_PREDICATES[cls]
+    out = []
+    for cert in sorted(level):
+        g = certificate_to_graph(cert)
+        if predicate(g):
+            out.append(g)
     return out

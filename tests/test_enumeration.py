@@ -4,10 +4,12 @@ from itertools import combinations
 
 import pytest
 
-from rdom import kernels
+from rdom import enumeration, kernels
 from rdom.enumeration import (
     CLASS_PREDICATES,
     EnumSpec,
+    _feasible_cubic,
+    _feasible_ss,
     _one_per_orbit,
     connected_classes,
     enumerate_from_file,
@@ -15,8 +17,12 @@ from rdom.enumeration import (
 )
 from rdom.graph import complete_bipartite, complete_graph, is_connected, is_cubic, is_special_subcubic, mask_of, path_graph
 from rdom.graph6 import Graph6Error, write_graph6
-from rdom.iso import are_isomorphic, canonical_certificate
-from oracles import labeled_cubic_classes, mask_connected_classes
+from rdom.iso import are_isomorphic, canonical_certificate, certificate_to_graph
+from oracles import _connected, dedupe_augment_classes, labeled_cubic_classes, mask_connected_classes
+
+# the corpora on which the generator is held to the dedupe generator
+DIFFERENTIAL = [("cubic", n) for n in range(4, 13, 2)] + \
+    [("special-subcubic", n) for n in range(3, 11)] + [("all", n) for n in range(1, 8)]
 
 
 class TestCubic:
@@ -35,6 +41,11 @@ class TestCubic:
 
     def test_odd_orders_empty(self):
         assert connected_classes(7, "cubic") == ()
+
+    def test_oeis_counts(self):
+        # connected cubic graphs, OEIS A002851; 14 is the class cap
+        for n, count in {10: 19, 12: 85, 14: 509}.items():
+            assert len(connected_classes(n, "cubic")) == count
 
     def test_disconnected_at_8(self):
         conn = list(enumerate_graphs(EnumSpec(8, "cubic")))
@@ -71,6 +82,17 @@ class TestAllGraphs:
         expected = {1: 1, 2: 1, 3: 2, 4: 6, 5: 21, 6: 112, 7: 853, 8: 11117}
         for n, count in expected.items():
             assert len(connected_classes(n, "all")) == count
+
+
+    def test_disconnected_streams(self):
+        # all graphs on 5 and 6 vertices, OEIS A000088; each emitted graph is
+        # its own canonical form, and the stream is in certificate order
+        for n, count in {5: 34, 6: 156}.items():
+            graphs = list(enumerate_graphs(EnumSpec(n, "all", connected_only=False)))
+            certs = [canonical_certificate(g) for g in graphs]
+            assert len(graphs) == count
+            assert certs == sorted(set(certs))
+            assert graphs == [certificate_to_graph(c) for c in certs]
 
 
 class TestDegreeBipartite:
@@ -129,6 +151,9 @@ class TestStreamProperties:
         assert firsts(3, [reflection]) == [s for s in subsets(3) if s <= tuple(sorted(-v % 6 for v in s))]
         assert firsts(2, []) == list(subsets(2))
         assert all(m == mask_of(s) for s, m in _one_per_orbit(subsets(4), [rotation]))
+        assert all(enumeration._in_orbit([rotation], 0, v) for v in range(6))
+        assert [v for v in range(6) if enumeration._in_orbit([reflection], 1, v)] == [1, 5]
+        assert not enumeration._in_orbit([], 1, 5)
 
     def test_orbit_pruning_keeps_every_class(self, monkeypatch):
         # a labeler that reports no automorphisms turns the orbit pruning
@@ -144,6 +169,50 @@ class TestStreamProperties:
                 assert [write_graph6(g) for g in connected_classes(n, cls)] == lines
         finally:
             connected_classes.cache_clear()
+
+    @pytest.mark.parametrize("autos", [True, False], ids=["autos", "no-autos"])
+    def test_matches_dedupe_generator(self, monkeypatch, autos):
+        # a labeler that reports no automorphisms stands in for the compiled
+        # kernel; the G - c fallback must then keep every class on its own
+        if not autos:
+            labeler = kernels.canonical_form
+            monkeypatch.setattr(kernels, "canonical_form", lambda n, adj, autos=None: labeler(n, adj))
+        fallbacks = []
+        without = enumeration._without
+        monkeypatch.setattr(enumeration, "_without", lambda rows, c: fallbacks.append(c) or without(rows, c))
+        for cls, n in DIFFERENTIAL:
+            ours = [write_graph6(g) for g in enumeration._augment_classes(n, cls)]
+            assert ours == [write_graph6(g) for g in dedupe_augment_classes(n, cls)], (cls, n)
+        assert fallbacks
+
+    def test_fallback_is_needed_without_automorphisms(self, monkeypatch):
+        labeler = kernels.canonical_form
+        monkeypatch.setattr(kernels, "canonical_form", lambda n, adj, autos=None: labeler(n, adj))
+        # an edgeless graph never has a connected parent's certificate
+        monkeypatch.setattr(enumeration, "_without", lambda rows, c: [0] * (len(rows) - 1))
+        assert len(enumeration._augment_classes(10, "cubic")) < 19
+
+    def test_deletion_stays_in_the_previous_level(self):
+        # the lemma behind the deletion rule: deleting a non-cut vertex keeps
+        # a feasible partial graph feasible with one more vertex to add
+        for n in range(2, 8):
+            for g in connected_classes(n, "all"):
+                if g.max_degree() > 3:
+                    continue
+                degs = [row.bit_count() for row in g.adj]
+                for u in range(n):
+                    rest = [v for v in range(n) if v != u]
+                    rows = [sum(1 << i for i, w in enumerate(rest) if g.adj[v] >> w & 1) for v in rest]
+                    cut = not _connected(n - 1, rows)
+                    assert enumeration._is_cut(list(g.adj), u) == cut
+                    if cut:
+                        continue
+                    smaller = [degs[v] - (g.adj[v] >> u & 1) for v in rest]
+                    for r in range(7):
+                        if _feasible_cubic(degs, r):
+                            assert _feasible_cubic(smaller, r + 1)
+                        if _feasible_ss(degs, r):
+                            assert _feasible_ss(smaller, r + 1)
 
     def test_caps_enforced(self):
         with pytest.raises(ValueError, match="cap"):

@@ -7,7 +7,14 @@ import pytest
 
 from rdom.graph import Graph, bits_of, complete_graph, cycle_graph, disjoint_union, petersen_graph
 from rdom.family import family_member
-from rdom.iso import are_isomorphic, canonical_certificate, canonical_graph, certificate_to_graph, isomorphism
+from rdom.iso import (
+    are_isomorphic,
+    canonical_certificate,
+    canonical_graph,
+    certificate_to_graph,
+    isomorphism,
+    labeled_certificate,
+)
 from oracles import brute_isomorphic
 
 
@@ -47,6 +54,15 @@ def test_certificate_stable_and_decodable():
     assert are_isomorphic(back, g)
     assert canonical_certificate(back) == c1
     assert canonical_graph(g).adj == back.adj
+    assert labeled_certificate(back) == c1
+
+
+def test_labeled_certificate_inverts_decoding():
+    rng = random.Random(5)
+    for _ in range(200):
+        n = rng.randint(0, 16)
+        g = Graph.from_edges(n, [e for e in combinations(range(n), 2) if rng.random() < 0.3])
+        assert certificate_to_graph(labeled_certificate(g)).adj == g.adj
 
 
 def test_witness_is_adjacency_preserving():
