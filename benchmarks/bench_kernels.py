@@ -1,5 +1,6 @@
 #!/usr/bin/env python3
-"""Benchmark the compiled kernels against the pure-Python fallback.
+"""Time rdom's kernel (``rdom._pykernels``, called without the input guard),
+with every corpus built before the first timing.
 
 Workloads mirror what the verification sweeps actually spend time on:
 
@@ -29,14 +30,6 @@ from rdom.enumeration import connected_classes
 from rdom.family import all_family_members
 from rdom.graph import Graph, bits_of, small_vertices
 
-try:
-    from rdom import _kernels
-
-    IMPLS = [("compiled", _kernels), ("python", _pykernels)]
-except ImportError:
-    print("compiled kernels unavailable; timing the pure fallback only")
-    IMPLS = [("python", _pykernels)]
-
 
 def relabeled(g: Graph, rng: random.Random) -> Graph:
     perm = list(range(g.n))
@@ -48,26 +41,26 @@ def relabeled(g: Graph, rng: random.Random) -> Graph:
     return Graph(g.n, rows)
 
 
-def workload_solve(impl, graphs):
+def workload_solve(graphs):
     for g in graphs:
         full = g.vertex_mask()
-        impl.solve_min(g.n, g.adj, full, full, 0, 0)
+        _pykernels.solve_min(g.n, g.adj, full, full, 0, 0)
 
 
-def workload_nerd(impl, catalog):
+def workload_nerd(catalog):
     for g in catalog:
         full = g.vertex_mask()
         for v in bits_of(small_vertices(g)):
-            impl.solve_min(g.n, g.adj, full & ~(1 << v), full, 0, 0)
-            impl.solve_min(g.n, g.adj, full, full & ~(1 << v), 0, 1 << v)
+            _pykernels.solve_min(g.n, g.adj, full & ~(1 << v), full, 0, 0)
+            _pykernels.solve_min(g.n, g.adj, full, full & ~(1 << v), 0, 1 << v)
 
 
-def workload_canon(impl, graphs):
+def workload_canon(graphs):
     for g in graphs:
-        impl.canonical_form(g.n, g.adj)
+        _pykernels.canonical_form(g.n, g.adj)
 
 
-def workload_dedupe(impl):
+def workload_dedupe():
     n = 6
     seen = set()
     for mask in range(1 << (n * (n - 1) // 2)):
@@ -82,7 +75,7 @@ def workload_dedupe(impl):
         degs = [r.bit_count() for r in rows]
         if any(degs[i] < degs[i + 1] for i in range(n - 1)):
             continue  # only degree-sorted labelings reach the certificate
-        cert, _ = impl.canonical_form(n, rows)
+        cert, _ = _pykernels.canonical_form(n, rows)
         seen.add(cert)
     return len(seen)
 
@@ -92,8 +85,8 @@ def main():
     parser.add_argument("--repeat", type=int, default=5)
     args = parser.parse_args()
 
-    # every corpus is built before the first timing, so no implementation
-    # pays for the enumeration cache
+    # every corpus is built before the first timing, so no workload pays
+    # for the enumeration cache
     catalog = [m.graph for m in all_family_members()]
     solve_corpus = list(connected_classes(10, "cubic")) + catalog
     rng = random.Random(20240)
@@ -104,23 +97,18 @@ def main():
             canon_corpus.extend(relabeled(g, rng) for _ in range(3))
 
     workloads = [
-        ("solve", lambda impl: workload_solve(impl, solve_corpus)),
-        ("nerd", lambda impl: workload_nerd(impl, catalog)),
-        ("canon", lambda impl: workload_canon(impl, canon_corpus)),
-        ("dedupe", lambda impl: workload_dedupe(impl)),
+        ("solve", lambda: workload_solve(solve_corpus)),
+        ("nerd", lambda: workload_nerd(catalog)),
+        ("canon", lambda: workload_canon(canon_corpus)),
+        ("dedupe", workload_dedupe),
     ]
     print(f"kernels.ACTIVE={kernels.ACTIVE}  Python {platform.python_version()}")
-    print(f"{'workload':<10}" + "".join(f"{name:>14}" for name, _ in IMPLS) + f"{'speedup':>10}")
     for wname, fn in workloads:
-        times = []
-        for _, impl in IMPLS:
-            t0 = time.perf_counter()
-            for _ in range(args.repeat):
-                fn(impl)
-            times.append((time.perf_counter() - t0) / args.repeat)
-        speedup = times[-1] / times[0] if len(times) > 1 else 1.0
-        cols = "".join(f"{t * 1e3:>12.2f}ms" for t in times)
-        print(f"{wname:<10}{cols}{speedup:>9.1f}x")
+        t0 = time.perf_counter()
+        for _ in range(args.repeat):
+            fn()
+        elapsed = (time.perf_counter() - t0) / args.repeat
+        print(f"{wname:<10}{elapsed * 1e3:>12.2f}ms")
 
 
 if __name__ == "__main__":

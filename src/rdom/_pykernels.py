@@ -1,11 +1,11 @@
-"""Pure-Python compute kernels.
+"""The compute kernels, in pure Python.
 
 Two hot paths live here: the exact set-minimization search behind every
 solver variant, and canonical labeling by refinement plus branching over
-color classes, pruned by the automorphisms it finds. ``rdom._kernels`` is
-a compiled twin with the same results: it searches without pruning, and
-its ``canonical_form`` takes no ``autos`` list. ``rdom.kernels`` picks
-whichever is available at import time.
+color classes, pruned by the automorphisms it finds. This is rdom's only
+kernel. The rest of the library calls it through ``rdom.kernels``, which
+validates ``solve_min``'s arguments first: the search trusts its rows to
+be symmetric and does not check them.
 
 Graphs arrive as ``(n, adj)`` where ``adj`` is a sequence of ``n`` ints,
 bit ``u`` of ``adj[v]`` set iff ``uv`` is an edge. Vertex sets are plain

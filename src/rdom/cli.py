@@ -1,7 +1,7 @@
 """Command-line interface.
 
-Subcommands: family, solve, formulas, lemma1, enumerate, verify, extremal,
-bench. Verification reports go to stdout as JSON (with --json), the human
+Subcommands: family, solve, formulas, lemma1, enumerate, verify, extremal.
+Verification reports go to stdout as JSON (with --json), the human
 summary always goes to stderr. Exit codes: 0 all checks passed, 1 any
 violation, 2 usage or input errors.
 """
@@ -12,7 +12,7 @@ import argparse
 import json
 import sys
 
-from rdom import kernels
+from rdom import __version__
 from rdom.construct import gamma_r_cycle, gamma_r_path, lemma1_construct
 from rdom.enumeration import EnumSpec, enumerate_graphs
 from rdom.family import all_family_members
@@ -194,39 +194,9 @@ def _emit_reports(reports, as_json: bool) -> int:
     return 0 if all(rep.passed for rep in reports) else 1
 
 
-def cmd_bench(args) -> int:
-    from rdom import _pykernels
-
-    impls = [("python", _pykernels)]
-    if kernels.ACTIVE == "compiled":
-        from rdom import _kernels
-
-        impls.insert(0, ("compiled", _kernels))
-    import time
-
-    corpus = [m.graph for m in all_family_members()]
-    corpus += list(enumerate_graphs(EnumSpec(8, "special-subcubic")))
-    print(f"workload: gamma_r + canonical labeling over {len(corpus)} graphs", file=sys.stderr)
-    rows = []
-    for name, impl in impls:
-        t0 = time.perf_counter()
-        for _ in range(args.repeat):
-            for g in corpus:
-                full = g.vertex_mask()
-                impl.solve_min(g.n, g.adj, full, full, 0, 0)
-                impl.canonical_form(g.n, g.adj)
-        rows.append((name, time.perf_counter() - t0))
-    base = rows[-1][1]
-    for name, sec in rows:
-        print(json.dumps({"impl": name, "seconds": round(sec, 4),
-                          "speedup_vs_python": round(base / sec, 2)}))
-    return 0
-
-
 def build_parser() -> argparse.ArgumentParser:
     parser = argparse.ArgumentParser(prog="rdom", description=__doc__)
-    parser.add_argument("--version", action="version",
-                        version=f"rdom 0.1.0 (kernels: {kernels.ACTIVE})")
+    parser.add_argument("--version", action="version", version=f"rdom {__version__}")
     sub = parser.add_subparsers(dest="command", required=True)
 
     sub.add_parser("family", help="emit the exception catalog").set_defaults(func=cmd_family)
@@ -268,10 +238,6 @@ def build_parser() -> argparse.ArgumentParser:
     p.add_argument("--jobs", type=int, default=1)
     p.add_argument("--json", action="store_true")
     p.set_defaults(func=cmd_verify)
-
-    p = sub.add_parser("bench", help="compare compiled and pure kernels")
-    p.add_argument("--repeat", type=int, default=20)
-    p.set_defaults(func=cmd_bench)
 
     return parser
 

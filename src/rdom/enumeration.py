@@ -6,12 +6,13 @@ Algorithms 26, 1998). Every level holds one representative per
 isomorphism class. Each representative is extended by a new vertex
 attached to one eligible subset per orbit of the automorphisms found
 while labeling it, and degree-feasibility pruning discards partial graphs
-that can no longer reach the target class. A child is kept only when its
-new vertex is, up to automorphism, the child's canonical deletion vertex,
-so each class is reached from one parent only; most other children are
-turned away by a vertex invariant before they are labeled. Because every
-connected graph admits a build order with all prefixes connected,
-attaching to at least one existing vertex loses nothing.
+that can no longer reach the target class. A child is labeled only when
+no vertex whose deletion leaves it connected ranks above the new vertex
+by degree and then a vertex invariant, which turns most children away
+before labeling; the first child to reach a certificate represents its
+class. Because every connected graph admits a build order with all
+prefixes connected, attaching to at least one existing vertex loses
+nothing.
 
 Graph classes:
   * ``cubic``             every vertex of final degree 3
@@ -37,7 +38,6 @@ from typing import Callable, Iterator
 
 from rdom import kernels
 from rdom.graph import Graph, disjoint_union, is_cubic, is_degree_bipartite, is_special_subcubic, mask_of
-from rdom.graph6 import Graph6Error, parse_graph6
 from rdom.iso import canonical_certificate, certificate_to_graph, labeled_certificate
 
 CLASS_CAPS = {"cubic": 14, "special-subcubic": 11, "degree-bipartite": 12, "all": 9}
@@ -174,77 +174,29 @@ def _beaten(rows, degs, v):
     return False
 
 
-def _without(rows, c):
-    """The rows of the graph with vertex c deleted and the later ids shifted down."""
-    keep = (1 << c) - 1
-    return [row & keep | row >> (c + 1) << c for u, row in enumerate(rows) if u != c]
-
-
-def _in_orbit(autos, v, c):
-    """Whether some product of ``autos`` maps v to c."""
-    orbit = [v]
-    seen = 1 << v
-    for x in orbit:
-        for g in autos:
-            y = g[x]
-            if not seen >> y & 1:
-                seen |= 1 << y
-                orbit.append(y)
-    return bool(seen >> c & 1)
-
-
-def _canonical_deletion(rows, degs, perm, autos, parent_cert):
-    """Whether the last vertex v lies in the orbit of the canonical deletion
-    vertex c: the first vertex in canonical order among the non-cut ones that
-    rank with v (``_beaten`` has ruled out any that rank above it)."""
-    v = len(rows) - 1
-    dv = degs[v]
-    fv = _invariant(rows, degs, v)
-    for c in perm:
-        if c == v:
-            return True
-        if degs[c] == dv and _invariant(rows, degs, c) == fv and not _is_cut(rows, c):
-            break
-    if _in_orbit(autos, v, c):
-        return True
-    # autos may generate only part of Aut(G), and none in compiled mode
-    return kernels.canonical_form(v, _without(rows, c))[0] == parent_cert
-
-
 def _augment_classes(n: int, cls: str) -> list[Graph]:
     """Connected classes of order n for cubic / special-subcubic / all.
 
     A level holds the connected graphs with maximum degree at most 3
     (any degree for "all") that can still be completed with the vertices
-    left, one per class, keyed by certificate and kept with the
-    automorphisms their labeling found. Deletion rule for a child G = P + v:
-    the deletable vertices D are the non-cut vertices of G; rank them by
-    degree, then by ``_invariant``; the canonical deletion vertex c is the
-    first vertex in canonical order among the top-ranked ones. G is kept
-    when v is in the Aut(G)-orbit of c.
+    left, keyed by certificate and kept with the automorphisms their
+    labeling found. Deletion rule for a child G = P + v: the deletable
+    vertices D are the non-cut vertices of G, ranked by degree, then by
+    ``_invariant``. ``_beaten`` rejects G before labeling when a vertex of
+    D ranks above v; it tests connectivity only for those vertices.
 
     * Deleting any u in D leaves a graph of the previous level: G - u is
       connected, and ``_feasible_cubic`` / ``_feasible_ss`` stay true with
       one more vertex to add. Each vertex's need grows by at most one, and
       for cubic the other conditions reduce to r + deg(u) >= 3, which the
       per-vertex check 3 - deg(u) <= r already guarantees.
-    * Completeness: a graph G of the level reduces to P = G - c with P in
-      the previous level (up to isomorphism). The representative of P is
-      extended by an attachment in the orbit of c's neighbourhood, which
-      yields a copy of G in which the new vertex lies in the orbit of c,
-      so it is kept.
-    * One parent per class: if G is kept from P1 + v1 and from P2 + v2,
-      both v1 and v2 lie in the orbit of c, so P1 and P2 are isomorphic
-      and are the same representative. Isomorphic children of one parent
-      that its found automorphisms did not identify meet the
-      ``cert not in nxt`` guard.
-    * The labeler hands out automorphisms that may generate only part of
-      Aut(G), and none at all in compiled mode. When c is not in the
-      orbit of v they generate, G is still kept if G - c has the parent's
-      certificate; without this fallback classes would be lost.
-
-    ``_beaten`` rejects a child before labeling when a vertex of D ranks
-    above v; it tests connectivity only for those vertices.
+    * Completeness: take c top-ranked in D for a graph G of the level. It
+      reduces to P = G - c with P in the previous level (up to
+      isomorphism). The representative of P is extended by an attachment
+      in the orbit of c's neighbourhood, which yields a copy of G in which
+      the new vertex ranks with c, so it is labeled.
+    * The dict keeps one representative per class: the first child to
+      reach a certificate, with the automorphisms found while labeling it.
     """
     if n < _MIN_ORDER[cls]:
         return []
@@ -254,7 +206,7 @@ def _augment_classes(n: int, cls: str) -> list[Graph]:
     for size in range(1, n):
         r_after = n - size - 1
         nxt: dict[bytes, tuple[tuple[int, ...], list]] = {}
-        for parent_cert, (rows, autos) in level.items():
+        for rows, autos in level.values():
             if cls == "all":
                 eligible = list(range(size))
                 max_sz = size
@@ -281,8 +233,8 @@ def _augment_classes(n: int, cls: str) -> list[Graph]:
                     if _beaten(new_rows, degs, size):
                         continue
                     found = []
-                    cert, perm = kernels.canonical_form(size + 1, new_rows, found)
-                    if cert not in nxt and _canonical_deletion(new_rows, degs, perm, found, parent_cert):
+                    cert, _ = kernels.canonical_form(size + 1, new_rows, found)
+                    if cert not in nxt:
                         nxt[cert] = (tuple(new_rows), found)
         level = nxt
     predicate = CLASS_PREDICATES[cls]
@@ -410,37 +362,3 @@ def enumerate_graphs(spec: EnumSpec) -> Iterator[Graph]:
         yield from connected_classes(spec.n, spec.graph_class)
     else:
         yield from _all_classes(spec.n, spec.graph_class)
-
-
-def enumerate_from_file(
-    path_or_lines,
-    predicate: Callable[[Graph], bool] | None = None,
-    strict: bool = False,
-) -> tuple[list[Graph], list[tuple[int, str]]]:
-    """Parse a graph6 corpus and keep the graphs passing the predicate.
-
-    File order is preserved; ingested graphs are re-checked against the
-    predicate rather than trusted. Malformed lines are returned with their
-    line numbers, or raised immediately when strict.
-    """
-    if isinstance(path_or_lines, (str, bytes)):
-        with open(path_or_lines, "r", encoding="ascii") as fh:
-            lines = fh.readlines()
-    else:
-        lines = list(path_or_lines)
-    graphs: list[Graph] = []
-    errors: list[tuple[int, str]] = []
-    for lineno, line in enumerate(lines, start=1):
-        stripped = line.strip()
-        if not stripped:
-            continue
-        try:
-            g = parse_graph6(stripped)
-        except Graph6Error as exc:
-            if strict:
-                raise Graph6Error(f"line {lineno}: {exc}") from exc
-            errors.append((lineno, str(exc)))
-            continue
-        if predicate is None or predicate(g):
-            graphs.append(g)
-    return graphs, errors

@@ -1,54 +1,30 @@
-"""Kernel selection: compiled extension when available, pure Python otherwise.
+"""The compute kernels as the rest of rdom calls them.
 
-Set ``RDOM_PURE=1`` in the environment to force the pure-Python kernels even
-when the compiled module is importable. ``ACTIVE`` reports which one won.
+``rdom._pykernels`` is the one kernel; this module re-exports its
+``CERT_MAX_N`` and ``canonical_form`` and puts an input guard in front of
+its ``solve_min``. ``canonical_form`` goes unguarded: it sits on the
+enumeration hot path and checks its own ``CERT_MAX_N``. Callers go through
+these names, so a wrapper installed here (a tracer, a test's stand-in
+labeler) sees every call.
 
-``solve_min`` validates its arguments before handing them to the selected
-kernel, so malformed input raises ``ValueError`` in both modes instead of
-reaching the compiled kernel's fixed-width arrays. ``canonical_form`` is
-not validated: it sits on the enumeration hot path and guards its own
-``CERT_MAX_N``. It takes ``canonical_form(n, adj, autos=None)`` in both
-modes. The pure kernel appends the automorphisms its search found to a
-list passed as ``autos``; the compiled kernel keeps its ``(n, adj)``
-signature and finds none, so the list stays empty: the enumerator's
-orbit pruning is off, and its canonical test labels the child minus its
-deletion vertex whenever that vertex is not the new one.
+``ACTIVE`` names the kernel and is always ``"python"``. It stays because
+benchmark runs record it in their metadata.
 """
 
 from __future__ import annotations
 
-import os
-
+from rdom import _pykernels
+from rdom._pykernels import CERT_MAX_N, canonical_form
 from rdom.graph import MAX_N
 
-if os.environ.get("RDOM_PURE", "") in ("1", "true", "yes"):
-    from rdom import _pykernels as _impl
-
-    ACTIVE = "python"
-else:
-    try:
-        from rdom import _kernels as _impl  # type: ignore[attr-defined]
-
-        ACTIVE = "compiled"
-    except ImportError:
-        from rdom import _pykernels as _impl
-
-        ACTIVE = "python"
-
-CERT_MAX_N = _impl.CERT_MAX_N
-if ACTIVE == "python":
-    canonical_form = _impl.canonical_form
-else:
-
-    def canonical_form(n, adj, autos=None):
-        return _impl.canonical_form(n, adj)
+ACTIVE = "python"
 
 
 def solve_min(n, adj, dom_req, res_req, force_in=0, force_out=0):
-    """The selected kernel's ``solve_min`` (see ``rdom._pykernels``) behind
-    a guard: ``adj`` must hold ``n <= MAX_N`` (64, the compiled kernel's
-    row array) symmetric loop-free rows over ``range(n)``, and every mask
-    must lie inside ``range(n)``. The search relies on the symmetry."""
+    """``rdom._pykernels.solve_min`` behind a guard: ``adj`` must hold
+    ``n <= MAX_N`` (64, one machine word per row) symmetric loop-free rows
+    over ``range(n)``, and every mask must lie inside ``range(n)``. The
+    search relies on the symmetry."""
     if not 0 <= n <= MAX_N:
         raise ValueError(f"solve_min supports 0 <= n <= {MAX_N}, got {n}")
     if len(adj) != n:
@@ -66,4 +42,4 @@ def solve_min(n, adj, dom_req, res_req, force_in=0, force_out=0):
                        ("force_in", force_in), ("force_out", force_out)):
         if mask >> n:
             raise ValueError(f"{name} has bits outside range({n})")
-    return _impl.solve_min(n, adj, dom_req, res_req, force_in, force_out)
+    return _pykernels.solve_min(n, adj, dom_req, res_req, force_in, force_out)

@@ -4,6 +4,7 @@ import json
 
 import pytest
 
+import rdom
 from rdom.cli import main
 from rdom.graph import complete_bipartite, cycle_graph, petersen_graph
 from rdom.graph6 import parse_graph6, write_graph6
@@ -139,6 +140,11 @@ def test_extremal(capsys):
 
 def test_help_exits_zero(capsys):
     assert main(["--help"]) == 0
+
+
+def test_version(capsys):
+    code, out, _ = run_cli(capsys, "--version")
+    assert code == 0 and out == f"rdom {rdom.__version__}\n"
 
 
 def test_unknown_command_usage_error(capsys):

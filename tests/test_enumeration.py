@@ -12,11 +12,10 @@ from rdom.enumeration import (
     _feasible_ss,
     _one_per_orbit,
     connected_classes,
-    enumerate_from_file,
     enumerate_graphs,
 )
-from rdom.graph import complete_bipartite, complete_graph, is_connected, is_cubic, is_special_subcubic, mask_of, path_graph
-from rdom.graph6 import Graph6Error, write_graph6
+from rdom.graph import complete_bipartite, complete_graph, is_connected, is_special_subcubic, mask_of
+from rdom.graph6 import write_graph6
 from rdom.iso import are_isomorphic, canonical_certificate, certificate_to_graph
 from oracles import _connected, dedupe_augment_classes, labeled_cubic_classes, mask_connected_classes
 
@@ -151,13 +150,9 @@ class TestStreamProperties:
         assert firsts(3, [reflection]) == [s for s in subsets(3) if s <= tuple(sorted(-v % 6 for v in s))]
         assert firsts(2, []) == list(subsets(2))
         assert all(m == mask_of(s) for s, m in _one_per_orbit(subsets(4), [rotation]))
-        assert all(enumeration._in_orbit([rotation], 0, v) for v in range(6))
-        assert [v for v in range(6) if enumeration._in_orbit([reflection], 1, v)] == [1, 5]
-        assert not enumeration._in_orbit([], 1, 5)
 
     def test_orbit_pruning_keeps_every_class(self, monkeypatch):
-        # a labeler that reports no automorphisms turns the orbit pruning
-        # off, as the compiled kernel does
+        # a labeler that reports no automorphisms turns the orbit pruning off
         pruned = {(n, cls): [write_graph6(g) for g in connected_classes(n, cls)]
                   for cls, ns in (("cubic", (8, 10)), ("special-subcubic", (7, 8)), ("all", (6,)))
                   for n in ns}
@@ -172,25 +167,13 @@ class TestStreamProperties:
 
     @pytest.mark.parametrize("autos", [True, False], ids=["autos", "no-autos"])
     def test_matches_dedupe_generator(self, monkeypatch, autos):
-        # a labeler that reports no automorphisms stands in for the compiled
-        # kernel; the G - c fallback must then keep every class on its own
+        # a labeler that reports no automorphisms turns the orbit pruning off
         if not autos:
             labeler = kernels.canonical_form
             monkeypatch.setattr(kernels, "canonical_form", lambda n, adj, autos=None: labeler(n, adj))
-        fallbacks = []
-        without = enumeration._without
-        monkeypatch.setattr(enumeration, "_without", lambda rows, c: fallbacks.append(c) or without(rows, c))
         for cls, n in DIFFERENTIAL:
             ours = [write_graph6(g) for g in enumeration._augment_classes(n, cls)]
             assert ours == [write_graph6(g) for g in dedupe_augment_classes(n, cls)], (cls, n)
-        assert fallbacks
-
-    def test_fallback_is_needed_without_automorphisms(self, monkeypatch):
-        labeler = kernels.canonical_form
-        monkeypatch.setattr(kernels, "canonical_form", lambda n, adj, autos=None: labeler(n, adj))
-        # an edgeless graph never has a connected parent's certificate
-        monkeypatch.setattr(enumeration, "_without", lambda rows, c: [0] * (len(rows) - 1))
-        assert len(enumeration._augment_classes(10, "cubic")) < 19
 
     def test_deletion_stays_in_the_previous_level(self):
         # the lemma behind the deletion rule: deleting a non-cut vertex keeps
@@ -221,38 +204,3 @@ class TestStreamProperties:
             EnumSpec(12, "special-subcubic")
         with pytest.raises(ValueError):
             EnumSpec(5, "no-such-class")
-
-
-class TestFromFile:
-    def test_filter_applied(self, tmp_path):
-        path = tmp_path / "corpus.g6"
-        path.write_text("C~\n")
-        graphs, errors = enumerate_from_file(str(path), is_cubic)
-        assert len(graphs) == 1 and errors == []
-        assert are_isomorphic(graphs[0], complete_graph(4))
-
-    def test_empty_file(self, tmp_path):
-        path = tmp_path / "empty.g6"
-        path.write_text("")
-        graphs, errors = enumerate_from_file(str(path))
-        assert graphs == [] and errors == []
-
-    def test_non_matching_graphs_dropped_silently(self, tmp_path):
-        path = tmp_path / "p3.g6"
-        path.write_text(write_graph6(path_graph(3)) + "\n")
-        graphs, errors = enumerate_from_file(str(path), is_cubic)
-        assert graphs == [] and errors == []
-
-    def test_malformed_lines_reported(self):
-        graphs, errors = enumerate_from_file(["C~\n", "ERROR###\n", "Dhc\n"])
-        assert len(graphs) == 2
-        assert len(errors) == 1 and errors[0][0] == 2
-
-    def test_strict_raises(self):
-        with pytest.raises(Graph6Error, match="line 2"):
-            enumerate_from_file(["C~\n", "ERROR###\n"], strict=True)
-
-    def test_order_preserved(self):
-        lines = ["Dhc\n", "C~\n"]
-        graphs, _ = enumerate_from_file(lines)
-        assert [g.n for g in graphs] == [5, 4]

@@ -1,25 +1,16 @@
 from __future__ import annotations
 
-import os
 import random
-import subprocess
-import sys
 
 import pytest
 
 from rdom import _pykernels, enumeration, kernels
+from rdom.construct import gamma_r_cycle
 from rdom.family import all_family_members
 from rdom.graph import Graph, complete_graph, cycle_graph, petersen_graph
 from rdom.iso import canonical_graph, certificate_to_graph
 
 from oracles import seed_canonical_form, seed_solve_min
-
-try:
-    from rdom import _kernels
-except ImportError:
-    _kernels = None
-
-requires_compiled = pytest.mark.skipif(_kernels is None, reason="compiled kernels not built")
 
 
 def random_graphs(count, max_n, seed):
@@ -152,9 +143,7 @@ class TestLabelingMatchesSeed:
         g = petersen_graph()
         autos = []
         assert kernels.canonical_form(g.n, g.adj, autos) == kernels.canonical_form(g.n, g.adj)
-        assert all(is_automorphism(g.n, g.adj, a) for a in autos)
-        if kernels.ACTIVE == "python":
-            assert autos
+        assert autos and all(is_automorphism(g.n, g.adj, a) for a in autos)
 
 
 class TestSymmetricLabeling:
@@ -169,13 +158,15 @@ class TestSymmetricLabeling:
         assert _pykernels.canonical_form(back.n, back.adj)[0] == cert
         assert sorted(perm) == list(range(g.n))
         assert back.edge_count() == g.edge_count()
-        if kernels.ACTIVE == "python":
-            assert canonical_graph(g).adj == back.adj
+        assert canonical_graph(g).adj == back.adj
+
+    def test_empty_graph(self):
+        assert kernels.canonical_form(0, []) == (b"\x00", ())
 
 
 class TestSolveGuard:
-    """``rdom.kernels.solve_min`` rejects malformed input in either kernel
-    mode; the compiled kernel would read past its fixed-width arrays."""
+    """``rdom.kernels.solve_min`` rejects malformed input with
+    ``ValueError``; the search itself assumes symmetric in-range rows."""
 
     @pytest.mark.parametrize("args", [
         (3, [0, 0], 7, 7),  # fewer rows than vertices
@@ -197,77 +188,12 @@ class TestSolveGuard:
         assert kernels.solve_min(g.n, g.adj, full, full) == _pykernels.solve_min(g.n, g.adj, full, full)
         assert kernels.solve_min(0, [], 0, 0) == (0, 0)
 
-
-@requires_compiled
-class TestImplementationParity:
-    def test_solve_min_agrees(self):
-        corpus = [m.graph for m in all_family_members()]
-        corpus += [petersen_graph(), cycle_graph(9), complete_graph(5)]
-        corpus += random_graphs(200, 13, seed=41)
-        rng = random.Random(42)
-        for g in corpus:
-            full = g.vertex_mask()
-            configs = [
-                (full, full, 0, 0),
-                (full, 0, 0, 0),
-                (full & ~1, full, 0, 0),
-                (full, full & ~1, 0, 1),
-            ]
-            if g.n >= 3:
-                fi = 1 << rng.randrange(g.n)
-                fo = 1 << rng.randrange(g.n)
-                if fi != fo:
-                    configs.append((full, full, fi, fo))
-            for dom, res, fi, fo in configs:
-                a = _pykernels.solve_min(g.n, g.adj, dom, res, fi, fo)
-                b = _kernels.solve_min(g.n, g.adj, dom, res, fi, fo)
-                assert a == b
-
-    def test_canonical_form_agrees(self):
-        corpus = [m.graph for m in all_family_members()]
-        corpus += random_graphs(300, 12, seed=43)
-        for g in corpus:
-            assert _pykernels.canonical_form(g.n, g.adj) == _kernels.canonical_form(g.n, g.adj)
-
-    def test_cert_guard_in_both(self):
-        g = cycle_graph(17)
-        with pytest.raises(ValueError):
-            _pykernels.canonical_form(g.n, g.adj)
-        with pytest.raises(ValueError):
-            _kernels.canonical_form(g.n, g.adj)
-
-    def test_empty_graph(self):
-        assert _pykernels.canonical_form(0, []) == _kernels.canonical_form(0, [])
-        assert _pykernels.solve_min(0, [], 0, 0) == _kernels.solve_min(0, [], 0, 0)
-
-    def test_full_width_solve(self):
+    def test_full_width(self):
         g = cycle_graph(64)
         full = g.vertex_mask()
-        a = _pykernels.solve_min(g.n, g.adj, full, full, 0, 0)
-        b = _kernels.solve_min(g.n, g.adj, full, full, 0, 0)
-        assert a == b
-        from rdom.construct import gamma_r_cycle
-
-        assert a[0] == gamma_r_cycle(64)
+        assert kernels.solve_min(g.n, g.adj, full, full)[0] == gamma_r_cycle(64)
 
 
 class TestSelection:
     def test_active_is_reported(self):
-        assert kernels.ACTIVE in ("compiled", "python")
-
-    def test_pure_override(self):
-        env = dict(os.environ, RDOM_PURE="1")
-        out = subprocess.run(
-            [sys.executable, "-c", "import rdom.kernels as k; print(k.ACTIVE)"],
-            capture_output=True, text=True, env=env, check=True,
-        )
-        assert out.stdout.strip() == "python"
-
-    @requires_compiled
-    def test_compiled_selected_by_default(self):
-        env = {k: v for k, v in os.environ.items() if k != "RDOM_PURE"}
-        out = subprocess.run(
-            [sys.executable, "-c", "import rdom.kernels as k; print(k.ACTIVE)"],
-            capture_output=True, text=True, env=env, check=True,
-        )
-        assert out.stdout.strip() == "compiled"
+        assert kernels.ACTIVE == "python"
