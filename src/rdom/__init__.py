@@ -13,8 +13,6 @@ from rdom.graph import (
     VertexSet,
     bits_of,
     components,
-    find_handles_and_linkages,
-    girth,
     is_cubic,
     is_degree_bipartite,
     is_special_subcubic,

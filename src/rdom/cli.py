@@ -146,9 +146,6 @@ def cmd_enumerate(args) -> int:
 
 
 def cmd_extremal(args) -> int:
-    if args.graph_class != "cubic":
-        print("error: only --class cubic is supported", file=sys.stderr)
-        return USAGE_ERROR
     reports = harness.extremal_search(args.n, jobs=args.jobs)
     return _emit_reports(reports, args.json)
 
@@ -159,7 +156,7 @@ def cmd_verify(args) -> int:
         if args.what == "observations":
             reports = harness.verify_observation_1() + harness.verify_observations_2_to_6()
         elif args.what == "key-theorem":
-            reports = harness.verify_key_theorem(args.max_n or 8, jobs)
+            reports = harness.verify_key_theorem(args.max_n or 9, jobs)
         elif args.what == "cubic-bound":
             if args.input is not None:
                 graphs = []
@@ -224,7 +221,7 @@ def build_parser() -> argparse.ArgumentParser:
     p.set_defaults(func=cmd_enumerate)
 
     p = sub.add_parser("extremal", help="graphs achieving the cubic bound")
-    p.add_argument("--class", dest="graph_class", default="cubic")
+    p.add_argument("--class", dest="graph_class", choices=["cubic"], default="cubic")
     p.add_argument("--n", type=int, required=True)
     p.add_argument("--jobs", type=int, default=1)
     p.add_argument("--json", action="store_true")

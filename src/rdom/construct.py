@@ -12,7 +12,7 @@ from __future__ import annotations
 
 from dataclasses import dataclass
 
-from rdom.graph import Graph, VertexSet, bits_of, is_special_subcubic, small_vertices
+from rdom.graph import Graph, VertexSet, bits_of, is_degree_bipartite, small_vertices
 
 
 def gamma_r_path(n: int) -> int:
@@ -53,21 +53,6 @@ class Lemma1Trace:
     d: VertexSet
 
 
-def is_lemma1_applicable(g: Graph) -> bool:
-    """Structural precondition: special subcubic, and every edge joins a
-    degree-2 vertex to a degree-3 vertex."""
-    if not is_special_subcubic(g):
-        return False
-    small = small_vertices(g)
-    large = g.vertex_mask() & ~small
-    if not small or not large:
-        return False
-    for v in bits_of(small):
-        if g.adj[v] & small:
-            return False
-    return True
-
-
 def lemma1_construct(g: Graph) -> tuple[VertexSet, Lemma1Trace]:
     """Build an RD-set of size at most the number of degree-3 vertices.
 
@@ -75,7 +60,7 @@ def lemma1_construct(g: Graph) -> tuple[VertexSet, Lemma1Trace]:
     ascending vertex id, and the designated s1-neighbor of each fully
     saturated outside vertex is its lowest-id option.
     """
-    if not is_lemma1_applicable(g):
+    if not is_degree_bipartite(g):
         raise ValueError("graph is not degree-bipartite special subcubic")
     small = small_vertices(g)
     large = g.vertex_mask() & ~small

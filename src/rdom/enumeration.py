@@ -37,7 +37,9 @@ from itertools import combinations
 from typing import Callable, Iterator
 
 from rdom import kernels
-from rdom.graph import Graph, disjoint_union, is_cubic, is_degree_bipartite, is_special_subcubic, mask_of
+from rdom.graph import (
+    Graph, disjoint_union, is_connected, is_cubic, is_degree_bipartite, is_special_subcubic, mask_of,
+)
 from rdom.iso import canonical_certificate, certificate_to_graph, labeled_certificate
 
 CLASS_CAPS = {"cubic": 14, "special-subcubic": 11, "degree-bipartite": 12, "all": 9}
@@ -254,26 +256,12 @@ def _cubic_multigraphs(num_vertices: int) -> list[dict[tuple[int, int], int]]:
     def backtrack(idx: int, deg: list[int], mult: dict[tuple[int, int], int]):
         if idx == len(pairs):
             if all(d == 3 for d in deg):
-                # connectivity of the support graph
                 support = [0] * num_vertices
                 for (a, b), m in mult.items():
                     if m:
                         support[a] |= 1 << b
                         support[b] |= 1 << a
-                seen = 1
-                frontier = 1
-                while frontier:
-                    nxt = 0
-                    v = 0
-                    f = frontier
-                    while f:
-                        if f & 1:
-                            nxt |= support[v]
-                        f >>= 1
-                        v += 1
-                    frontier = nxt & ~seen
-                    seen |= frontier
-                if seen == (1 << num_vertices) - 1:
+                if is_connected(Graph(num_vertices, support)):
                     found.append(dict(mult))
             return
         a, b = pairs[idx]

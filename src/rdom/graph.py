@@ -69,6 +69,10 @@ class Graph:
     def __setattr__(self, name, value):
         raise AttributeError("Graph is immutable")
 
+    def __reduce__(self):
+        # unpickling goes back through the validating constructor
+        return Graph, (self.n, self.adj)
+
     @classmethod
     def from_edges(cls, n: int, edges: Iterable[tuple[int, int]]) -> "Graph":
         rows = [0] * n
@@ -250,96 +254,6 @@ def open_twins(g: Graph) -> list[tuple[int, int]]:
     return out
 
 
-def girth(g: Graph) -> int | None:
-    """Length of a shortest cycle, or None for forests.
-
-    Per-root BFS: the shortest cycle through the root closes at the first
-    non-tree edge touching the current frontier.
-    """
-    best = None
-    for root in range(g.n):
-        dist = [-1] * g.n
-        dist[root] = 0
-        frontier = [root]
-        while frontier:
-            nxt = []
-            for v in frontier:
-                for u in bits_of(g.adj[v]):
-                    if dist[u] < 0:
-                        dist[u] = dist[v] + 1
-                        nxt.append(u)
-                    elif dist[u] >= dist[v]:
-                        # non-tree edge: cycle through root of this length
-                        cycle = dist[u] + dist[v] + 1
-                        if best is None or cycle < best:
-                            best = cycle
-            if best is not None and frontier and 2 * dist[frontier[0]] >= best:
-                break
-            frontier = nxt
-    return best
-
-
-def _walk_chain(g: Graph, small: VertexSet, start: int, first: int) -> tuple[list[int], int]:
-    """Follow degree-2 vertices from ``start`` toward neighbor ``first``.
-
-    Returns ``(arm, end)``: the degree-2 vertices strictly beyond ``start``
-    in walk order, and the terminating vertex (a degree-3 vertex, or
-    ``start`` itself when the walk closes a 2-regular cycle).
-    """
-    arm = []
-    prev, cur = start, first
-    while small >> cur & 1 and cur != start:
-        arm.append(cur)
-        step = g.adj[cur] & ~(1 << prev)
-        prev, cur = cur, step.bit_length() - 1
-    return arm, cur
-
-
-def find_handles_and_linkages(g: Graph) -> list[tuple[str, int, tuple[int, ...]]]:
-    """All k-handles (k >= 3) and k-linkages (k >= 1) of a special subcubic
-    graph.
-
-    A k-handle is a k-cycle containing exactly one degree-3 vertex; a
-    k-linkage is a path joining two distinct degree-3 vertices through k
-    internal degree-2 vertices. Every maximal chain of degree-2 vertices
-    yields exactly one of the two (or neither, for a 2-regular component),
-    so each is reported once as ``(kind, k, vertices)``. Handles start at
-    their degree-3 vertex, linkages at the lower-numbered endpoint; the
-    result is sorted.
-    """
-    if not is_special_subcubic(g):
-        raise ValueError("handles and linkages are defined for special subcubic graphs")
-    small = small_vertices(g)
-    out = []
-    visited = 0
-    for s in bits_of(small):
-        if visited >> s & 1:
-            continue
-        first, second = bits_of(g.adj[s])
-        left_arm, left_end = _walk_chain(g, small, s, first)
-        if left_end == s:
-            # component is a cycle of degree-2 vertices: neither kind
-            visited |= mask_of([s] + left_arm)
-            continue
-        right_arm, right_end = _walk_chain(g, small, s, second)
-        chain = left_arm[::-1] + [s] + right_arm
-        visited |= mask_of(chain)
-        a, b = left_end, right_end
-        k = len(chain)
-        if a == b:
-            # chain closes on a single degree-3 vertex: a (k+1)-cycle handle
-            if chain[0] > chain[-1]:
-                chain = chain[::-1]
-            out.append(("handle", k + 1, (a, *chain)))
-        else:
-            if a > b:
-                a, b = b, a
-                chain = chain[::-1]
-            out.append(("linkage", k, (a, *chain, b)))
-    out.sort()
-    return out
-
-
 # -- named constructors ---------------------------------------------------
 
 
@@ -382,21 +296,3 @@ def disjoint_union(graphs: Iterable[Graph]) -> Graph:
             raise ValueError(f"union exceeds the {MAX_N}-vertex cap")
         rows.extend(r << off for r in g.adj)
     return Graph(len(rows), rows)
-
-
-_DIAMOND = Graph.from_edges(4, [(0, 1), (0, 2), (0, 3), (1, 2), (1, 3)])
-_DOMINO = Graph.from_edges(6, [(0, 1), (1, 2), (2, 3), (3, 4), (4, 5), (5, 0), (0, 3)])
-
-
-def is_diamond(g: Graph) -> bool:
-    """K4 minus one edge."""
-    from rdom.iso import are_isomorphic
-
-    return g.n == 4 and g.edge_count() == 5 and are_isomorphic(g, _DIAMOND)
-
-
-def is_domino(g: Graph) -> bool:
-    """6-cycle plus an edge between two antipodal vertices."""
-    from rdom.iso import are_isomorphic
-
-    return g.n == 6 and g.edge_count() == 7 and are_isomorphic(g, _DOMINO)

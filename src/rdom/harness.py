@@ -16,13 +16,14 @@ from dataclasses import dataclass, field
 from itertools import combinations
 from typing import Callable, Iterable, Sequence
 
-from rdom.construct import Lemma1Trace, is_lemma1_applicable, lemma1_construct
+from rdom.construct import Lemma1Trace, lemma1_construct
 from rdom.enumeration import connected_classes
 from rdom.family import all_family_members, classify_brdom, weight
 from rdom.graph import (
     Graph,
     bits_of,
     is_cubic,
+    is_degree_bipartite,
     large_vertices,
     mask_of,
     open_twins,
@@ -376,27 +377,22 @@ def verify_observations_2_to_6() -> list[VerificationReport]:
 # ---------------------------------------------------------------------------
 
 
-def _key_theorem_worker(g6: str) -> tuple[str, str | None, str | None]:
-    from rdom.graph6 import parse_graph6
-
-    g = parse_graph6(g6)
+def _key_theorem_worker(g: Graph) -> tuple[str | None, int | None]:
+    """Returns (violation, weight of a tight non-member)."""
     gr = gamma_r_exact(g).size
     rep = weight(g)
     member = classify_brdom(g)
     if 10 * gr > rep.w:
-        return g6, f"10*gamma_r = {10 * gr} exceeds weight {rep.w}", None
+        return f"10*gamma_r = {10 * gr} exceeds weight {rep.w}", None
     # catalog membership is equivalent to violating the penalty-free form,
     # and members meet the weight bound with equality
     plain = 5 * rep.n2 + 4 * rep.n3
     if (10 * gr > plain) != (member is not None):
         tag = member[0] if member else "non-member"
-        return g6, f"catalog completeness: 10*gamma_r={10 * gr}, 5n2+4n3={plain}, {tag}", None
+        return f"catalog completeness: 10*gamma_r={10 * gr}, 5n2+4n3={plain}, {tag}", None
     if member is not None and 10 * gr != rep.w:
-        return g6, f"{member[0]} misses equality: 10*gamma_r={10 * gr}, weight={rep.w}", None
-    note = None
-    if member is None and 10 * gr == rep.w:
-        note = f"tight non-member: {g6} (10*gamma_r = weight = {rep.w})"
-    return g6, None, note
+        return f"{member[0]} misses equality: 10*gamma_r={10 * gr}, weight={rep.w}", None
+    return None, rep.w if member is None and 10 * gr == rep.w else None
 
 
 def verify_key_theorem(max_n: int, jobs: int = 1) -> list[VerificationReport]:
@@ -409,33 +405,28 @@ def verify_key_theorem(max_n: int, jobs: int = 1) -> list[VerificationReport]:
     report = VerificationReport(
         "thm-key", f"connected special subcubic graphs, 3 <= n <= {max_n}"
     )
-    items = []
-    for n in range(3, max_n + 1):
-        items.extend(write_graph6(g) for g in connected_classes(n, "special-subcubic"))
-    for g6, fail, note in _run_sweep(_key_theorem_worker, items, jobs):
+    graphs = [g for n in range(3, max_n + 1) for g in connected_classes(n, "special-subcubic")]
+    for g, (fail, tight) in zip(graphs, _run_sweep(_key_theorem_worker, graphs, jobs)):
         report.checked += 1
         if fail is not None:
-            report.violations.append((g6, fail))
-        if note is not None:
-            report.notes.append(note)
+            report.add_violation(g, fail)
+        if tight is not None:
+            report.notes.append(f"tight non-member: {write_graph6(g)} (10*gamma_r = weight = {tight})")
     report.violations.sort()
     return [_timed(report, t0)]
 
 
-def _cubic_worker(g6: str) -> tuple[str, str | None, bool]:
-    from rdom.graph6 import parse_graph6
-
-    g = parse_graph6(g6)
+def _cubic_worker(g: Graph) -> tuple[str | None, bool]:
     n = g.n
     gr = gamma_r_exact(g).size
     if 5 * gr > 2 * n:
-        return g6, f"gamma_r = {gr} exceeds 2n/5 = {2 * n / 5}", False
+        return f"gamma_r = {gr} exceeds 2n/5 = {2 * n / 5}", False
     # cross-check against the weight route: cubic graphs weigh 4n and are
     # never catalog members, so the two bounds must coincide
     rep = weight(g)
     if rep.w != 4 * n or rep.omega != 0:
-        return g6, f"weight route disagrees: w={rep.w}, omega={rep.omega}", False
-    return g6, None, gr == (2 * n) // 5
+        return f"weight route disagrees: w={rep.w}, omega={rep.omega}", False
+    return None, gr == (2 * n) // 5
 
 
 def verify_cubic_bound(
@@ -451,37 +442,29 @@ def verify_cubic_bound(
         if max_n is None:
             raise ValueError("need max_n or an explicit corpus")
         scope = f"connected cubic graphs, 4 <= n <= {max_n}"
-        items = []
-        for n in range(4, max_n + 1, 2):
-            items.extend(write_graph6(g) for g in connected_classes(n, "cubic"))
+        graphs = [g for n in range(4, max_n + 1, 2) for g in connected_classes(n, "cubic")]
     else:
         scope = f"supplied corpus of {len(graphs)} cubic graphs"
         for i, g in enumerate(graphs):
             if not is_cubic(g):
                 raise ValueError(f"input graph {i + 1} is not cubic")
-        items = [write_graph6(g) for g in graphs]
     report = VerificationReport("thm-cubic-2over5", scope)
     extremal = []
-    for g6, fail, tight in _run_sweep(_cubic_worker, items, jobs):
+    for g, (fail, tight) in zip(graphs, _run_sweep(_cubic_worker, graphs, jobs)):
         report.checked += 1
         if fail is not None:
-            report.violations.append((g6, fail))
+            report.add_violation(g, fail)
         elif tight:
-            extremal.append(g6)
+            extremal.append(write_graph6(g))
     report.violations.sort()
     for g6 in sorted(extremal):
         report.notes.append(f"extremal: {g6}")
     return [_timed(report, t0)]
 
 
-def _known_bounds_worker(g6: str) -> tuple[str, str | None, str | None, str]:
-    """Returns (graph6, violation-a, violation-b, tag) where tag is one of
-    "star", "C5", "deg2" (eligible for the half-order bound), or ""."""
-    from rdom.graph import cycle_graph
-    from rdom.graph6 import parse_graph6
-    from rdom.iso import are_isomorphic
-
-    g = parse_graph6(g6)
+def _known_bounds_worker(g: Graph) -> tuple[str | None, str | None, str]:
+    """Returns (violation-a, violation-b, tag) where tag is one of "star",
+    "C5", "deg2" (eligible for the half-order bound), or ""."""
     n = g.n
     degs = sorted(g.degree(v) for v in range(n))
     is_star = n >= 2 and degs == [1] * (n - 1) + [n - 1]
@@ -495,13 +478,14 @@ def _known_bounds_worker(g6: str) -> tuple[str, str | None, str | None, str]:
     elif gr > n - 2:
         fail_a = f"gamma_r = {gr} exceeds n - 2 = {n - 2}"
     if degs and degs[0] >= 2:
-        if n == 5 and are_isomorphic(g, cycle_graph(5)):
+        # connected with minimum degree 2: five edges on five vertices is C5
+        if n == 5 and g.edge_count() == 5:
             tag = "C5"
         else:
             tag = "deg2"
             if 2 * gr > n:
                 fail_b = f"gamma_r = {gr} exceeds n/2 = {n / 2}"
-    return g6, fail_a, fail_b, tag
+    return fail_a, fail_b, tag
 
 
 def verify_known_bounds(max_n: int, jobs: int = 1) -> list[VerificationReport]:
@@ -513,14 +497,12 @@ def verify_known_bounds(max_n: int, jobs: int = 1) -> list[VerificationReport]:
     rep_b = VerificationReport(
         "known-b", f"connected graphs with min degree >= 2, n <= {max_n}, except C5"
     )
-    items = []
-    for n in range(2, max_n + 1):
-        items.extend(write_graph6(g) for g in connected_classes(n, "all"))
+    graphs = [g for n in range(2, max_n + 1) for g in connected_classes(n, "all")]
     stars = c5 = 0
-    for g6, fail_a, fail_b, tag in _run_sweep(_known_bounds_worker, items, jobs):
+    for g, (fail_a, fail_b, tag) in zip(graphs, _run_sweep(_known_bounds_worker, graphs, jobs)):
         rep_a.checked += 1
         if fail_a:
-            rep_a.violations.append((g6, fail_a))
+            rep_a.add_violation(g, fail_a)
         if tag == "star":
             stars += 1
         elif tag == "C5":
@@ -528,7 +510,7 @@ def verify_known_bounds(max_n: int, jobs: int = 1) -> list[VerificationReport]:
         elif tag == "deg2":
             rep_b.checked += 1
             if fail_b:
-                rep_b.violations.append((g6, fail_b))
+                rep_b.add_violation(g, fail_b)
     rep_a.notes.append(f"{stars} stars matched gamma_r = n exactly")
     rep_b.notes.append(f"C5 exception hit {c5} time(s)")
     rep_a.violations.sort()
@@ -538,14 +520,11 @@ def verify_known_bounds(max_n: int, jobs: int = 1) -> list[VerificationReport]:
     return [rep_a, rep_b]
 
 
-def _lemma1_worker(g6: str) -> tuple[str, list[str], str]:
-    from rdom.graph6 import parse_graph6
-
-    g = parse_graph6(g6)
+def _lemma1_worker(g: Graph) -> tuple[list[str], str]:
     d, trace = lemma1_construct(g)
     problems = _construction_problems(g, d, trace)
     ell = large_vertices(g).bit_count()
-    return g6, problems, f"{g6}: |D| = {d.bit_count()}, |L| = {ell}, gap {ell - d.bit_count()}"
+    return problems, f"|D| = {d.bit_count()}, |L| = {ell}, gap {ell - d.bit_count()}"
 
 
 def verify_lemma1(max_n: int, jobs: int = 1) -> list[VerificationReport]:
@@ -555,20 +534,19 @@ def verify_lemma1(max_n: int, jobs: int = 1) -> list[VerificationReport]:
     report = VerificationReport(
         "lem1", f"connected degree-bipartite special subcubic graphs, n <= {max_n}"
     )
-    items = []
-    for n in range(3, max_n + 1):
-        items.extend(write_graph6(g) for g in connected_classes(n, "degree-bipartite"))
-    for g6, problems, note in _run_sweep(_lemma1_worker, items, jobs):
+    graphs = [g for n in range(3, max_n + 1) for g in connected_classes(n, "degree-bipartite")]
+    for g, (problems, sizes) in zip(graphs, _run_sweep(_lemma1_worker, graphs, jobs)):
         report.checked += 1
+        g6 = write_graph6(g)
         report.violations.extend((g6, problem) for problem in problems)
-        report.notes.append(note)
+        report.notes.append(f"{g6}: {sizes}")
     return [_timed(report, t0)]
 
 
 def audit_lemma1(g: Graph) -> list[str]:
     """All constructive-step facts violated by the builder on g (empty list
     when everything checks out)."""
-    if not is_lemma1_applicable(g):
+    if not is_degree_bipartite(g):
         return ["precondition does not hold"]
     return _construction_problems(g, *lemma1_construct(g))
 
@@ -603,22 +581,19 @@ def _construction_problems(g: Graph, d: int, trace: Lemma1Trace) -> list[str]:
     return problems
 
 
-def _extremal_worker(g6: str) -> tuple[str, bool]:
-    from rdom.graph6 import parse_graph6
-
-    g = parse_graph6(g6)
-    return g6, gamma_r_exact(g).size == (2 * g.n) // 5
+def _extremal_worker(g: Graph) -> bool:
+    return gamma_r_exact(g).size == (2 * g.n) // 5
 
 
 def extremal_search(n: int, jobs: int = 1) -> list[VerificationReport]:
     """All connected cubic graphs of order n achieving gamma_r = floor(2n/5)."""
     t0 = time.perf_counter()
     report = VerificationReport("extremal-cubic", f"connected cubic graphs of order {n}")
-    items = [write_graph6(g) for g in connected_classes(n, "cubic")]
-    for g6, tight in _run_sweep(_extremal_worker, items, jobs):
+    graphs = connected_classes(n, "cubic")
+    for g, tight in zip(graphs, _run_sweep(_extremal_worker, graphs, jobs)):
         report.checked += 1
         if tight:
-            report.notes.append(f"extremal: {g6}")
+            report.notes.append(f"extremal: {write_graph6(g)}")
     report.notes.insert(0, f"target gamma_r = {(2 * n) // 5}")
     return [_timed(report, t0)]
 

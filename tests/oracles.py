@@ -305,29 +305,6 @@ def brute_isomorphic(g1: Graph, g2: Graph) -> bool:
     return assign(0, {})
 
 
-def naive_girth(g: Graph) -> int | None:
-    """Shortest cycle by DFS path extension from every start vertex."""
-    best = None
-
-    def extend(start, path, seen):
-        nonlocal best
-        v = path[-1]
-        for u in bits_of(g.adj[v]):
-            if u == start and len(path) >= 3:
-                if best is None or len(path) < best:
-                    best = len(path)
-            elif u > start and u not in seen and (best is None or len(path) < best):
-                seen.add(u)
-                path.append(u)
-                extend(start, path, seen)
-                path.pop()
-                seen.remove(u)
-
-    for start in range(g.n):
-        extend(start, [start], {start})
-    return best
-
-
 def mask_graphs(n: int):
     """Every labeled simple graph on n vertices whose degree sequence is
     already non-increasing (each isomorphism class keeps at least one such

@@ -89,6 +89,13 @@ def test_lemma1_precondition_error(capsys, tmp_path):
     assert code == 2 and "degree-bipartite" in err
 
 
+def test_lemma1_rejects_a_degree_3_edge(capsys, tmp_path):
+    path = tmp_path / "g.g6"
+    path.write_text("G?LTMO\n")
+    code, out, err = run_cli(capsys, "lemma1", str(path))
+    assert code == 2 and out == "" and "degree-bipartite" in err
+
+
 def test_enumerate(capsys):
     code, out, _ = run_cli(capsys, "enumerate", "--class", "cubic", "--n", "8", "--connected")
     lines = out.splitlines()
@@ -136,6 +143,11 @@ def test_extremal(capsys):
     achievers = [n.split()[-1] for n in report["notes"] if n.startswith("extremal")]
     assert len(achievers) == 1
     assert are_isomorphic(parse_graph6(achievers[0]), petersen_graph())
+
+
+def test_extremal_class_is_cubic_only(capsys):
+    code, _, err = run_cli(capsys, "extremal", "--class", "all", "--n", "10")
+    assert code == 2 and "invalid choice" in err
 
 
 def test_help_exits_zero(capsys):

@@ -2,18 +2,20 @@ from __future__ import annotations
 
 import pytest
 
-from rdom.construct import Lemma1Trace, gamma_r_cycle, gamma_r_path, is_lemma1_applicable, lemma1_construct
+from rdom.construct import Lemma1Trace, gamma_r_cycle, gamma_r_path, lemma1_construct
 from rdom.enumeration import connected_classes
 from rdom.graph import (
     bits_of,
     complete_bipartite,
     complete_graph,
     cycle_graph,
+    is_degree_bipartite,
     large_vertices,
     path_graph,
     petersen_graph,
     subdivide,
 )
+from rdom.graph6 import parse_graph6
 from rdom.harness import audit_lemma1
 from rdom.solvers import gamma_r_exact, is_restrained_dominating
 
@@ -66,12 +68,30 @@ class TestLemma1:
         assert gamma_r_exact(g).size <= 4
 
     def test_c4_rejected(self):
-        assert not is_lemma1_applicable(cycle_graph(4))
         with pytest.raises(ValueError):
             lemma1_construct(cycle_graph(4))
 
     def test_cubic_rejected(self):
-        assert not is_lemma1_applicable(petersen_graph())
+        with pytest.raises(ValueError):
+            lemma1_construct(petersen_graph())
+
+    def test_precondition_is_degree_bipartite(self):
+        # the builder takes exactly the degree-bipartite graphs, including
+        # the ones with no degree-2--degree-2 edge but a degree-3--degree-3 one
+        for n in range(3, 10):
+            for g in connected_classes(n, "special-subcubic"):
+                if is_degree_bipartite(g):
+                    lemma1_construct(g)
+                else:
+                    with pytest.raises(ValueError):
+                        lemma1_construct(g)
+
+    def test_audit_rejects_a_degree_3_edge(self):
+        # G?LTMO has no edge between degree-2 vertices, but it does have
+        # one between degree-3 vertices
+        g = parse_graph6("G?LTMO")
+        assert not is_degree_bipartite(g)
+        assert audit_lemma1(g) == ["precondition does not hold"]
 
     def test_trace_fields(self):
         g = complete_bipartite(2, 3)

@@ -67,6 +67,15 @@ class TestTheoremSweeps:
         # C4 is the only tight non-member up to order 7
         assert len(rep.notes) == 1 and "C]" in rep.notes[0]
 
+    def test_key_theorem_finding_at_9(self):
+        # H?QHhrO is no catalog member, yet 10*gamma_r exceeds its weight:
+        # the report must keep failing on it, and on it alone
+        (rep,) = harness.verify_key_theorem(9)
+        assert rep.violations == [("H?QHhrO", "10*gamma_r = 40 exceeds weight 39")]
+        g = parse_graph6("H?QHhrO")
+        assert harness.exists_set_of_size(g, 3, is_restrained_dominating) is None
+        assert harness.exists_set_of_size(g, 4, is_restrained_dominating) is not None
+
     def test_cubic_bound_small(self):
         (rep,) = harness.verify_cubic_bound(8)
         assert rep.passed and rep.checked == 8
@@ -138,8 +147,18 @@ class TestReportMechanics:
         parallel.pop("elapsed_s")
         assert serial == parallel
 
-    @pytest.mark.parametrize("sweep", [harness.extremal_search, harness.verify_lemma1])
-    def test_jobs_reach_the_pool(self, sweep, monkeypatch):
+    @pytest.mark.parametrize("sweep, kwargs", [
+        pytest.param(harness.extremal_search, {"n": 10}, id="extremal_search"),
+        pytest.param(harness.verify_lemma1, {"max_n": 10}, id="verify_lemma1"),
+        pytest.param(harness.verify_cubic_bound, {"max_n": 10}, id="verify_cubic_bound"),
+        pytest.param(
+            harness.verify_cubic_bound,
+            {"graphs": [petersen_graph(), *connected_classes(8, "cubic"), complete_graph(4)]},
+            id="verify_cubic_bound-corpus",
+        ),
+        pytest.param(harness.verify_known_bounds, {"max_n": 6}, id="verify_known_bounds"),
+    ])
+    def test_jobs_reach_the_pool(self, sweep, kwargs, monkeypatch):
         seen = []
         run_sweep = harness._run_sweep
 
@@ -148,11 +167,11 @@ class TestReportMechanics:
             return run_sweep(worker, items, jobs)
 
         monkeypatch.setattr(harness, "_run_sweep", spy)
-        serial = sweep(10)[0].to_dict()
-        parallel = sweep(10, jobs=2)[0].to_dict()
+        serial = [r.to_dict() for r in sweep(**kwargs)]
+        parallel = [r.to_dict() for r in sweep(**kwargs, jobs=2)]
         assert seen == [1, 2]
-        serial.pop("elapsed_s")
-        parallel.pop("elapsed_s")
+        for r in serial + parallel:
+            r.pop("elapsed_s")
         assert serial == parallel
 
     def test_violation_entries_carry_graph6(self):
