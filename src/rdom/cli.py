@@ -14,7 +14,7 @@ import sys
 
 from rdom import __version__
 from rdom.construct import gamma_r_cycle, gamma_r_path, lemma1_construct
-from rdom.enumeration import EnumSpec, enumerate_graphs
+from rdom.enumeration import enumerate_graphs
 from rdom.family import all_family_members
 from rdom.graph import bits_of, is_cubic, mask_of
 from rdom.graph6 import iter_graph6, write_graph6
@@ -136,54 +136,48 @@ def cmd_lemma1(args) -> int:
 
 def cmd_enumerate(args) -> int:
     try:
-        spec = EnumSpec(args.n, args.graph_class, connected_only=args.connected)
+        graphs = enumerate_graphs(args.n, args.graph_class, connected_only=args.connected)
     except ValueError as exc:
         print(f"error: {exc}", file=sys.stderr)
         return USAGE_ERROR
-    for g in enumerate_graphs(spec):
+    for g in graphs:
         print(write_graph6(g))
     return 0
 
 
 def cmd_extremal(args) -> int:
-    reports = harness.extremal_search(args.n, jobs=args.jobs)
-    return _emit_reports(reports, args.json)
+    return _emit_reports(lambda: harness.extremal_search(args.n, jobs=args.jobs), args.json)
+
+
+def _cubic_corpus(path: str) -> list:
+    graphs = []
+    for lineno, g, err in iter_graph6(_read_graph_lines(path)):
+        if err is not None:
+            raise ValueError(f"line {lineno}: {err}")
+        if not is_cubic(g):
+            raise ValueError(f"line {lineno}: graph is not cubic")
+        graphs.append(g)
+    return graphs
 
 
 def cmd_verify(args) -> int:
-    jobs = args.jobs
+    if args.what == "observations":
+        sweep = lambda: harness.verify_observation_1() + harness.verify_observations_2_to_6()
+    elif args.what == "cubic-bound" and args.input is not None:
+        sweep = lambda: harness.verify_cubic_bound(graphs=_cubic_corpus(args.input), jobs=args.jobs)
+    else:
+        sweep = lambda: args.sweep(args.max_n, jobs=args.jobs)
+    return _emit_reports(sweep, args.json)
+
+
+def _emit_reports(sweep, as_json: bool) -> int:
+    """Run a sweep and print its reports; a ValueError or OSError is a usage
+    or input error."""
     try:
-        if args.what == "observations":
-            reports = harness.verify_observation_1() + harness.verify_observations_2_to_6()
-        elif args.what == "key-theorem":
-            reports = harness.verify_key_theorem(args.max_n or 9, jobs)
-        elif args.what == "cubic-bound":
-            if args.input is not None:
-                graphs = []
-                for lineno, g, err in iter_graph6(_read_graph_lines(args.input)):
-                    if err is not None:
-                        print(f"error: line {lineno}: {err}", file=sys.stderr)
-                        return USAGE_ERROR
-                    if not is_cubic(g):
-                        print(f"error: line {lineno}: graph is not cubic", file=sys.stderr)
-                        return USAGE_ERROR
-                    graphs.append(g)
-                reports = harness.verify_cubic_bound(graphs=graphs, jobs=jobs)
-            else:
-                reports = harness.verify_cubic_bound(args.max_n or 12, jobs=jobs)
-        elif args.what == "known-bounds":
-            reports = harness.verify_known_bounds(args.max_n or 9, jobs)
-        elif args.what == "lemma1":
-            reports = harness.verify_lemma1(args.max_n or 12, jobs)
-        else:  # pragma: no cover
-            return USAGE_ERROR
+        reports = sweep()
     except (ValueError, OSError) as exc:
         print(f"error: {exc}", file=sys.stderr)
         return USAGE_ERROR
-    return _emit_reports(reports, args.json)
-
-
-def _emit_reports(reports, as_json: bool) -> int:
     for rep in reports:
         print(rep.summary(), file=sys.stderr)
     if as_json:
@@ -228,13 +222,21 @@ def build_parser() -> argparse.ArgumentParser:
     p.set_defaults(func=cmd_extremal)
 
     p = sub.add_parser("verify", help="verification sweeps")
-    p.add_argument("what", choices=["observations", "key-theorem", "cubic-bound",
-                                    "known-bounds", "lemma1"])
-    p.add_argument("--max-n", type=int, default=None)
-    p.add_argument("--input", default=None, help="graph6 corpus (cubic-bound only)")
-    p.add_argument("--jobs", type=int, default=1)
-    p.add_argument("--json", action="store_true")
     p.set_defaults(func=cmd_verify)
+    scopes = p.add_subparsers(dest="what", required=True)
+    scopes.add_parser("observations").add_argument("--json", action="store_true")
+    for what, sweep, max_n in (("key-theorem", harness.verify_key_theorem, 9),
+                               ("cubic-bound", harness.verify_cubic_bound, 12),
+                               ("known-bounds", harness.verify_known_bounds, 9),
+                               ("lemma1", harness.verify_lemma1, 12)):
+        s = scopes.add_parser(what)
+        corpus = s.add_mutually_exclusive_group() if what == "cubic-bound" else s
+        corpus.add_argument("--max-n", type=int, default=max_n)
+        if what == "cubic-bound":
+            corpus.add_argument("--input", default=None, help="graph6 corpus of cubic graphs")
+        s.add_argument("--jobs", type=int, default=1)
+        s.add_argument("--json", action="store_true")
+        s.set_defaults(sweep=sweep)
 
     return parser
 

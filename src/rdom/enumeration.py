@@ -31,7 +31,6 @@ certificates, so repeated runs emit byte-identical streams.
 
 from __future__ import annotations
 
-from dataclasses import dataclass
 from functools import lru_cache
 from itertools import combinations
 from typing import Callable, Iterator
@@ -42,7 +41,7 @@ from rdom.graph import (
 )
 from rdom.iso import canonical_certificate, certificate_to_graph, labeled_certificate
 
-CLASS_CAPS = {"cubic": 14, "special-subcubic": 11, "degree-bipartite": 12, "all": 9}
+CLASS_CAPS = {"cubic": 14, "special-subcubic": 13, "degree-bipartite": 12, "all": 9}
 
 CLASS_PREDICATES: dict[str, Callable[[Graph], bool]] = {
     "cubic": is_cubic,
@@ -52,22 +51,20 @@ CLASS_PREDICATES: dict[str, Callable[[Graph], bool]] = {
 }
 
 _MIN_ORDER = {"cubic": 4, "special-subcubic": 3, "degree-bipartite": 5, "all": 1}
+_ORDER_STEP = {"cubic": 2, "special-subcubic": 1, "degree-bipartite": 5, "all": 1}
 
 
-@dataclass(frozen=True)
-class EnumSpec:
-    n: int
-    graph_class: str
-    connected_only: bool = True
+def _has_order(n: int, cls: str) -> bool:
+    """Whether cls has connected graphs of order n: it has them exactly at
+    the multiples of its step from its minimum order on."""
+    return n >= _MIN_ORDER[cls] and n % _ORDER_STEP[cls] == 0
 
-    def __post_init__(self):
-        if self.graph_class not in CLASS_CAPS:
-            raise ValueError(f"unknown graph class {self.graph_class!r}")
-        if self.n > CLASS_CAPS[self.graph_class]:
-            raise ValueError(
-                f"n={self.n} exceeds the cap {CLASS_CAPS[self.graph_class]} "
-                f"for class {self.graph_class!r}"
-            )
+
+def _check_cap(n: int, cls: str) -> None:
+    if cls not in CLASS_CAPS:
+        raise ValueError(f"unknown graph class {cls!r}")
+    if n > CLASS_CAPS[cls]:
+        raise ValueError(f"n={n} exceeds the cap {CLASS_CAPS[cls]} for class {cls!r}")
 
 
 def _feasible_cubic(degs: list[int], r: int) -> bool:
@@ -200,10 +197,6 @@ def _augment_classes(n: int, cls: str) -> list[Graph]:
     * The dict keeps one representative per class: the first child to
       reach a certificate, with the automorphisms found while labeling it.
     """
-    if n < _MIN_ORDER[cls]:
-        return []
-    if cls == "cubic" and n % 2:
-        return []
     level: dict[bytes, tuple[tuple[int, ...], list]] = {b"\x01": ((0,), [])}
     for size in range(1, n):
         r_after = n - size - 1
@@ -287,8 +280,6 @@ def _degree_bipartite_classes(n: int) -> list[Graph]:
     divisible by 5 occur. Each such graph is the once-per-edge subdivision
     of a connected loopless 3-regular multigraph on the degree-3 vertices.
     """
-    if n < 5 or n % 5:
-        return []
     num_large = 2 * n // 5
     certs = set()
     for mult in _cubic_multigraphs(num_large):
@@ -306,7 +297,11 @@ def _degree_bipartite_classes(n: int) -> list[Graph]:
 @lru_cache(maxsize=None)
 def connected_classes(n: int, cls: str) -> tuple[Graph, ...]:
     """One canonical representative per isomorphism class, sorted by
-    certificate. Cached: corpora are reused heavily by the harness."""
+    certificate. Cached: corpora are reused heavily by the harness. Raises
+    ValueError for an unknown class or an order above its cap."""
+    _check_cap(n, cls)
+    if not _has_order(n, cls):
+        return ()
     if cls == "degree-bipartite":
         return tuple(_degree_bipartite_classes(n))
     return tuple(_augment_classes(n, cls))
@@ -343,10 +338,20 @@ def _all_classes(n: int, cls: str) -> list[Graph]:
     return [g for _, g in labeled]
 
 
-def enumerate_graphs(spec: EnumSpec) -> Iterator[Graph]:
+def sweep_classes(cls: str, max_n: int, min_n: int = 1) -> list[Graph]:
+    """The connected classes of every order from min_n to max_n, by order
+    and then certificate. Raises ValueError, before enumerating anything,
+    for an order above the cap or a range that holds no graph of the class."""
+    _check_cap(max_n, cls)
+    orders = [n for n in range(min_n, max_n + 1) if _has_order(n, cls)]
+    if not orders:
+        raise ValueError(f"no {cls} graph has an order from {min_n} to {max_n}")
+    return [g for n in orders for g in connected_classes(n, cls)]
+
+
+def enumerate_graphs(n: int, cls: str, connected_only: bool = True) -> Iterator[Graph]:
     """Exactly one representative per isomorphism class of the requested
-    class and order, in sorted-certificate order."""
-    if spec.connected_only:
-        yield from connected_classes(spec.n, spec.graph_class)
-    else:
-        yield from _all_classes(spec.n, spec.graph_class)
+    class and order, in sorted-certificate order. Raises ValueError for an
+    unknown class or an order above its cap before anything is enumerated."""
+    _check_cap(n, cls)
+    return iter(connected_classes(n, cls) if connected_only else _all_classes(n, cls))

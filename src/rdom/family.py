@@ -15,6 +15,7 @@ profiles, and a full small-order sweep, so a mistranscription cannot pass.
 from __future__ import annotations
 
 from dataclasses import dataclass
+from functools import cache
 
 from rdom.graph import DegreeProfile, Graph, components, is_special_subcubic
 from rdom.iso import are_isomorphic
@@ -70,8 +71,10 @@ def family_member(member_id: str) -> FamilyMember:
                         g.degree_profile())
 
 
-def all_family_members() -> list[FamilyMember]:
-    return [family_member(mid) for mid in MEMBER_IDS]
+@cache
+def all_family_members() -> tuple[FamilyMember, ...]:
+    """R1..R10, built on the first call and shared by every later one."""
+    return tuple(family_member(mid) for mid in MEMBER_IDS)
 
 
 def classify_brdom(g: Graph) -> tuple[str, int] | None:

@@ -97,11 +97,6 @@ class Graph:
             raise ValueError(f"vertex {v} out of range for n={self.n}")
         return self.adj[v].bit_count()
 
-    def neighbors(self, v: int) -> VertexSet:
-        if not 0 <= v < self.n:
-            raise ValueError(f"vertex {v} out of range for n={self.n}")
-        return self.adj[v]
-
     def vertex_mask(self) -> VertexSet:
         return (1 << self.n) - 1
 
@@ -128,12 +123,6 @@ class Graph:
             elif d == 3:
                 n3 += 1
         return DegreeProfile(n2, n3, self.n - n2 - n3)
-
-    def min_degree(self) -> int:
-        return min((r.bit_count() for r in self.adj), default=0)
-
-    def max_degree(self) -> int:
-        return max((r.bit_count() for r in self.adj), default=0)
 
     def __eq__(self, other):
         return isinstance(other, Graph) and self.n == other.n and self.adj == other.adj

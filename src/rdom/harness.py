@@ -17,7 +17,7 @@ from itertools import combinations
 from typing import Callable, Iterable, Sequence
 
 from rdom.construct import Lemma1Trace, lemma1_construct
-from rdom.enumeration import connected_classes
+from rdom.enumeration import sweep_classes
 from rdom.family import all_family_members, classify_brdom, weight
 from rdom.graph import (
     Graph,
@@ -405,7 +405,7 @@ def verify_key_theorem(max_n: int, jobs: int = 1) -> list[VerificationReport]:
     report = VerificationReport(
         "thm-key", f"connected special subcubic graphs, 3 <= n <= {max_n}"
     )
-    graphs = [g for n in range(3, max_n + 1) for g in connected_classes(n, "special-subcubic")]
+    graphs = sweep_classes("special-subcubic", max_n)
     for g, (fail, tight) in zip(graphs, _run_sweep(_key_theorem_worker, graphs, jobs)):
         report.checked += 1
         if fail is not None:
@@ -435,15 +435,17 @@ def verify_cubic_bound(
     jobs: int = 1,
 ) -> list[VerificationReport]:
     """gamma_r(G) <= 2n/5 over connected cubic graphs, from the built-in
-    enumeration (orders 4..max_n) or a caller-supplied corpus; records the
-    graphs achieving equality."""
+    enumeration (orders 4..max_n) or a caller-supplied, non-empty corpus;
+    records the graphs achieving equality."""
     t0 = time.perf_counter()
     if graphs is None:
         if max_n is None:
             raise ValueError("need max_n or an explicit corpus")
         scope = f"connected cubic graphs, 4 <= n <= {max_n}"
-        graphs = [g for n in range(4, max_n + 1, 2) for g in connected_classes(n, "cubic")]
+        graphs = sweep_classes("cubic", max_n)
     else:
+        if not graphs:
+            raise ValueError("the supplied corpus holds no graph")
         scope = f"supplied corpus of {len(graphs)} cubic graphs"
         for i, g in enumerate(graphs):
             if not is_cubic(g):
@@ -497,7 +499,7 @@ def verify_known_bounds(max_n: int, jobs: int = 1) -> list[VerificationReport]:
     rep_b = VerificationReport(
         "known-b", f"connected graphs with min degree >= 2, n <= {max_n}, except C5"
     )
-    graphs = [g for n in range(2, max_n + 1) for g in connected_classes(n, "all")]
+    graphs = sweep_classes("all", max_n, min_n=2)
     stars = c5 = 0
     for g, (fail_a, fail_b, tag) in zip(graphs, _run_sweep(_known_bounds_worker, graphs, jobs)):
         rep_a.checked += 1
@@ -534,7 +536,7 @@ def verify_lemma1(max_n: int, jobs: int = 1) -> list[VerificationReport]:
     report = VerificationReport(
         "lem1", f"connected degree-bipartite special subcubic graphs, n <= {max_n}"
     )
-    graphs = [g for n in range(3, max_n + 1) for g in connected_classes(n, "degree-bipartite")]
+    graphs = sweep_classes("degree-bipartite", max_n)
     for g, (problems, sizes) in zip(graphs, _run_sweep(_lemma1_worker, graphs, jobs)):
         report.checked += 1
         g6 = write_graph6(g)
@@ -589,7 +591,7 @@ def extremal_search(n: int, jobs: int = 1) -> list[VerificationReport]:
     """All connected cubic graphs of order n achieving gamma_r = floor(2n/5)."""
     t0 = time.perf_counter()
     report = VerificationReport("extremal-cubic", f"connected cubic graphs of order {n}")
-    graphs = connected_classes(n, "cubic")
+    graphs = sweep_classes("cubic", n, min_n=n)
     for g, tight in zip(graphs, _run_sweep(_extremal_worker, graphs, jobs)):
         report.checked += 1
         if tight:

@@ -14,8 +14,6 @@ from rdom import kernels
 from rdom._pykernels import _pack
 from rdom.graph import Graph
 
-CERT_MAX_N = kernels.CERT_MAX_N
-
 
 def canonical_certificate(g: Graph) -> bytes:
     cert, _ = kernels.canonical_form(g.n, g.adj)

@@ -14,7 +14,7 @@ import pytest
 
 from rdom import harness
 from rdom.construct import gamma_r_cycle, gamma_r_path, lemma1_construct
-from rdom.enumeration import EnumSpec, connected_classes, enumerate_graphs
+from rdom.enumeration import connected_classes
 from rdom.family import all_family_members, classify_brdom, family_member, weight
 from rdom.graph import (
     complete_bipartite,

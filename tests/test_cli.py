@@ -5,6 +5,7 @@ import json
 import pytest
 
 import rdom
+from rdom import harness
 from rdom.cli import main
 from rdom.graph import complete_bipartite, cycle_graph, petersen_graph
 from rdom.graph6 import parse_graph6, write_graph6
@@ -134,6 +135,31 @@ def test_verify_cubic_bound_rejects_non_cubic_line(capsys, tmp_path):
     path.write_text("Dhc\n")
     code, _, err = run_cli(capsys, "verify", "cubic-bound", "--input", str(path))
     assert code == 2 and "line 1" in err and "not cubic" in err
+
+
+@pytest.mark.parametrize("argv", [
+    ["verify", "lemma1", "--max-n", "15"],
+    ["verify", "cubic-bound", "--max-n", "-3"],
+    ["verify", "key-theorem", "--max-n", "2"],
+    ["extremal", "--n", "15"],
+    ["verify", "key-theorem", "--input", "F"],
+    ["verify", "observations", "--max-n", "3"],
+    ["verify", "cubic-bound", "--max-n", "4", "--input", "F"],
+], ids=" ".join)
+def test_verify_scope_usage_errors(capsys, monkeypatch, tmp_path, argv):
+    # F is a valid cubic corpus, so only the option itself can be at fault
+    corpus = tmp_path / "petersen.g6"
+    corpus.write_text(write_graph6(petersen_graph()) + "\n")
+    monkeypatch.setattr(harness, "_run_sweep", lambda *a: pytest.fail("checked graphs"))
+    code, out, err = run_cli(capsys, *(str(corpus) if a == "F" else a for a in argv))
+    assert code == 2 and out == "" and "error" in err
+
+
+def test_verify_cubic_bound_rejects_empty_input(capsys, tmp_path):
+    path = tmp_path / "empty.g6"
+    path.write_text("")
+    code, _, err = run_cli(capsys, "verify", "cubic-bound", "--input", str(path))
+    assert code == 2 and "no graph" in err
 
 
 def test_extremal(capsys):

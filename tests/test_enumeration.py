@@ -7,7 +7,6 @@ import pytest
 from rdom import enumeration, kernels
 from rdom.enumeration import (
     CLASS_PREDICATES,
-    EnumSpec,
     _feasible_cubic,
     _feasible_ss,
     _one_per_orbit,
@@ -26,7 +25,7 @@ DIFFERENTIAL = [("cubic", n) for n in range(4, 13, 2)] + \
 
 class TestCubic:
     def test_k4_unique_at_4(self):
-        graphs = list(enumerate_graphs(EnumSpec(4, "cubic")))
+        graphs = list(enumerate_graphs(4, "cubic"))
         assert len(graphs) == 1
         assert are_isomorphic(graphs[0], complete_graph(4))
 
@@ -47,8 +46,8 @@ class TestCubic:
             assert len(connected_classes(n, "cubic")) == count
 
     def test_disconnected_at_8(self):
-        conn = list(enumerate_graphs(EnumSpec(8, "cubic")))
-        allg = list(enumerate_graphs(EnumSpec(8, "cubic", connected_only=False)))
+        conn = list(enumerate_graphs(8, "cubic"))
+        allg = list(enumerate_graphs(8, "cubic", connected_only=False))
         assert len(conn) == 5 and len(allg) == 6
         extra = [g for g in allg if not is_connected(g)]
         assert len(extra) == 1  # two disjoint K4's
@@ -61,7 +60,7 @@ class TestCubic:
 
 class TestSpecialSubcubic:
     def test_only_triangle_at_3(self):
-        graphs = list(enumerate_graphs(EnumSpec(3, "special-subcubic")))
+        graphs = list(enumerate_graphs(3, "special-subcubic"))
         assert len(graphs) == 1 and graphs[0].edge_count() == 3
 
     def test_matches_mask_oracle(self):
@@ -87,7 +86,7 @@ class TestAllGraphs:
         # all graphs on 5 and 6 vertices, OEIS A000088; each emitted graph is
         # its own canonical form, and the stream is in certificate order
         for n, count in {5: 34, 6: 156}.items():
-            graphs = list(enumerate_graphs(EnumSpec(n, "all", connected_only=False)))
+            graphs = list(enumerate_graphs(n, "all", connected_only=False))
             certs = [canonical_certificate(g) for g in graphs]
             assert len(graphs) == count
             assert certs == sorted(set(certs))
@@ -96,7 +95,7 @@ class TestAllGraphs:
 
 class TestDegreeBipartite:
     def test_k23_at_5(self):
-        graphs = list(enumerate_graphs(EnumSpec(5, "degree-bipartite")))
+        graphs = list(enumerate_graphs(5, "degree-bipartite"))
         assert len(graphs) == 1
         assert are_isomorphic(graphs[0], complete_bipartite(2, 3))
 
@@ -121,23 +120,22 @@ class TestDegreeBipartite:
 class TestStreamProperties:
     def test_emitted_graphs_satisfy_class_and_connectivity(self):
         for cls, n in [("cubic", 8), ("special-subcubic", 7), ("degree-bipartite", 10)]:
-            for g in enumerate_graphs(EnumSpec(n, cls)):
+            for g in enumerate_graphs(n, cls):
                 assert CLASS_PREDICATES[cls](g)
                 assert is_connected(g)
 
     def test_pairwise_distinct_certificates(self):
         for cls, n in [("cubic", 10), ("special-subcubic", 8)]:
-            certs = [canonical_certificate(g) for g in enumerate_graphs(EnumSpec(n, cls))]
+            certs = [canonical_certificate(g) for g in enumerate_graphs(n, cls)]
             assert len(certs) == len(set(certs))
 
     def test_rerun_is_byte_identical(self):
-        spec = EnumSpec(8, "special-subcubic")
-        first = "\n".join(write_graph6(g) for g in enumerate_graphs(spec))
-        second = "\n".join(write_graph6(g) for g in enumerate_graphs(spec))
+        first = "\n".join(write_graph6(g) for g in enumerate_graphs(8, "special-subcubic"))
+        second = "\n".join(write_graph6(g) for g in enumerate_graphs(8, "special-subcubic"))
         assert first == second
 
     def test_sorted_by_certificate(self):
-        certs = [canonical_certificate(g) for g in enumerate_graphs(EnumSpec(8, "cubic"))]
+        certs = [canonical_certificate(g) for g in enumerate_graphs(8, "cubic")]
         assert certs == sorted(certs)
 
     def test_one_subset_per_orbit(self):
@@ -180,7 +178,7 @@ class TestStreamProperties:
         # a feasible partial graph feasible with one more vertex to add
         for n in range(2, 8):
             for g in connected_classes(n, "all"):
-                if g.max_degree() > 3:
+                if max(r.bit_count() for r in g.adj) > 3:
                     continue
                 degs = [row.bit_count() for row in g.adj]
                 for u in range(n):
@@ -197,10 +195,19 @@ class TestStreamProperties:
                         if _feasible_ss(degs, r):
                             assert _feasible_ss(smaller, r + 1)
 
-    def test_caps_enforced(self):
-        with pytest.raises(ValueError, match="cap"):
-            EnumSpec(15, "cubic")
-        with pytest.raises(ValueError, match="cap"):
-            EnumSpec(12, "special-subcubic")
-        with pytest.raises(ValueError):
-            EnumSpec(5, "no-such-class")
+    def test_caps_enforced(self, monkeypatch):
+        # every check runs before anything is enumerated; an order above its
+        # cap is never cached, so a missing check reaches the patch
+        monkeypatch.setattr(enumeration, "_augment_classes", lambda n, cls: pytest.fail("enumerated"))
+        for call in (lambda: enumerate_graphs(15, "cubic"),
+                     lambda: enumerate_graphs(14, "special-subcubic", connected_only=False),
+                     lambda: connected_classes(13, "degree-bipartite"),
+                     lambda: enumeration.sweep_classes("all", 10)):
+            with pytest.raises(ValueError, match="cap"):
+                call()
+        with pytest.raises(ValueError, match="unknown"):
+            enumerate_graphs(5, "no-such-class")
+        with pytest.raises(ValueError, match="no cubic graph"):
+            enumeration.sweep_classes("cubic", 13, min_n=13)
+        assert enumeration.CLASS_CAPS["special-subcubic"] == 13
+

@@ -2,7 +2,7 @@ from __future__ import annotations
 
 import pytest
 
-from rdom.enumeration import EnumSpec, enumerate_graphs
+from rdom.enumeration import enumerate_graphs
 from rdom.graph import complete_graph, cycle_graph, path_graph
 from rdom.graph6 import Graph6Error, iter_graph6, parse_graph6, write_graph6
 from rdom.iso import are_isomorphic
@@ -30,7 +30,7 @@ def test_bytes_input():
 
 def test_roundtrip_on_enumerated_corpus():
     for n in range(3, 9):
-        for g in enumerate_graphs(EnumSpec(n, "special-subcubic")):
+        for g in enumerate_graphs(n, "special-subcubic"):
             s = write_graph6(g)
             assert parse_graph6(s).adj == g.adj
             assert write_graph6(parse_graph6(s)) == s
@@ -40,7 +40,7 @@ def test_matches_independent_encoder():
     for g in [cycle_graph(5), complete_graph(4), path_graph(7), cycle_graph(9)]:
         assert write_graph6(g) == encode_graph6_oracle(g)
     for n in (4, 6, 8):
-        for g in enumerate_graphs(EnumSpec(n, "cubic")):
+        for g in enumerate_graphs(n, "cubic"):
             assert write_graph6(g) == encode_graph6_oracle(g)
 
 

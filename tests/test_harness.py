@@ -2,7 +2,7 @@ from __future__ import annotations
 
 import pytest
 
-from rdom import harness
+from rdom import enumeration, harness
 from rdom.enumeration import connected_classes
 from rdom.family import classify_brdom, weight
 from rdom.graph import complete_graph, cycle_graph, petersen_graph, star_graph
@@ -109,6 +109,24 @@ class TestTheoremSweeps:
         assert rep_a.checked == 1 + 2 + 6 + 21 + 112
         assert "5 stars" in rep_a.notes[0]
         assert "C5 exception hit 1" in rep_b.notes[0]
+
+    def test_known_bounds_checks_the_cap_before_enumerating(self, monkeypatch):
+        # order 10 is never cached, so a sweep that enumerates reaches the patch
+        monkeypatch.setattr(enumeration, "_augment_classes", lambda n, cls: pytest.fail("enumerated"))
+        with pytest.raises(ValueError, match="cap"):
+            harness.verify_known_bounds(10)
+
+    @pytest.mark.parametrize("sweep, kwargs", [
+        pytest.param(harness.verify_cubic_bound, {"max_n": -3}, id="cubic-negative"),
+        pytest.param(harness.verify_cubic_bound, {"graphs": []}, id="cubic-empty-corpus"),
+        pytest.param(harness.verify_key_theorem, {"max_n": 2}, id="key-theorem-2"),
+        pytest.param(harness.verify_known_bounds, {"max_n": 1}, id="known-bounds-1"),
+        pytest.param(harness.verify_lemma1, {"max_n": 4}, id="lemma1-4"),
+        pytest.param(harness.extremal_search, {"n": 13}, id="extremal-odd"),
+    ])
+    def test_empty_scope_is_an_error(self, sweep, kwargs):
+        with pytest.raises(ValueError, match="no .*graph"):
+            sweep(**kwargs)
 
     def test_lemma1_sweep(self):
         (rep,) = harness.verify_lemma1(12)
