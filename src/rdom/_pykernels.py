@@ -14,6 +14,8 @@ ints with vertex 0 in the least significant bit.
 
 from __future__ import annotations
 
+from rdom.graph6 import pack_graph6
+
 CERT_MAX_N = 16
 
 
@@ -198,20 +200,6 @@ def _refine(adj, cells, splitters):
     return cells
 
 
-def _pack(n, adj, perm):
-    # canonical form: n, then upper-triangle bits column-major, MSB first
-    buf = bytearray(1 + (n * (n - 1) // 2 + 7) // 8)
-    buf[0] = n
-    k = 0
-    for j in range(1, n):
-        aj = adj[perm[j]]
-        for i in range(j):
-            if aj >> perm[i] & 1:
-                buf[1 + (k >> 3)] |= 0x80 >> (k & 7)
-            k += 1
-    return bytes(buf)
-
-
 def canonical_form(n, adj, autos=None):
     """Canonical labeling for graphs with at most CERT_MAX_N vertices.
 
@@ -220,12 +208,14 @@ def canonical_form(n, adj, autos=None):
     position ``i`` in the canonical labeling. Vertices are first partitioned
     by degree, the partition is refined to stability (``_refine``), and
     every vertex of the first non-singleton cell is individualized in turn,
-    depth first and in increasing id order; the lexicographically least
-    packed adjacency over all leaves is the certificate, and ``perm`` is the
-    first leaf in search order that reaches it.
+    depth first and in increasing id order. Each leaf is packed as the
+    graph6 line of the graph it labels (``rdom.graph6.pack_graph6``); the
+    least graph6 line over all leaves is the certificate, so
+    ``parse_graph6(cert)`` is the canonically labeled graph, and ``perm``
+    is the first leaf in search order that reaches it.
 
     After individualizing ``v`` in a stable partition, ``{v}`` is the only
-    splitter the refinement needs. A leaf whose packed adjacency equals the
+    splitter the refinement needs. A leaf whose graph6 line equals the
     best one so far yields the automorphism ``g[best_perm[i]] = perm[i]``.
     A child ``v`` of a node is skipped when the automorphisms recorded so
     far that fix the node's individualized vertices pointwise map an
@@ -240,8 +230,6 @@ def canonical_form(n, adj, autos=None):
     """
     if n > CERT_MAX_N:
         raise ValueError(f"canonical labeling supports n <= {CERT_MAX_N}, got {n}")
-    if n == 0:
-        return b"\x00", ()
     by_degree = {}
     for v in range(n):
         d = adj[v].bit_count()
@@ -283,7 +271,7 @@ def canonical_form(n, adj, autos=None):
                     descend(cells[:idx] + [low, cell ^ low] + cells[idx + 1:], [low], fixed | low)
                 return
         perm = tuple(c.bit_length() - 1 for c in cells)
-        cert = _pack(n, adj, perm)
+        cert = pack_graph6(n, adj, perm)
         if best_cert is None or cert < best_cert:
             best_cert = cert
             best_perm = perm

@@ -10,6 +10,7 @@ from __future__ import annotations
 
 import argparse
 import json
+import os
 import sys
 
 from rdom import __version__
@@ -31,10 +32,24 @@ USAGE_ERROR = 2
 
 
 def _read_graph_lines(path: str | None):
+    """The lines of a graph6 file, or of stdin for None or "-", as bytes: a
+    non-ASCII line is then that line's graph6 error, not the whole input's."""
     if path is None or path == "-":
-        return sys.stdin.readlines()
-    with open(path, "r", encoding="ascii") as fh:
+        return sys.stdin.buffer.readlines()
+    with open(path, "rb") as fh:
         return fh.readlines()
+
+
+def _jobs(text: str) -> int:
+    """``--jobs``: a worker count from 1 to the CPU count."""
+    try:
+        jobs = int(text)
+    except ValueError:
+        raise argparse.ArgumentTypeError(f"not an integer: {text!r}") from None
+    cpus = os.cpu_count() or 1
+    if not 1 <= jobs <= cpus:
+        raise argparse.ArgumentTypeError(f"must be from 1 to {cpus} (the CPU count), got {jobs}")
+    return jobs
 
 
 def cmd_family(args) -> int:
@@ -217,7 +232,7 @@ def build_parser() -> argparse.ArgumentParser:
     p = sub.add_parser("extremal", help="graphs achieving the cubic bound")
     p.add_argument("--class", dest="graph_class", choices=["cubic"], default="cubic")
     p.add_argument("--n", type=int, required=True)
-    p.add_argument("--jobs", type=int, default=1)
+    p.add_argument("--jobs", type=_jobs, default=1)
     p.add_argument("--json", action="store_true")
     p.set_defaults(func=cmd_extremal)
 
@@ -234,7 +249,7 @@ def build_parser() -> argparse.ArgumentParser:
         corpus.add_argument("--max-n", type=int, default=max_n)
         if what == "cubic-bound":
             corpus.add_argument("--input", default=None, help="graph6 corpus of cubic graphs")
-        s.add_argument("--jobs", type=int, default=1)
+        s.add_argument("--jobs", type=_jobs, default=1)
         s.add_argument("--json", action="store_true")
         s.set_defaults(sweep=sweep)
 

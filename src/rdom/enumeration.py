@@ -39,7 +39,8 @@ from rdom import kernels
 from rdom.graph import (
     Graph, disjoint_union, is_connected, is_cubic, is_degree_bipartite, is_special_subcubic, mask_of,
 )
-from rdom.iso import canonical_certificate, certificate_to_graph, labeled_certificate
+from rdom.graph6 import parse_graph6, write_graph6
+from rdom.iso import canonical_certificate
 
 CLASS_CAPS = {"cubic": 14, "special-subcubic": 13, "degree-bipartite": 12, "all": 9}
 
@@ -197,10 +198,10 @@ def _augment_classes(n: int, cls: str) -> list[Graph]:
     * The dict keeps one representative per class: the first child to
       reach a certificate, with the automorphisms found while labeling it.
     """
-    level: dict[bytes, tuple[tuple[int, ...], list]] = {b"\x01": ((0,), [])}
+    level: dict[str, tuple[tuple[int, ...], list]] = {"@": ((0,), [])}
     for size in range(1, n):
         r_after = n - size - 1
-        nxt: dict[bytes, tuple[tuple[int, ...], list]] = {}
+        nxt: dict[str, tuple[tuple[int, ...], list]] = {}
         for rows, autos in level.values():
             if cls == "all":
                 eligible = list(range(size))
@@ -235,7 +236,7 @@ def _augment_classes(n: int, cls: str) -> list[Graph]:
     predicate = CLASS_PREDICATES[cls]
     out = []
     for cert in sorted(level):
-        g = certificate_to_graph(cert)
+        g = parse_graph6(cert)
         if predicate(g):
             out.append(g)
     return out
@@ -291,7 +292,7 @@ def _degree_bipartite_classes(n: int) -> list[Graph]:
                 edges.append((b, nxt))
                 nxt += 1
         certs.add(canonical_certificate(Graph.from_edges(n, edges)))
-    return [certificate_to_graph(c) for c in sorted(certs)]
+    return [parse_graph6(c) for c in sorted(certs)]
 
 
 @lru_cache(maxsize=None)
@@ -330,10 +331,11 @@ def _all_classes(n: int, cls: str) -> list[Graph]:
                 compose(remaining - m, key, chosen + [g])
 
     compose(n, (0, 0), [])
-    labeled = [(labeled_certificate(g), g) for g in connected_classes(n, cls)]
+    # a canonically labeled graph's graph6 line is its certificate
+    labeled = [(write_graph6(g), g) for g in connected_classes(n, cls)]
     for g in unions:
         cert = canonical_certificate(g)
-        labeled.append((cert, certificate_to_graph(cert)))
+        labeled.append((cert, parse_graph6(cert)))
     labeled.sort(key=lambda pair: pair[0])
     return [g for _, g in labeled]
 

@@ -103,7 +103,6 @@ class WeightReport:
     f: tuple[int, int, int, int, int]  # component counts per catalog class
     omega: int
     w: int
-    per_vertex: dict[int, int]  # 5 for degree-2 vertices, 4 for degree-3
 
 
 def weight(g: Graph) -> WeightReport:
@@ -118,6 +117,5 @@ def weight(g: Graph) -> WeightReport:
             f[hit[1] - 1] += 1
     profile = g.degree_profile()
     omega = sum((i + 1) * f[i] for i in range(5))
-    per_vertex = {v: 5 if g.degree(v) == 2 else 4 for v in range(g.n)}
     return WeightReport(profile.n2, profile.n3, tuple(f), omega,
-                        5 * profile.n2 + 4 * profile.n3 + omega, per_vertex)
+                        5 * profile.n2 + 4 * profile.n3 + omega)

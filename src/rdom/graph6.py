@@ -5,6 +5,9 @@ The format packs the upper triangle of the adjacency matrix column-major,
 offset by 63 into the printable range 63..126. Orders up to 62 use a single
 length byte; 63 and 64 use the long form ``126 b b b`` carrying 18 bits.
 The optional ``>>graph6<<`` header is accepted on input and never written.
+``pack_graph6`` is rdom's one writer of this bit order and ``parse_graph6``
+its one reader; the canonical certificates of ``rdom.iso`` are graph6 lines
+that the labeler builds with ``pack_graph6``.
 """
 
 from __future__ import annotations
@@ -71,26 +74,34 @@ def parse_graph6(data: str | bytes) -> Graph:
     return Graph(n, rows)
 
 
+def pack_graph6(n: int, adj, perm) -> str:
+    """The graph6 line of the graph whose vertex ``i`` is ``perm[i]`` of the
+    graph with rows ``adj``. The canonical labeling packs every leaf with
+    it, so among graphs of one order its lines compare as their adjacency
+    bit strings do."""
+    if n <= 62:
+        buf = bytearray((63 + n,))
+    else:
+        buf = bytearray((126, 63 + (n >> 12), 63 + (n >> 6 & 63), 63 + (n & 63)))
+    # payload bit k goes to bit 5 - k % 6 of character k // 6; k starts at
+    # six bits per header character, so it skips the order header
+    k = 6 * len(buf)
+    buf += b"?" * ((n * (n - 1) // 2 + 5) // 6)
+    for j in range(1, n):
+        aj = adj[perm[j]]
+        for i in range(j):
+            if aj >> perm[i] & 1:
+                buf[k // 6] += 32 >> k % 6
+            k += 1
+    return buf.decode("ascii")
+
+
 def write_graph6(g: Graph) -> str:
     """Encode a graph; inverse of parse_graph6 on canonical encodings."""
-    n = g.n
-    if n <= 62:
-        head = [n]
-    else:
-        head = [63, n >> 12, (n >> 6) & 63, n & 63]
-    nbits = n * (n - 1) // 2
-    body = [0] * ((nbits + 5) // 6)
-    k = 0
-    for j in range(1, n):
-        aj = g.adj[j]
-        for i in range(j):
-            if aj >> i & 1:
-                body[k // 6] |= 1 << (5 - k % 6)
-            k += 1
-    return "".join(chr(63 + v) for v in head + body)
+    return pack_graph6(g.n, g.adj, range(g.n))
 
 
-def iter_graph6(lines: Iterable[str]) -> Iterator[tuple[int, Graph | None, str | None]]:
+def iter_graph6(lines: Iterable[str | bytes]) -> Iterator[tuple[int, Graph | None, str | None]]:
     """Parse newline-separated graph6 values.
 
     Yields ``(lineno, graph, None)`` for good lines and

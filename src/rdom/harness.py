@@ -43,6 +43,10 @@ from rdom.solvers import (
 
 @dataclass
 class VerificationReport:
+    """One claim checked over one scope. ``elapsed`` is the wall time of the
+    sweep call that produced the report: the reports of one call share it,
+    as their claims are checked in one pass over the corpus."""
+
     claim_id: str
     scope: str
     checked: int = 0
@@ -110,9 +114,12 @@ def exists_set_up_to(
     return None
 
 
-def _timed(report: VerificationReport, t0: float) -> VerificationReport:
-    report.elapsed = time.perf_counter() - t0
-    return report
+def _timed(reports: list[VerificationReport], t0: float) -> list[VerificationReport]:
+    """Stamp every report with the wall time of the sweep call since t0."""
+    elapsed = time.perf_counter() - t0
+    for report in reports:
+        report.elapsed = elapsed
+    return reports
 
 
 # ---------------------------------------------------------------------------
@@ -220,11 +227,7 @@ def verify_observation_1() -> list[VerificationReport]:
                 reports["f"].add_violation(
                     g, f"{m.id}: dom relaxation at pair {{{u},{v}}} gives {out.size}"
                 )
-    out_reports = [reports[k] for k in "abcdef"]
-    share = (time.perf_counter() - t0) / len(out_reports)
-    for r in out_reports:
-        r.elapsed = share
-    return out_reports
+    return _timed([reports[k] for k in "abcdef"], t0)
 
 
 # ---------------------------------------------------------------------------
@@ -365,11 +368,7 @@ def verify_observations_2_to_6() -> list[VerificationReport]:
                     reports[key6].notes.append(
                         f"{m.id} edge ({x},{y}): witness needs size {bound6}"
                     )
-    out_reports = list(reports.values())
-    share = (time.perf_counter() - t0) / len(out_reports)
-    for r in out_reports:
-        r.elapsed = share
-    return out_reports
+    return _timed(list(reports.values()), t0)
 
 
 # ---------------------------------------------------------------------------
@@ -413,7 +412,7 @@ def verify_key_theorem(max_n: int, jobs: int = 1) -> list[VerificationReport]:
         if tight is not None:
             report.notes.append(f"tight non-member: {write_graph6(g)} (10*gamma_r = weight = {tight})")
     report.violations.sort()
-    return [_timed(report, t0)]
+    return _timed([report], t0)
 
 
 def _cubic_worker(g: Graph) -> tuple[str | None, bool]:
@@ -461,7 +460,7 @@ def verify_cubic_bound(
     report.violations.sort()
     for g6 in sorted(extremal):
         report.notes.append(f"extremal: {g6}")
-    return [_timed(report, t0)]
+    return _timed([report], t0)
 
 
 def _known_bounds_worker(g: Graph) -> tuple[str | None, str | None, str]:
@@ -517,9 +516,7 @@ def verify_known_bounds(max_n: int, jobs: int = 1) -> list[VerificationReport]:
     rep_b.notes.append(f"C5 exception hit {c5} time(s)")
     rep_a.violations.sort()
     rep_b.violations.sort()
-    elapsed = time.perf_counter() - t0
-    rep_a.elapsed = rep_b.elapsed = elapsed / 2
-    return [rep_a, rep_b]
+    return _timed([rep_a, rep_b], t0)
 
 
 def _lemma1_worker(g: Graph) -> tuple[list[str], str]:
@@ -542,7 +539,7 @@ def verify_lemma1(max_n: int, jobs: int = 1) -> list[VerificationReport]:
         g6 = write_graph6(g)
         report.violations.extend((g6, problem) for problem in problems)
         report.notes.append(f"{g6}: {sizes}")
-    return [_timed(report, t0)]
+    return _timed([report], t0)
 
 
 def audit_lemma1(g: Graph) -> list[str]:
@@ -597,15 +594,17 @@ def extremal_search(n: int, jobs: int = 1) -> list[VerificationReport]:
         if tight:
             report.notes.append(f"extremal: {write_graph6(g)}")
     report.notes.insert(0, f"target gamma_r = {(2 * n) // 5}")
-    return [_timed(report, t0)]
+    return _timed([report], t0)
 
 
 # ---------------------------------------------------------------------------
 
 
 def _run_sweep(worker, items: Iterable, jobs: int):
+    if jobs < 1:
+        raise ValueError(f"jobs must be at least 1, got {jobs}")
     items = list(items)
-    if jobs <= 1:
+    if jobs == 1:
         return [worker(it) for it in items]
     # imported here: the pool machinery costs serial callers about 2 MB and
     # a third of the harness import time

@@ -2,60 +2,30 @@
 
 The canonical labeling (degree partition, refinement, branching over color
 classes) lives in the kernels; this module wraps it with Graph-level
-conveniences. Certificates are byte strings that agree for two graphs iff
-the graphs are isomorphic. The enumerators key each level by certificate
-and sort their output by it; their canonical construction paths leave the
-keys to catch only isomorphic children of one parent.
+conveniences. A certificate is the graph6 line of the canonically labeled
+graph, so two graphs share it iff they are isomorphic, and
+``parse_graph6`` turns it back into that graph. Among graphs of one order,
+certificates sort as their adjacency bit strings do. The enumerators key
+each level by certificate and sort their output by it; their canonical
+construction paths leave the keys to catch only isomorphic children of one
+parent.
 """
 
 from __future__ import annotations
 
 from rdom import kernels
-from rdom._pykernels import _pack
 from rdom.graph import Graph
+from rdom.graph6 import parse_graph6
 
 
-def canonical_certificate(g: Graph) -> bytes:
+def canonical_certificate(g: Graph) -> str:
     cert, _ = kernels.canonical_form(g.n, g.adj)
     return cert
 
 
 def canonical_graph(g: Graph) -> Graph:
     """The canonically labeled copy of g (same certificate, fixed labels)."""
-    _, perm = kernels.canonical_form(g.n, g.adj)
-    pos = {orig: i for i, orig in enumerate(perm)}
-    rows = [0] * g.n
-    for i, orig in enumerate(perm):
-        row = g.adj[orig]
-        while row:
-            low = row & -row
-            rows[i] |= 1 << pos[low.bit_length() - 1]
-            row ^= low
-    return Graph(g.n, rows)
-
-
-def certificate_to_graph(cert: bytes) -> Graph:
-    """Rebuild the canonical graph from a certificate."""
-    n = cert[0]
-    rows = [0] * n
-    k = 0
-    for j in range(1, n):
-        for i in range(j):
-            if cert[1 + (k >> 3)] >> (7 - (k & 7)) & 1:
-                rows[i] |= 1 << j
-                rows[j] |= 1 << i
-            k += 1
-    return Graph(n, rows)
-
-
-def labeled_certificate(g: Graph) -> bytes:
-    """g's adjacency packed in the certificate format under g's own labels.
-
-    The inverse of ``certificate_to_graph``: for the canonically labeled
-    graphs that it returns, and that the enumerators emit, this is the
-    certificate, obtained without a labeling search.
-    """
-    return _pack(g.n, g.adj, range(g.n))
+    return parse_graph6(canonical_certificate(g))
 
 
 def isomorphism(g1: Graph, g2: Graph) -> list[int] | None:

@@ -20,7 +20,8 @@ from itertools import combinations, permutations
 from rdom import kernels
 from rdom.enumeration import CLASS_PREDICATES, _MIN_ORDER, _feasible_cubic, _feasible_ss, _one_per_orbit
 from rdom.graph import Graph, bits_of
-from rdom.iso import canonical_certificate, certificate_to_graph
+from rdom.graph6 import parse_graph6
+from rdom.iso import canonical_certificate
 
 
 def neighbor_lists(g: Graph) -> list[list[int]]:
@@ -348,10 +349,10 @@ def _connected(n: int, rows) -> bool:
     return seen == (1 << n) - 1
 
 
-def mask_connected_classes(n: int, predicate=None) -> dict[bytes, Graph]:
+def mask_connected_classes(n: int, predicate=None) -> dict[str, Graph]:
     """Isomorphism classes of connected graphs on n vertices by exhaustive
     labeled enumeration plus certificate dedupe (the naive oracle)."""
-    classes: dict[bytes, Graph] = {}
+    classes: dict[str, Graph] = {}
     for rows in mask_graphs(n):
         if not _connected(n, rows):
             continue
@@ -364,9 +365,9 @@ def mask_connected_classes(n: int, predicate=None) -> dict[bytes, Graph]:
     return classes
 
 
-def labeled_cubic_classes(n: int, connected_only: bool = True) -> dict[bytes, Graph]:
+def labeled_cubic_classes(n: int, connected_only: bool = True) -> dict[str, Graph]:
     """Cubic isomorphism classes by backtracking over labeled edge slots."""
-    classes: dict[bytes, Graph] = {}
+    classes: dict[str, Graph] = {}
     pairs = list(combinations(range(n), 2))
 
     def backtrack(idx: int, degs: list[int], rows: list[int]):
@@ -431,10 +432,10 @@ def dedupe_augment_classes(n: int, cls: str) -> list[Graph]:
         return []
     if cls == "cubic" and n % 2:
         return []
-    level: dict[bytes, tuple[tuple[int, ...], list]] = {b"\x01": ((0,), [])}
+    level: dict[str, tuple[tuple[int, ...], list]] = {"@": ((0,), [])}
     for size in range(1, n):
         r_after = n - size - 1
-        nxt: dict[bytes, tuple[tuple[int, ...], list]] = {}
+        nxt: dict[str, tuple[tuple[int, ...], list]] = {}
         for rows, autos in level.values():
             if cls == "all":
                 eligible = list(range(size))
@@ -469,7 +470,7 @@ def dedupe_augment_classes(n: int, cls: str) -> list[Graph]:
     predicate = CLASS_PREDICATES[cls]
     out = []
     for cert in sorted(level):
-        g = certificate_to_graph(cert)
+        g = parse_graph6(cert)
         if predicate(g):
             out.append(g)
     return out

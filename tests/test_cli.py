@@ -1,6 +1,8 @@
 from __future__ import annotations
 
+import io
 import json
+import os
 
 import pytest
 
@@ -66,6 +68,21 @@ def test_solve_usage_errors(capsys, tmp_path):
     assert code == 2 and "line 1" in err
 
 
+def test_solve_non_ascii_line_is_a_line_error(capsys, tmp_path):
+    path = tmp_path / "in.g6"
+    path.write_bytes(b"C~\nC\xff~\n" + write_graph6(petersen_graph()).encode() + b"\n")
+    code, out, err = run_cli(capsys, "solve", str(path))
+    assert code == 2 and "line 2" in err and "not ASCII" in err
+    assert [json.loads(line)["value"] for line in out.splitlines()] == [1, 4]
+
+
+def test_solve_non_utf8_stdin_is_a_line_error(capsys, monkeypatch):
+    monkeypatch.setattr("sys.stdin", io.TextIOWrapper(io.BytesIO(b"C~\n\xff\nC~\n"), encoding="utf-8"))
+    code, out, err = run_cli(capsys, "solve")
+    assert code == 2 and "line 2" in err and "not ASCII" in err
+    assert len(out.splitlines()) == 2
+
+
 def test_formulas(capsys):
     code, out, _ = run_cli(capsys, "formulas", "cycle", "--n", "5")
     assert code == 0 and json.loads(out)["gamma_r"] == 3
@@ -95,6 +112,15 @@ def test_lemma1_rejects_a_degree_3_edge(capsys, tmp_path):
     path.write_text("G?LTMO\n")
     code, out, err = run_cli(capsys, "lemma1", str(path))
     assert code == 2 and out == "" and "degree-bipartite" in err
+
+
+def test_lemma1_non_ascii_line_is_a_line_error(capsys, tmp_path):
+    path = tmp_path / "in.g6"
+    k23 = write_graph6(complete_bipartite(2, 3)).encode()
+    path.write_bytes(k23 + b"\n\xc3\xa9\n" + k23 + b"\n")
+    code, out, err = run_cli(capsys, "lemma1", str(path))
+    assert code == 2 and "line 2" in err and "not ASCII" in err
+    assert len(out.splitlines()) == 2
 
 
 def test_enumerate(capsys):
@@ -135,6 +161,27 @@ def test_verify_cubic_bound_rejects_non_cubic_line(capsys, tmp_path):
     path.write_text("Dhc\n")
     code, _, err = run_cli(capsys, "verify", "cubic-bound", "--input", str(path))
     assert code == 2 and "line 1" in err and "not cubic" in err
+
+
+def test_verify_cubic_bound_names_a_non_ascii_line(capsys, tmp_path):
+    path = tmp_path / "cubic.g6"
+    path.write_bytes(write_graph6(petersen_graph()).encode() + b"\n\xff\n")
+    code, out, err = run_cli(capsys, "verify", "cubic-bound", "--input", str(path))
+    assert code == 2 and out == "" and "line 2" in err and "not ASCII" in err
+
+
+@pytest.mark.parametrize("jobs", ["0", "-1", str((os.cpu_count() or 1) + 1)])
+@pytest.mark.parametrize("command", [
+    ["extremal", "--n", "10"],
+    ["verify", "key-theorem"],
+    ["verify", "cubic-bound"],
+    ["verify", "known-bounds"],
+    ["verify", "lemma1"],
+], ids=" ".join)
+def test_jobs_outside_the_cpu_range_is_a_usage_error(capsys, monkeypatch, command, jobs):
+    monkeypatch.setattr(harness, "_run_sweep", lambda *a: pytest.fail("checked graphs"))
+    code, out, err = run_cli(capsys, *command, "--jobs", jobs)
+    assert code == 2 and out == "" and "--jobs" in err
 
 
 @pytest.mark.parametrize("argv", [

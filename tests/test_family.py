@@ -92,13 +92,11 @@ class TestWeight:
     def test_petersen(self):
         rep = weight(petersen_graph())
         assert (rep.n2, rep.n3, rep.omega, rep.w) == (0, 10, 0, 40)
-        assert all(v == 4 for v in rep.per_vertex.values())
 
     def test_r1(self):
         rep = weight(cycle_graph(5))
         assert rep.w == 30
         assert rep.f == (0, 0, 0, 0, 1)
-        assert all(v == 5 for v in rep.per_vertex.values())
 
     def test_union_r2_r9(self):
         g = disjoint_union([family_member("R2").graph, family_member("R9").graph])

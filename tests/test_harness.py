@@ -1,5 +1,7 @@
 from __future__ import annotations
 
+import time
+
 import pytest
 
 from rdom import enumeration, harness
@@ -191,6 +193,23 @@ class TestReportMechanics:
         for r in serial + parallel:
             r.pop("elapsed_s")
         assert serial == parallel
+
+    @pytest.mark.parametrize("sweep", [
+        harness.verify_observation_1,
+        harness.verify_observations_2_to_6,
+        lambda: harness.verify_known_bounds(6),
+    ], ids=["observation_1", "observations_2_to_6", "known_bounds"])
+    def test_reports_carry_the_wall_time_of_their_call(self, sweep):
+        t0 = time.perf_counter()
+        reports = sweep()
+        wall = time.perf_counter() - t0
+        assert len(reports) > 1
+        assert all(0.75 * wall < r.elapsed <= wall for r in reports)
+
+    @pytest.mark.parametrize("jobs", [0, -1])
+    def test_run_sweep_rejects_jobs_below_one(self, jobs):
+        with pytest.raises(ValueError, match="jobs"):
+            harness._run_sweep(lambda g: pytest.fail("ran a worker"), [petersen_graph()], jobs)
 
     def test_violation_entries_carry_graph6(self):
         rep = harness.VerificationReport("demo", "scope")
