@@ -10,7 +10,6 @@ from __future__ import annotations
 
 import argparse
 import json
-import os
 import sys
 
 from rdom import __version__
@@ -41,15 +40,15 @@ def _read_graph_lines(path: str | None):
 
 
 def _jobs(text: str) -> int:
-    """``--jobs``: a worker count from 1 to the CPU count."""
+    """``--jobs``: a worker count, held to ``harness.check_jobs``."""
     try:
         jobs = int(text)
     except ValueError:
         raise argparse.ArgumentTypeError(f"not an integer: {text!r}") from None
-    cpus = os.cpu_count() or 1
-    if not 1 <= jobs <= cpus:
-        raise argparse.ArgumentTypeError(f"must be from 1 to {cpus} (the CPU count), got {jobs}")
-    return jobs
+    try:
+        return harness.check_jobs(jobs)
+    except ValueError as exc:
+        raise argparse.ArgumentTypeError(str(exc)) from None
 
 
 def cmd_family(args) -> int:

@@ -227,7 +227,7 @@ def _seed_pack(n, adj, perm):
 
 
 def seed_canonical_form(n, adj):
-    """Unpruned reference for ``rdom._pykernels.canonical_form``: every
+    """Unpruned reference for ``rdom.kernels.canonical_form``: every
     round refines against every cell, and every leaf is visited. Kept
     verbatim from the labeling it replaced, so the differential test can
     demand the same ``(cert, perm)``.

@@ -3,12 +3,15 @@ from __future__ import annotations
 import io
 import json
 import os
+import shlex
+from itertools import groupby
+from pathlib import Path
 
 import pytest
 
 import rdom
 from rdom import harness
-from rdom.cli import main
+from rdom.cli import build_parser, main
 from rdom.graph import complete_bipartite, cycle_graph, petersen_graph
 from rdom.graph6 import parse_graph6, write_graph6
 from rdom.iso import are_isomorphic
@@ -234,3 +237,34 @@ def test_version(capsys):
 
 def test_unknown_command_usage_error(capsys):
     assert main(["frobnicate"]) == 2
+
+
+README = Path(__file__).resolve().parent.parent / "README.md"
+
+
+def readme_commands():
+    """The argument lists of every ``rdom`` pipe segment in the README's CLI
+    block, comments dropped."""
+    block = README.read_text().split("## CLI", 1)[1].split("```sh\n", 1)[1].split("```", 1)[0]
+    commands = []
+    for line in block.splitlines():
+        tokens = shlex.shlex(line, posix=True, punctuation_chars=True)
+        for is_pipe, segment in groupby(tokens, lambda token: token == "|"):
+            segment = list(segment)
+            if not is_pipe and segment[0] == "rdom":
+                commands.append(segment[1:])
+    return commands
+
+
+def test_readme_cli_commands_parse(monkeypatch):
+    # the commands name options and scopes; whether this host has the CPUs
+    # for the README's --jobs 2 is not what they document
+    monkeypatch.setattr(os, "cpu_count", lambda: 64)
+    commands = readme_commands()
+    assert len(commands) >= 10 and ["family"] in commands
+    parser = build_parser()
+    for argv in commands:
+        try:
+            parser.parse_args(argv)
+        except SystemExit:
+            pytest.fail(f"README command does not parse: rdom {' '.join(argv)}")

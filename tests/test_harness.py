@@ -1,5 +1,7 @@
 from __future__ import annotations
 
+import concurrent.futures
+import os
 import time
 
 import pytest
@@ -206,8 +208,10 @@ class TestReportMechanics:
         assert len(reports) > 1
         assert all(0.75 * wall < r.elapsed <= wall for r in reports)
 
-    @pytest.mark.parametrize("jobs", [0, -1])
-    def test_run_sweep_rejects_jobs_below_one(self, jobs):
+    @pytest.mark.parametrize("jobs", [0, -1, (os.cpu_count() or 1) + 1])
+    def test_run_sweep_rejects_jobs_outside_the_cpu_range(self, jobs, monkeypatch):
+        monkeypatch.setattr(concurrent.futures, "ProcessPoolExecutor",
+                            lambda *a, **k: pytest.fail("started a pool"))
         with pytest.raises(ValueError, match="jobs"):
             harness._run_sweep(lambda g: pytest.fail("ran a worker"), [petersen_graph()], jobs)
 

@@ -7,7 +7,7 @@ from __future__ import annotations
 import importlib.util
 from pathlib import Path
 
-from rdom import _pykernels, graph, harness, iso, kernels
+from rdom import graph, harness, iso, kernels, solvers
 
 TRACER = Path(__file__).resolve().parent.parent / "perfbench" / "tracer.py"
 
@@ -21,17 +21,23 @@ def load_tracer():
 
 def test_tracer_installs_and_uninstalls():
     tracer_mod = load_tracer()
-    originals = (kernels.canonical_form, iso.canonical_graph, harness._run_sweep, graph.Graph.__init__)
+    originals = (kernels.canonical_form, kernels.solve_min, iso.canonical_graph,
+                 harness._run_sweep, graph.Graph.__init__)
     tracer = tracer_mod.Tracer()
     tracer.install()
     try:
         patched = {layer for _, _, layer in tracer_mod.TARGETS}
         assert set(tracer.totals) == patched | {"graph.Graph"}
-        assert kernels.canonical_form is not _pykernels.canonical_form
+        # rdom.kernels defines the kernel, and the wrappers sit there
+        assert kernels.canonical_form.__wrapped__ is originals[0]
+        assert kernels.solve_min.__wrapped__ is originals[1]
         iso.canonical_graph(graph.petersen_graph())
         assert tracer.totals["iso.canonical_graph"][0] == 1
         assert tracer.totals["kernels.canonical_form"][0] == 1
+        solvers.gamma_r_exact(graph.petersen_graph())
+        assert tracer.totals["solvers.gamma_r_exact"][0] == 1
+        assert tracer.totals["kernels.solve_min"][0] == 1
     finally:
         tracer.uninstall()
-    assert (kernels.canonical_form, iso.canonical_graph, harness._run_sweep,
-            graph.Graph.__init__) == originals
+    assert (kernels.canonical_form, kernels.solve_min, iso.canonical_graph,
+            harness._run_sweep, graph.Graph.__init__) == originals
