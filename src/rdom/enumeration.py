@@ -2,17 +2,23 @@
 
 The workhorse grows connected graphs one vertex at a time by canonical
 construction paths (McKay, *Isomorph-free exhaustive generation*, J.
-Algorithms 26, 1998). Every level holds one representative per
-isomorphism class. Each representative is extended by a new vertex
-attached to one eligible subset per orbit of the automorphisms found
-while labeling it, and degree-feasibility pruning discards partial graphs
-that can no longer reach the target class. A child is labeled only when
-no vertex whose deletion leaves it connected ranks above the new vertex
-by degree and then a vertex invariant, which turns most children away
-before labeling; the first child to reach a certificate represents its
-class. Because every connected graph admits a build order with all
+Algorithms 26, 1998), depth first. Each node of the augmentation tree is
+extended by a new vertex attached to one eligible subset per orbit of the
+automorphisms found while labeling it, and degree-feasibility pruning
+discards partial graphs that can no longer reach the target class. A
+child is labeled only when no vertex whose deletion leaves it connected
+ranks above the new vertex by degree and then vertex invariants, which
+turns most children away before labeling. It is kept only when the new
+vertex is in the orbit of its canonical deletion vertex, and only once
+among its siblings, so every class has one node and no level is ever held
+in memory. Because every connected graph admits a build order with all
 prefixes connected, attaching to at least one existing vertex loses
 nothing.
+
+The tree splits into disjoint subtrees two levels above its leaves.
+``sweep_roots`` hands their roots out as work items, so a sweep's pool
+workers enumerate as well as check, and the items do not depend on the
+number of workers.
 
 Graph classes:
   * ``cubic``             every vertex of final degree 3
@@ -69,18 +75,25 @@ def _check_cap(n: int, cls: str) -> None:
 
 
 def _feasible_cubic(degs: list[int], r: int) -> bool:
+    """Whether a graph with these degrees can still become cubic with r
+    more vertices. ``_canonical_children`` checks it in two parts: the
+    per-vertex needs through its forced vertices, the total per
+    attachment size through ``_cubic_total_ok``."""
     total = 0
     for d in degs:
         need = 3 - d
         if need > r:
             return False
         total += need
+    return _cubic_total_ok(total, r)
+
+
+def _cubic_total_ok(total: int, r: int) -> bool:
+    """Whether r future vertices can supply a total need of total edges."""
     if total > 3 * r or (3 * r - total) % 2:
         return False
     # edges among the r future vertices cannot exceed C(r, 2)
-    if total < 3 * r - r * (r - 1):
-        return False
-    return True
+    return total >= 3 * r - r * (r - 1)
 
 
 def _feasible_ss(degs: list[int], r: int) -> bool:
@@ -155,11 +168,38 @@ def _invariant(rows, degs, u):
     return (s1 << 16) | (tri << 8) | (reach & ~row & ~(1 << u)).bit_count()
 
 
-def _beaten(rows, degs, v):
-    """Whether a non-cut vertex other than v ranks above v by degree, then
-    by ``_invariant``; v is the last vertex."""
+def _far_invariant(rows, degs, u):
+    """The degree sum over u's second neighbourhood and the size of its
+    third, one byte each. It breaks ties in ``_invariant`` and costs more,
+    so it is computed only for vertices that tie there."""
+    near = rows[u] | 1 << u
+    ring = 0
+    rest = rows[u]
+    while rest:
+        low = rest & -rest
+        rest ^= low
+        ring |= rows[low.bit_length() - 1]
+    ring &= ~near
+    s2 = 0
+    reach = near | ring
+    rest = ring
+    while rest:
+        low = rest & -rest
+        rest ^= low
+        w = low.bit_length() - 1
+        s2 += degs[w]
+        reach |= rows[w]
+    return (s2 << 8) | (reach & ~near & ~ring).bit_count()
+
+
+def _rank_ties(rows, degs, v):
+    """None when a non-cut vertex ranks above the last vertex v by degree,
+    then by ``_invariant``, then by ``_far_invariant``; otherwise the mask
+    of the other vertices that rank with v, cut vertices included. Only the
+    vertices that rank above v are tested for connectivity."""
     dv = degs[v]
-    fv = None
+    fv = gv = None
+    ties = 0
     for u in range(v):
         du = degs[u]
         if du < dv:
@@ -167,75 +207,189 @@ def _beaten(rows, degs, v):
         if du == dv:
             if fv is None:
                 fv = _invariant(rows, degs, v)
-            if _invariant(rows, degs, u) <= fv:
+            fu = _invariant(rows, degs, u)
+            if fu < fv:
                 continue
+            if fu == fv:
+                if gv is None:
+                    gv = _far_invariant(rows, degs, v)
+                gu = _far_invariant(rows, degs, u)
+                if gu < gv:
+                    continue
+                if gu == gv:
+                    ties |= 1 << u
+                    continue
         if not _is_cut(rows, u):
-            return True
-    return False
+            return None
+    return ties
 
 
-def _augment_classes(n: int, cls: str) -> list[Graph]:
-    """Connected classes of order n for cubic / special-subcubic / all.
+def _deletion_vertex(rows, ties, perm):
+    """The canonical deletion vertex of a child whose last vertex v ranks
+    with the vertices of ``ties`` and below none (``_rank_ties``): the first
+    vertex in canonical order among v and the non-cut vertices of ties."""
+    v = len(rows) - 1
+    for c in perm:
+        if c == v or ties >> c & 1 and not _is_cut(rows, c):
+            return c
 
-    A level holds the connected graphs with maximum degree at most 3
-    (any degree for "all") that can still be completed with the vertices
-    left, keyed by certificate and kept with the automorphisms their
-    labeling found. Deletion rule for a child G = P + v: the deletable
-    vertices D are the non-cut vertices of G, ranked by degree, then by
-    ``_invariant``. ``_beaten`` rejects G before labeling when a vertex of
-    D ranks above v; it tests connectivity only for those vertices.
 
-    * Deleting any u in D leaves a graph of the previous level: G - u is
+def _without(rows, c):
+    """The rows of the graph with vertex c deleted and the later ids shifted down."""
+    keep = (1 << c) - 1
+    return [row & keep | row >> (c + 1) << c for u, row in enumerate(rows) if u != c]
+
+
+def _in_orbit(autos, v, c):
+    """Whether some product of ``autos`` maps v to c."""
+    orbit = [v]
+    seen = 1 << v
+    for x in orbit:
+        for g in autos:
+            y = g[x]
+            if not seen >> y & 1:
+                seen |= 1 << y
+                orbit.append(y)
+    return bool(seen >> c & 1)
+
+
+def _signature(rows):
+    """The coarsest equitable partition that refines the degree partition,
+    as canonical labeling starts (``kernels._refine``), given by the size
+    of each cell and the neighbour counts of its vertices in every cell, in
+    cell order. Isomorphic graphs have equal signatures."""
+    cells = kernels._degree_cells(len(rows), rows)
+    cells = kernels._refine(rows, cells, cells[:-1])
+    return tuple(
+        (cell.bit_count(), tuple((rows[(cell & -cell).bit_length() - 1] & other).bit_count() for other in cells))
+        for cell in cells
+    )
+
+
+def _canonical_children(n, cls, rows, autos, cert):
+    """The children of one node of the augmentation tree for order n: one
+    per isomorphism class among the graphs P + v that reduce to P = rows by
+    deleting their canonical deletion vertex. Each child comes as
+    ``(rows, automorphisms, certificate)``."""
+    size = len(rows)
+    r_after = n - size - 1
+    parent_degs = [row.bit_count() for row in rows]
+    if cls == "all":
+        forced, free, max_sz = (), list(range(size)), size
+    else:
+        # A vertex that needs more edges than the r_after vertices still to
+        # come can give must take the new vertex. The set is Aut(P)-invariant,
+        # so it cuts whole orbits of attachments. For cubic it settles the
+        # per-vertex part of _feasible_cubic, and the total need after the
+        # step depends on the attachment size alone: no cubic candidate
+        # needs a check of its own.
+        floor = 3 if cls == "cubic" else 2
+        forced = tuple(v for v in range(size) if floor - parent_degs[v] > r_after)
+        free = [v for v in range(size) if parent_degs[v] < 3 and v not in forced]
+        max_sz = 3
+        total = sum(3 - d for d in parent_degs)  # the total need, for cubic
+    children = []
+    siblings = set()
+    signature = None  # the parent's, once a fallback needs it
+    for sz in range(max(1, len(forced)), min(max_sz, len(forced) + len(free)) + 1):
+        if cls == "cubic" and (3 - sz > r_after or not _cubic_total_ok(total + 3 - 2 * sz, r_after)):
+            continue
+        if cls == "special-subcubic" and 2 - sz > r_after:
+            continue
+        combos = combinations(free, sz - len(forced))
+        if forced:
+            combos = (forced + rest for rest in combos)
+        for combo, attach in _one_per_orbit(combos, autos):
+            degs = parent_degs.copy()
+            for u in combo:
+                degs[u] += 1
+            degs.append(sz)
+            if cls == "special-subcubic" and not _feasible_ss(degs, r_after):
+                continue
+            new_rows = list(rows)
+            for u in combo:
+                new_rows[u] |= 1 << size
+            new_rows.append(attach)
+            ties = _rank_ties(new_rows, degs, size)
+            if ties is None:
+                continue
+            found = []
+            child_cert, perm = kernels.canonical_form(size + 1, new_rows, found)
+            if child_cert in siblings:
+                continue
+            c = _deletion_vertex(new_rows, ties, perm) if ties else size
+            if c != size and not _in_orbit(found, size, c):
+                # the found automorphisms may generate only part of Aut(G):
+                # keep G when G - c is the parent after all
+                reduced = _without(new_rows, c)
+                if signature is None:
+                    signature = _signature(rows)
+                if _signature(reduced) != signature or kernels.canonical_form(size, reduced)[0] != cert:
+                    continue
+            siblings.add(child_cert)
+            children.append((tuple(new_rows), tuple(found), child_cert))
+    return children
+
+
+# the one-vertex graph, the top of every augmentation tree
+_TOP = ((0,), (), "@")
+
+
+def _grow(n, cls, node, level):
+    """The nodes at the given level of the tree for order n that lie below
+    node (node itself if it is at that level), depth first and lazily: only
+    the path down to the current node and its siblings are held."""
+    if len(node[0]) == level:
+        yield node
+        return
+    for child in _canonical_children(n, cls, *node):
+        yield from _grow(n, cls, child, level)
+
+
+def _augment_classes(n, cls, root=_TOP):
+    """Connected classes of order n for cubic / special-subcubic / all, or
+    only those below one node of the augmentation tree.
+
+    Depth-first canonical augmentation. A node of the tree for order n is a
+    connected graph with maximum degree at most 3 (any degree for "all")
+    that can still be completed with the vertices left, with the
+    automorphisms its labeling found and its certificate. Deletion rule for
+    a child G = P + v: the deletable vertices D are the non-cut vertices of
+    G, ranked by degree, then by ``_invariant``, then by
+    ``_far_invariant``; the canonical deletion vertex c is the first vertex
+    in canonical order among the top-ranked ones. G is a child of P when v
+    is in the Aut(G)-orbit of c.
+
+    * Deleting any u in D leaves a node of the previous level: G - u is
       connected, and ``_feasible_cubic`` / ``_feasible_ss`` stay true with
       one more vertex to add. Each vertex's need grows by at most one, and
       for cubic the other conditions reduce to r + deg(u) >= 3, which the
       per-vertex check 3 - deg(u) <= r already guarantees.
-    * Completeness: take c top-ranked in D for a graph G of the level. It
-      reduces to P = G - c with P in the previous level (up to
-      isomorphism). The representative of P is extended by an attachment
-      in the orbit of c's neighbourhood, which yields a copy of G in which
-      the new vertex ranks with c, so it is labeled.
-    * The dict keeps one representative per class: the first child to
-      reach a certificate, with the automorphisms found while labeling it.
+    * Completeness: a graph G of a level reduces to G - c, which is
+      isomorphic to some node P of the previous level by induction. P is
+      extended by an attachment in the orbit of c's neighbourhood, which
+      yields a copy of G in which the new vertex lies in the orbit of c,
+      so it is kept.
+    * One parent per class: if G is kept from P1 + v1 and from P2 + v2,
+      then P1 and P2 are both isomorphic to G - c, so by induction they are
+      the same node. Isomorphic children of one parent that its found
+      automorphisms did not identify meet the per-parent ``siblings`` set,
+      so memory is bounded by the depth of the tree, not by a level.
+    * The labeler hands out automorphisms that may generate only part of
+      Aut(G). When c is not in the orbit of v they generate, G is still
+      kept if G - c has the parent's certificate; without this fallback
+      classes would be lost. A fallback first compares the signatures of
+      G - c and the parent (``_signature``), which settles most of them
+      without labeling.
+
+    ``_rank_ties`` rejects a child before labeling when a vertex of D ranks
+    above v, and otherwise finds the vertices that rank with v, among
+    which c is. The subtrees below the nodes of any one level partition the
+    leaves, which lets a sweep hand them to its workers (``sweep_roots``).
     """
-    level: dict[str, tuple[tuple[int, ...], list]] = {"@": ((0,), [])}
-    for size in range(1, n):
-        r_after = n - size - 1
-        nxt: dict[str, tuple[tuple[int, ...], list]] = {}
-        for rows, autos in level.values():
-            if cls == "all":
-                eligible = list(range(size))
-                max_sz = size
-            else:
-                eligible = [v for v in range(size) if rows[v].bit_count() < 3]
-                max_sz = 3
-            for sz in range(1, min(max_sz, len(eligible)) + 1):
-                if cls == "cubic" and 3 - sz > r_after:
-                    continue
-                if cls == "special-subcubic" and 2 - sz > r_after:
-                    continue
-                for combo, attach in _one_per_orbit(combinations(eligible, sz), autos):
-                    new_rows = list(rows)
-                    for u in combo:
-                        new_rows[u] |= 1 << size
-                    new_rows.append(attach)
-                    degs = [row.bit_count() for row in new_rows]
-                    if cls == "cubic":
-                        if not _feasible_cubic(degs, r_after):
-                            continue
-                    elif cls == "special-subcubic":
-                        if max(degs) > 3 or not _feasible_ss(degs, r_after):
-                            continue
-                    if _beaten(new_rows, degs, size):
-                        continue
-                    found = []
-                    cert, _ = kernels.canonical_form(size + 1, new_rows, found)
-                    if cert not in nxt:
-                        nxt[cert] = (tuple(new_rows), found)
-        level = nxt
     predicate = CLASS_PREDICATES[cls]
     out = []
-    for cert in sorted(level):
+    for cert in sorted(leaf[2] for leaf in _grow(n, cls, root, n)):
         g = parse_graph6(cert)
         if predicate(g):
             out.append(g)
@@ -295,17 +449,31 @@ def _degree_bipartite_classes(n: int) -> list[Graph]:
     return [parse_graph6(c) for c in sorted(certs)]
 
 
-@lru_cache(maxsize=None)
-def connected_classes(n: int, cls: str) -> tuple[Graph, ...]:
+def connected_classes(n: int, cls: str, root: tuple | None = None) -> tuple[Graph, ...]:
     """One canonical representative per isomorphism class, sorted by
-    certificate. Cached: corpora are reused heavily by the harness. Raises
-    ValueError for an unknown class or an order above its cap."""
+    certificate. With ``root``, a subtree root from ``sweep_roots``, only
+    the classes below it. Whole orders are cached, since disconnected
+    corpora reuse them as components; a subtree is enumerated once per
+    sweep and is not cached. ``connected_classes.cache_clear()`` empties
+    the cache. Raises ValueError for an unknown class or an order above its
+    cap."""
+    if root is None:
+        return _whole_order(n, cls)
+    _check_cap(n, cls)
+    return tuple(_augment_classes(n, cls, root))
+
+
+@lru_cache(maxsize=None)
+def _whole_order(n: int, cls: str) -> tuple[Graph, ...]:
     _check_cap(n, cls)
     if not _has_order(n, cls):
         return ()
     if cls == "degree-bipartite":
         return tuple(_degree_bipartite_classes(n))
     return tuple(_augment_classes(n, cls))
+
+
+connected_classes.cache_clear = _whole_order.cache_clear
 
 
 def _all_classes(n: int, cls: str) -> list[Graph]:
@@ -340,15 +508,31 @@ def _all_classes(n: int, cls: str) -> list[Graph]:
     return [g for _, g in labeled]
 
 
-def sweep_classes(cls: str, max_n: int, min_n: int = 1) -> list[Graph]:
-    """The connected classes of every order from min_n to max_n, by order
-    and then certificate. Raises ValueError, before enumerating anything,
-    for an order above the cap or a range that holds no graph of the class."""
+def _sweep_orders(cls: str, max_n: int, min_n: int) -> list[int]:
     _check_cap(max_n, cls)
     orders = [n for n in range(min_n, max_n + 1) if _has_order(n, cls)]
     if not orders:
         raise ValueError(f"no {cls} graph has an order from {min_n} to {max_n}")
-    return [g for n in orders for g in connected_classes(n, cls)]
+    return orders
+
+
+def sweep_classes(cls: str, max_n: int, min_n: int = 1) -> list[Graph]:
+    """The connected classes of every order from min_n to max_n, by order
+    and then certificate. Raises ValueError, before enumerating anything,
+    for an order above the cap or a range that holds no graph of the class."""
+    return [g for n in _sweep_orders(cls, max_n, min_n) for g in connected_classes(n, cls)]
+
+
+def sweep_roots(cls: str, max_n: int, min_n: int = 1) -> Iterator[tuple]:
+    """The same corpus as ``sweep_classes``, split into items for
+    ``connected_classes(*item)`` whose outputs are disjoint: the nodes two
+    levels above the leaves of each order's augmentation tree (the top for
+    n <= 3), largest orders first, so that a pool starts on the largest
+    subtrees. The items come lazily, so a serial sweep holds one at a time.
+    Raises ValueError as ``sweep_classes`` does, before enumerating
+    anything."""
+    orders = _sweep_orders(cls, max_n, min_n)
+    return ((n, cls, root) for n in reversed(orders) for root in _grow(n, cls, _TOP, max(1, n - 2)))
 
 
 def enumerate_graphs(n: int, cls: str, connected_only: bool = True) -> Iterator[Graph]:

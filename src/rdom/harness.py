@@ -14,11 +14,12 @@ from __future__ import annotations
 import os
 import time
 from dataclasses import dataclass, field
+from functools import partial
 from itertools import combinations
 from typing import Callable, Iterable, Sequence
 
 from rdom.construct import Lemma1Trace, lemma1_construct
-from rdom.enumeration import sweep_classes
+from rdom.enumeration import connected_classes, sweep_classes, sweep_roots
 from rdom.family import all_family_members, classify_brdom, weight
 from rdom.graph import (
     Graph,
@@ -404,13 +405,12 @@ def verify_key_theorem(max_n: int, jobs: int = 1) -> list[VerificationReport]:
     report = VerificationReport(
         "thm-key", f"connected special subcubic graphs, 3 <= n <= {max_n}"
     )
-    graphs = sweep_classes("special-subcubic", max_n)
-    for g, (fail, tight) in zip(graphs, _run_sweep(_key_theorem_worker, graphs, jobs)):
+    for g6, (fail, tight) in _check_classes(_key_theorem_worker, "special-subcubic", max_n, jobs):
         report.checked += 1
         if fail is not None:
-            report.add_violation(g, fail)
+            report.violations.append((g6, fail))
         if tight is not None:
-            report.notes.append(f"tight non-member: {write_graph6(g)} (10*gamma_r = weight = {tight})")
+            report.notes.append(f"tight non-member: {g6} (10*gamma_r = weight = {tight})")
     report.violations.sort()
     return _timed([report], t0)
 
@@ -441,22 +441,24 @@ def verify_cubic_bound(
         if max_n is None:
             raise ValueError("need max_n or an explicit corpus")
         scope = f"connected cubic graphs, 4 <= n <= {max_n}"
-        graphs = sweep_classes("cubic", max_n)
+        results = _check_classes(_cubic_worker, "cubic", max_n, jobs)
     else:
+        check_jobs(jobs)
         if not graphs:
             raise ValueError("the supplied corpus holds no graph")
         scope = f"supplied corpus of {len(graphs)} cubic graphs"
         for i, g in enumerate(graphs):
             if not is_cubic(g):
                 raise ValueError(f"input graph {i + 1} is not cubic")
+        results = zip(map(write_graph6, graphs), _run_sweep(_cubic_worker, graphs, jobs))
     report = VerificationReport("thm-cubic-2over5", scope)
     extremal = []
-    for g, (fail, tight) in zip(graphs, _run_sweep(_cubic_worker, graphs, jobs)):
+    for g6, (fail, tight) in results:
         report.checked += 1
         if fail is not None:
-            report.add_violation(g, fail)
+            report.violations.append((g6, fail))
         elif tight:
-            extremal.append(write_graph6(g))
+            extremal.append(g6)
     report.violations.sort()
     for g6 in sorted(extremal):
         report.notes.append(f"extremal: {g6}")
@@ -498,12 +500,11 @@ def verify_known_bounds(max_n: int, jobs: int = 1) -> list[VerificationReport]:
     rep_b = VerificationReport(
         "known-b", f"connected graphs with min degree >= 2, n <= {max_n}, except C5"
     )
-    graphs = sweep_classes("all", max_n, min_n=2)
     stars = c5 = 0
-    for g, (fail_a, fail_b, tag) in zip(graphs, _run_sweep(_known_bounds_worker, graphs, jobs)):
+    for g6, (fail_a, fail_b, tag) in _check_classes(_known_bounds_worker, "all", max_n, jobs, min_n=2):
         rep_a.checked += 1
         if fail_a:
-            rep_a.add_violation(g, fail_a)
+            rep_a.violations.append((g6, fail_a))
         if tag == "star":
             stars += 1
         elif tag == "C5":
@@ -511,7 +512,7 @@ def verify_known_bounds(max_n: int, jobs: int = 1) -> list[VerificationReport]:
         elif tag == "deg2":
             rep_b.checked += 1
             if fail_b:
-                rep_b.add_violation(g, fail_b)
+                rep_b.violations.append((g6, fail_b))
     rep_a.notes.append(f"{stars} stars matched gamma_r = n exactly")
     rep_b.notes.append(f"C5 exception hit {c5} time(s)")
     rep_a.violations.sort()
@@ -530,6 +531,7 @@ def verify_lemma1(max_n: int, jobs: int = 1) -> list[VerificationReport]:
     """Run the constructive RD-set builder on every connected degree-bipartite
     special subcubic graph up to max_n and audit the construction."""
     t0 = time.perf_counter()
+    check_jobs(jobs)
     report = VerificationReport(
         "lem1", f"connected degree-bipartite special subcubic graphs, n <= {max_n}"
     )
@@ -588,11 +590,10 @@ def extremal_search(n: int, jobs: int = 1) -> list[VerificationReport]:
     """All connected cubic graphs of order n achieving gamma_r = floor(2n/5)."""
     t0 = time.perf_counter()
     report = VerificationReport("extremal-cubic", f"connected cubic graphs of order {n}")
-    graphs = sweep_classes("cubic", n, min_n=n)
-    for g, tight in zip(graphs, _run_sweep(_extremal_worker, graphs, jobs)):
+    for g6, tight in _check_classes(_extremal_worker, "cubic", n, jobs, min_n=n):
         report.checked += 1
         if tight:
-            report.notes.append(f"extremal: {write_graph6(g)}")
+            report.notes.append(f"extremal: {g6}")
     report.notes.insert(0, f"target gamma_r = {(2 * n) // 5}")
     return _timed([report], t0)
 
@@ -609,11 +610,30 @@ def check_jobs(jobs: int) -> int:
     return jobs
 
 
+def _check_subtree(check, item) -> list[tuple[int, str, object]]:
+    """Enumerate the classes of one ``sweep_roots`` item and run check on
+    each; ``(order, graph6, result)`` per class. This runs in the worker,
+    so a pool splits the enumeration as well as the checks."""
+    return [(g.n, write_graph6(g), check(g)) for g in connected_classes(*item)]
+
+
+def _check_classes(check, cls: str, max_n: int, jobs: int, min_n: int = 1) -> list[tuple[str, object]]:
+    """check's result on every connected class of cls from min_n to max_n,
+    as ``(graph6, result)`` by order and then certificate, whatever the
+    number of jobs. jobs and the range are checked before anything is
+    enumerated; the parent enumerates only the subtree roots."""
+    check_jobs(jobs)
+    items = sweep_roots(cls, max_n, min_n)
+    done = [row for part in _run_sweep(partial(_check_subtree, check), items, jobs) for row in part]
+    done.sort(key=lambda row: row[:2])
+    return [(g6, result) for _, g6, result in done]
+
+
 def _run_sweep(worker, items: Iterable, jobs: int):
     check_jobs(jobs)
-    items = list(items)
     if jobs == 1:
         return [worker(it) for it in items]
+    items = list(items)
     # imported here: the pool machinery costs serial callers about 2 MB and
     # a third of the harness import time
     from concurrent.futures import ProcessPoolExecutor

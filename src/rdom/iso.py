@@ -5,10 +5,9 @@ classes) lives in the kernels; this module wraps it with Graph-level
 conveniences. A certificate is the graph6 line of the canonically labeled
 graph, so two graphs share it iff they are isomorphic, and
 ``parse_graph6`` turns it back into that graph. Among graphs of one order,
-certificates sort as their adjacency bit strings do. The enumerators key
-each level by certificate and sort their output by it; their canonical
-construction paths leave the keys to catch only isomorphic children of one
-parent.
+certificates sort as their adjacency bit strings do. The enumerators sort
+their output by certificate, and the augmentation tree uses certificates
+to catch isomorphic children of one parent.
 """
 
 from __future__ import annotations

@@ -230,6 +230,16 @@ def _refine(adj, cells, splitters):
     return cells
 
 
+def _degree_cells(n, adj):
+    """The vertices grouped by degree, as masks by increasing degree: the
+    partition canonical labeling starts from."""
+    by_degree = {}
+    for v in range(n):
+        d = adj[v].bit_count()
+        by_degree[d] = by_degree.get(d, 0) | 1 << v
+    return [by_degree[d] for d in sorted(by_degree)]
+
+
 def canonical_form(n, adj, autos=None):
     """Canonical labeling for graphs with at most CERT_MAX_N vertices.
 
@@ -260,11 +270,7 @@ def canonical_form(n, adj, autos=None):
     """
     if n > CERT_MAX_N:
         raise ValueError(f"canonical labeling supports n <= {CERT_MAX_N}, got {n}")
-    by_degree = {}
-    for v in range(n):
-        d = adj[v].bit_count()
-        by_degree[d] = by_degree.get(d, 0) | 1 << v
-    cells = [by_degree[d] for d in sorted(by_degree)]
+    cells = _degree_cells(n, adj)
     found = []  # (g, mask of the fixed points of g)
     best_cert = None
     best_perm = None

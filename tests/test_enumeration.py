@@ -149,6 +149,9 @@ class TestStreamProperties:
         assert firsts(3, [reflection]) == [s for s in subsets(3) if s <= tuple(sorted(-v % 6 for v in s))]
         assert firsts(2, []) == list(subsets(2))
         assert all(m == mask_of(s) for s, m in _one_per_orbit(subsets(4), [rotation]))
+        assert all(enumeration._in_orbit([rotation], 0, v) for v in range(6))
+        assert [v for v in range(6) if enumeration._in_orbit([reflection], 1, v)] == [1, 5]
+        assert not enumeration._in_orbit([], 1, 5)
 
     def test_orbit_pruning_keeps_every_class(self, monkeypatch):
         # a labeler that reports no automorphisms turns the orbit pruning off
@@ -174,6 +177,47 @@ class TestStreamProperties:
             ours = [write_graph6(g) for g in enumeration._augment_classes(n, cls)]
             assert ours == [write_graph6(g) for g in dedupe_augment_classes(n, cls)], (cls, n)
 
+    def test_fallback_is_needed_without_automorphisms(self, monkeypatch):
+        labeler = kernels.canonical_form
+        monkeypatch.setattr(kernels, "canonical_form", lambda n, adj, autos=None: labeler(n, adj))
+        # an edgeless graph never has a connected parent's certificate
+        monkeypatch.setattr(enumeration, "_without", lambda rows, c: [0] * (len(rows) - 1))
+        assert len(enumeration._augment_classes(10, "cubic")) < 19
+
+    def test_signature_settles_most_fallbacks(self, monkeypatch):
+        # the labeler's automorphisms leave some ties to the fallback; the
+        # signature turns most of them away before G - c is labeled
+        labeler = kernels.canonical_form
+        reduced, labeled = [], []
+
+        def spy(n, adj, autos=None):
+            labeled.append(any(adj is rows for rows in reduced))
+            return labeler(n, adj, autos)
+
+        without = enumeration._without
+        monkeypatch.setattr(kernels, "canonical_form", spy)
+        monkeypatch.setattr(enumeration, "_without", lambda rows, c: reduced.append(without(rows, c)) or reduced[-1])
+        for cls, n, count in [("cubic", 10, 19), ("cubic", 12, 85), ("special-subcubic", 10, 458)]:
+            assert len(enumeration._augment_classes(n, cls)) == count
+        assert len(reduced) > 100 and sum(labeled) < len(reduced) / 10
+
+    @pytest.mark.parametrize("autos", [True, False], ids=["autos", "no-autos"])
+    def test_subtrees_partition_the_classes(self, monkeypatch, autos):
+        if not autos:
+            labeler = kernels.canonical_form
+            monkeypatch.setattr(kernels, "canonical_form", lambda n, adj, autos=None: labeler(n, adj))
+        # each order's subtrees, largest orders first
+        corpora = [("cubic", [12, 10, 8, 6, 4]), ("special-subcubic", range(10, 2, -1)), ("all", range(7, 0, -1))]
+        for cls, orders in corpora:
+            parts = {}
+            for item in enumeration.sweep_roots(cls, orders[0]):
+                parts.setdefault(item[0], []).append([write_graph6(g) for g in connected_classes(*item)])
+            assert list(parts) == list(orders)
+            for n, outputs in parts.items():
+                union = [line for out in outputs for line in out]
+                assert len(union) == len(set(union)), (cls, n)
+                assert sorted(union) == [write_graph6(g) for g in enumeration._augment_classes(n, cls)], (cls, n)
+
     def test_deletion_stays_in_the_previous_level(self):
         # the lemma behind the deletion rule: deleting a non-cut vertex keeps
         # a feasible partial graph feasible with one more vertex to add
@@ -196,19 +240,21 @@ class TestStreamProperties:
                         if _feasible_ss(degs, r):
                             assert _feasible_ss(smaller, r + 1)
 
-    def test_caps_enforced(self, monkeypatch):
+    def test_caps_enforced(self, no_enumeration):
         # every check runs before anything is enumerated; an order above its
         # cap is never cached, so a missing check reaches the patch
-        monkeypatch.setattr(enumeration, "_augment_classes", lambda n, cls: pytest.fail("enumerated"))
         for call in (lambda: enumerate_graphs(15, "cubic"),
                      lambda: enumerate_graphs(14, "special-subcubic", connected_only=False),
                      lambda: connected_classes(13, "degree-bipartite"),
-                     lambda: enumeration.sweep_classes("all", 10)):
+                     lambda: enumeration.sweep_classes("all", 10),
+                     lambda: enumeration.sweep_roots("cubic", 16)):
             with pytest.raises(ValueError, match="cap"):
                 call()
         with pytest.raises(ValueError, match="unknown"):
             enumerate_graphs(5, "no-such-class")
         with pytest.raises(ValueError, match="no cubic graph"):
             enumeration.sweep_classes("cubic", 13, min_n=13)
+        with pytest.raises(ValueError, match="no cubic graph"):
+            enumeration.sweep_roots("cubic", 13, min_n=13)
         assert enumeration.CLASS_CAPS["special-subcubic"] == 13
 

@@ -6,7 +6,7 @@ import time
 
 import pytest
 
-from rdom import enumeration, harness
+from rdom import harness
 from rdom.enumeration import connected_classes
 from rdom.family import classify_brdom, weight
 from rdom.graph import complete_graph, cycle_graph, petersen_graph, star_graph
@@ -114,11 +114,24 @@ class TestTheoremSweeps:
         assert "5 stars" in rep_a.notes[0]
         assert "C5 exception hit 1" in rep_b.notes[0]
 
-    def test_known_bounds_checks_the_cap_before_enumerating(self, monkeypatch):
-        # order 10 is never cached, so a sweep that enumerates reaches the patch
-        monkeypatch.setattr(enumeration, "_augment_classes", lambda n, cls: pytest.fail("enumerated"))
+    def test_known_bounds_checks_the_cap_before_enumerating(self, no_enumeration):
         with pytest.raises(ValueError, match="cap"):
             harness.verify_known_bounds(10)
+
+    @pytest.mark.parametrize("sweep, kwargs", [
+        pytest.param(harness.verify_key_theorem, {"max_n": 9}, id="key-theorem"),
+        pytest.param(harness.verify_cubic_bound, {"max_n": 12}, id="cubic"),
+        pytest.param(harness.verify_cubic_bound, {"graphs": [petersen_graph()]}, id="cubic-corpus"),
+        pytest.param(harness.verify_known_bounds, {"max_n": 7}, id="known-bounds"),
+        pytest.param(harness.verify_lemma1, {"max_n": 10}, id="lemma1"),
+        pytest.param(harness.extremal_search, {"n": 12}, id="extremal"),
+    ])
+    def test_sweeps_check_jobs_before_enumerating(self, sweep, kwargs, no_enumeration, monkeypatch):
+        # subtree roots are never cached, so a sweep that enumerates first
+        # reaches the patch; so does one that starts working on its corpus
+        monkeypatch.setattr(harness, "gamma_r_exact", lambda g: pytest.fail("solved"))
+        with pytest.raises(ValueError, match="jobs"):
+            sweep(**kwargs, jobs=0)
 
     @pytest.mark.parametrize("sweep, kwargs", [
         pytest.param(harness.verify_cubic_bound, {"max_n": -3}, id="cubic-negative"),

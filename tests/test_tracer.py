@@ -5,11 +5,14 @@ traced benchmark run is asked for."""
 from __future__ import annotations
 
 import importlib.util
+import subprocess
+import sys
 from pathlib import Path
 
 from rdom import graph, harness, iso, kernels, solvers
 
-TRACER = Path(__file__).resolve().parent.parent / "perfbench" / "tracer.py"
+ROOT = Path(__file__).resolve().parent.parent
+TRACER = ROOT / "perfbench" / "tracer.py"
 
 
 def load_tracer():
@@ -41,3 +44,12 @@ def test_tracer_installs_and_uninstalls():
         tracer.uninstall()
     assert (kernels.canonical_form, kernels.solve_min, iso.canonical_graph,
             harness._run_sweep, graph.Graph.__init__) == originals
+
+
+def test_perfbench_selftest_passes():
+    # among its checks: traced serial and pooled sweeps count the same
+    # calls per layer, enumeration included, so a pool splits the work of a
+    # sweep and repeats none of it
+    done = subprocess.run([sys.executable, "perfbench/selftest.py"], cwd=ROOT,
+                          capture_output=True, text=True, timeout=600)
+    assert done.returncode == 0, done.stderr[-3000:]
