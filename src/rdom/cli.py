@@ -1,6 +1,6 @@
 """Command-line interface.
 
-Subcommands: family, solve, formulas, lemma1, enumerate, verify, extremal.
+Subcommands: family, solve, formulas, lemma1, enumerate, verify.
 Verification reports go to stdout as JSON (with --json), the human
 summary always goes to stderr. Exit codes: 0 all checks passed, 1 any
 violation, 2 usage or input errors.
@@ -51,6 +51,14 @@ def _jobs(text: str) -> int:
         raise argparse.ArgumentTypeError(str(exc)) from None
 
 
+def _vertex_ids(text: str) -> list[int]:
+    """``--x``: comma-separated vertex ids; each line's order bounds them."""
+    try:
+        return [int(t) for t in text.split(",") if t != ""]
+    except ValueError:
+        raise argparse.ArgumentTypeError(f"bad value {text!r}") from None
+
+
 def cmd_family(args) -> int:
     for m in all_family_members():
         record = {
@@ -84,16 +92,11 @@ def cmd_solve(args) -> int:
         if args.nerd is None:
             out = gamma_r_exact(g)
         else:
-            try:
-                ids = [int(t) for t in args.x.split(",") if t != ""]
-            except ValueError:
-                print(f"error: bad --x value {args.x!r}", file=sys.stderr)
-                return USAGE_ERROR
-            if any(not 0 <= v < g.n for v in ids):
+            if any(not 0 <= v < g.n for v in args.x):
                 print(f"error: line {lineno}: --x vertex out of range", file=sys.stderr)
                 status = USAGE_ERROR
                 continue
-            out = gamma_r_nerd_exact(g, NerdQuery(mask_of(ids), args.nerd))
+            out = gamma_r_nerd_exact(g, NerdQuery(mask_of(args.x), args.nerd))
         print(json.dumps({
             "n": g.n,
             "m": g.edge_count(),
@@ -159,10 +162,6 @@ def cmd_enumerate(args) -> int:
     return 0
 
 
-def cmd_extremal(args) -> int:
-    return _emit_reports(lambda: harness.extremal_search(args.n, jobs=args.jobs), args.json)
-
-
 def _cubic_corpus(path: str) -> list:
     graphs = []
     for lineno, g, err in iter_graph6(_read_graph_lines(path)):
@@ -175,26 +174,21 @@ def _cubic_corpus(path: str) -> list:
 
 
 def cmd_verify(args) -> int:
-    if args.what == "observations":
-        sweep = lambda: harness.verify_observation_1() + harness.verify_observations_2_to_6()
-    elif args.what == "cubic-bound" and args.input is not None:
-        sweep = lambda: harness.verify_cubic_bound(graphs=_cubic_corpus(args.input), jobs=args.jobs)
-    else:
-        sweep = lambda: args.sweep(args.max_n, jobs=args.jobs)
-    return _emit_reports(sweep, args.json)
-
-
-def _emit_reports(sweep, as_json: bool) -> int:
-    """Run a sweep and print its reports; a ValueError or OSError is a usage
-    or input error."""
+    """Run one sweep and print its reports; a ValueError or OSError is a
+    usage or input error."""
     try:
-        reports = sweep()
+        if args.what == "observations":
+            reports = harness.verify_observation_1() + harness.verify_observations_2_to_6()
+        elif args.what == "cubic-bound" and args.input is not None:
+            reports = harness.verify_cubic_bound(graphs=_cubic_corpus(args.input), jobs=args.jobs)
+        else:
+            reports = args.sweep(args.max_n, jobs=args.jobs)
     except (ValueError, OSError) as exc:
         print(f"error: {exc}", file=sys.stderr)
         return USAGE_ERROR
     for rep in reports:
         print(rep.summary(), file=sys.stderr)
-    if as_json:
+    if args.json:
         print(json.dumps([rep.to_dict() for rep in reports], indent=2))
     return 0 if all(rep.passed for rep in reports) else 1
 
@@ -209,7 +203,7 @@ def build_parser() -> argparse.ArgumentParser:
     p = sub.add_parser("solve", help="exact solves over graph6 input")
     p.add_argument("input", nargs="?", default=None, help="graph6 file ('-' or omit for stdin)")
     p.add_argument("--nerd", choices=[NERD_TYPE1, NERD_TYPE2], default=None)
-    p.add_argument("--x", default=None, help="comma-separated exempt vertex ids")
+    p.add_argument("--x", type=_vertex_ids, default=None, help="comma-separated exempt vertex ids")
     p.set_defaults(func=cmd_solve)
 
     p = sub.add_parser("formulas", help="closed formulas for paths and cycles")
@@ -227,13 +221,6 @@ def build_parser() -> argparse.ArgumentParser:
     p.add_argument("--n", type=int, required=True)
     p.add_argument("--connected", action="store_true")
     p.set_defaults(func=cmd_enumerate)
-
-    p = sub.add_parser("extremal", help="graphs achieving the cubic bound")
-    p.add_argument("--class", dest="graph_class", choices=["cubic"], default="cubic")
-    p.add_argument("--n", type=int, required=True)
-    p.add_argument("--jobs", type=_jobs, default=1)
-    p.add_argument("--json", action="store_true")
-    p.set_defaults(func=cmd_extremal)
 
     p = sub.add_parser("verify", help="verification sweeps")
     p.set_defaults(func=cmd_verify)

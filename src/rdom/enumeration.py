@@ -516,28 +516,28 @@ def _sweep_orders(cls: str, max_n: int, min_n: int) -> list[int]:
     return orders
 
 
-def sweep_classes(cls: str, max_n: int, min_n: int = 1) -> list[Graph]:
-    """The connected classes of every order from min_n to max_n, by order
-    and then certificate. Raises ValueError, before enumerating anything,
-    for an order above the cap or a range that holds no graph of the class."""
-    return [g for n in _sweep_orders(cls, max_n, min_n) for g in connected_classes(n, cls)]
-
-
 def sweep_roots(cls: str, max_n: int, min_n: int = 1) -> Iterator[tuple]:
-    """The same corpus as ``sweep_classes``, split into items for
-    ``connected_classes(*item)`` whose outputs are disjoint: the nodes two
-    levels above the leaves of each order's augmentation tree (the top for
-    n <= 3), largest orders first, so that a pool starts on the largest
-    subtrees. The items come lazily, so a serial sweep holds one at a time.
-    Raises ValueError as ``sweep_classes`` does, before enumerating
-    anything."""
-    orders = _sweep_orders(cls, max_n, min_n)
-    return ((n, cls, root) for n in reversed(orders) for root in _grow(n, cls, _TOP, max(1, n - 2)))
+    """The connected classes of every order from min_n to max_n, split into
+    items for ``connected_classes(*item)`` whose outputs are disjoint: the
+    nodes two levels above the leaves of each order's augmentation tree
+    (the top for n <= 3), largest orders first, so that a pool starts on
+    the largest subtrees. degree-bipartite has no augmentation tree, and
+    each of its orders is one item. The items come lazily, so a serial
+    sweep holds one at a time. Raises ValueError, before enumerating
+    anything, for an order above the cap or a range that holds no graph of
+    the class."""
+    orders = reversed(_sweep_orders(cls, max_n, min_n))
+    if cls == "degree-bipartite":
+        return ((n, cls, None) for n in orders)
+    return ((n, cls, root) for n in orders for root in _grow(n, cls, _TOP, max(1, n - 2)))
 
 
 def enumerate_graphs(n: int, cls: str, connected_only: bool = True) -> Iterator[Graph]:
     """Exactly one representative per isomorphism class of the requested
     class and order, in sorted-certificate order. Raises ValueError for an
-    unknown class or an order above its cap before anything is enumerated."""
+    unknown class, a negative order or an order above its cap before
+    anything is enumerated."""
+    if n < 0:
+        raise ValueError(f"n={n} is negative")
     _check_cap(n, cls)
     return iter(connected_classes(n, cls) if connected_only else _all_classes(n, cls))

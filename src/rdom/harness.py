@@ -3,10 +3,13 @@
 Each ``verify_*`` function sweeps an enumerated instance set and returns
 :class:`VerificationReport` objects whose violation entries carry the
 offending graph as graph6, so any reported failure can be re-checked from
-the report alone. Existence claims (a witness set of a stated size and
-shape exists) are certified by constrained exhaustive enumeration at the
-exact cardinality, independently of the branch-and-bound solver; bound
-claims go through the exact solvers.
+the report alone. Every enumerated sweep goes through ``_check_classes``,
+whose workers enumerate and check the items of ``sweep_roots``. The
+cubic sweep's ``extremal:`` notes list the graphs with gamma_r =
+floor(2n/5) of every order it covers. Existence claims (a witness set of
+a stated size and shape exists) are certified by constrained exhaustive
+enumeration at the exact cardinality, independently of the
+branch-and-bound solver; bound claims go through the exact solvers.
 """
 
 from __future__ import annotations
@@ -19,7 +22,7 @@ from itertools import combinations
 from typing import Callable, Iterable, Sequence
 
 from rdom.construct import Lemma1Trace, lemma1_construct
-from rdom.enumeration import connected_classes, sweep_classes, sweep_roots
+from rdom.enumeration import connected_classes, sweep_roots
 from rdom.family import all_family_members, classify_brdom, weight
 from rdom.graph import (
     Graph,
@@ -434,12 +437,12 @@ def verify_cubic_bound(
     jobs: int = 1,
 ) -> list[VerificationReport]:
     """gamma_r(G) <= 2n/5 over connected cubic graphs, from the built-in
-    enumeration (orders 4..max_n) or a caller-supplied, non-empty corpus;
-    records the graphs achieving equality."""
+    enumeration (orders 4..max_n) or a caller-supplied, non-empty corpus,
+    one of the two; records the graphs achieving equality."""
     t0 = time.perf_counter()
+    if (max_n is None) == (graphs is None):
+        raise ValueError("need max_n or an explicit corpus, not both")
     if graphs is None:
-        if max_n is None:
-            raise ValueError("need max_n or an explicit corpus")
         scope = f"connected cubic graphs, 4 <= n <= {max_n}"
         results = _check_classes(_cubic_worker, "cubic", max_n, jobs)
     else:
@@ -531,14 +534,11 @@ def verify_lemma1(max_n: int, jobs: int = 1) -> list[VerificationReport]:
     """Run the constructive RD-set builder on every connected degree-bipartite
     special subcubic graph up to max_n and audit the construction."""
     t0 = time.perf_counter()
-    check_jobs(jobs)
     report = VerificationReport(
         "lem1", f"connected degree-bipartite special subcubic graphs, n <= {max_n}"
     )
-    graphs = sweep_classes("degree-bipartite", max_n)
-    for g, (problems, sizes) in zip(graphs, _run_sweep(_lemma1_worker, graphs, jobs)):
+    for g6, (problems, sizes) in _check_classes(_lemma1_worker, "degree-bipartite", max_n, jobs):
         report.checked += 1
-        g6 = write_graph6(g)
         report.violations.extend((g6, problem) for problem in problems)
         report.notes.append(f"{g6}: {sizes}")
     return _timed([report], t0)
@@ -582,22 +582,6 @@ def _construction_problems(g: Graph, d: int, trace: Lemma1Trace) -> list[str]:
     return problems
 
 
-def _extremal_worker(g: Graph) -> bool:
-    return gamma_r_exact(g).size == (2 * g.n) // 5
-
-
-def extremal_search(n: int, jobs: int = 1) -> list[VerificationReport]:
-    """All connected cubic graphs of order n achieving gamma_r = floor(2n/5)."""
-    t0 = time.perf_counter()
-    report = VerificationReport("extremal-cubic", f"connected cubic graphs of order {n}")
-    for g6, tight in _check_classes(_extremal_worker, "cubic", n, jobs, min_n=n):
-        report.checked += 1
-        if tight:
-            report.notes.append(f"extremal: {g6}")
-    report.notes.insert(0, f"target gamma_r = {(2 * n) // 5}")
-    return _timed([report], t0)
-
-
 # ---------------------------------------------------------------------------
 
 
@@ -630,6 +614,8 @@ def _check_classes(check, cls: str, max_n: int, jobs: int, min_n: int = 1) -> li
 
 
 def _run_sweep(worker, items: Iterable, jobs: int):
+    """worker's result on every item, in item order: the subtrees of
+    ``_check_classes``, or the graphs of a supplied corpus."""
     check_jobs(jobs)
     if jobs == 1:
         return [worker(it) for it in items]

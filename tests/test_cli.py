@@ -1,8 +1,10 @@
 from __future__ import annotations
 
+import argparse
 import io
 import json
 import os
+import re
 import shlex
 from itertools import groupby
 from pathlib import Path
@@ -69,6 +71,21 @@ def test_solve_usage_errors(capsys, tmp_path):
     path.write_text("##BAD##\n")
     code, _, err = run_cli(capsys, "solve", str(path))
     assert code == 2 and "line 1" in err
+
+
+@pytest.mark.parametrize("stdin", ["", "##BAD##\nC~\n"], ids=["empty", "bad-then-good"])
+def test_solve_bad_x_is_a_usage_error_before_reading(capsys, monkeypatch, stdin):
+    monkeypatch.setattr("sys.stdin", io.TextIOWrapper(io.BytesIO(stdin.encode())))
+    code, out, err = run_cli(capsys, "solve", "--nerd", "dom", "--x", "a")
+    assert code == 2 and out == "" and "--x" in err and "line" not in err
+
+
+def test_solve_x_out_of_range_is_a_line_error(capsys, tmp_path):
+    path = tmp_path / "in.g6"
+    path.write_text("@\nDhc\n")
+    code, out, err = run_cli(capsys, "solve", str(path), "--nerd", "ndom", "--x", "2")
+    assert code == 2 and "line 1" in err and "out of range" in err
+    assert json.loads(out)["n"] == 5
 
 
 def test_solve_non_ascii_line_is_a_line_error(capsys, tmp_path):
@@ -138,6 +155,11 @@ def test_enumerate_cap_error(capsys):
     assert code == 2 and "cap" in err
 
 
+def test_enumerate_negative_order_error(capsys):
+    code, out, err = run_cli(capsys, "enumerate", "--class", "cubic", "--n", "-4")
+    assert code == 2 and out == "" and "negative" in err
+
+
 def test_verify_observations_passes(capsys):
     code, out, err = run_cli(capsys, "verify", "observations", "--json")
     assert code == 0
@@ -175,7 +197,6 @@ def test_verify_cubic_bound_names_a_non_ascii_line(capsys, tmp_path):
 
 @pytest.mark.parametrize("jobs", ["0", "-1", str((os.cpu_count() or 1) + 1)])
 @pytest.mark.parametrize("command", [
-    ["extremal", "--n", "10"],
     ["verify", "key-theorem"],
     ["verify", "cubic-bound"],
     ["verify", "known-bounds"],
@@ -191,7 +212,7 @@ def test_jobs_outside_the_cpu_range_is_a_usage_error(capsys, monkeypatch, comman
     ["verify", "lemma1", "--max-n", "15"],
     ["verify", "cubic-bound", "--max-n", "-3"],
     ["verify", "key-theorem", "--max-n", "2"],
-    ["extremal", "--n", "15"],
+    ["verify", "cubic-bound", "--max-n", "15"],
     ["verify", "key-theorem", "--input", "F"],
     ["verify", "observations", "--max-n", "3"],
     ["verify", "cubic-bound", "--max-n", "4", "--input", "F"],
@@ -213,17 +234,19 @@ def test_verify_cubic_bound_rejects_empty_input(capsys, tmp_path):
 
 
 def test_extremal(capsys):
-    code, out, err = run_cli(capsys, "extremal", "--class", "cubic", "--n", "10", "--json")
+    # the extremal graphs of order n are the order-n notes of the cubic sweep
+    code, out, err = run_cli(capsys, "verify", "cubic-bound", "--max-n", "10", "--json")
     assert code == 0
     report = json.loads(out)[0]
     achievers = [n.split()[-1] for n in report["notes"] if n.startswith("extremal")]
-    assert len(achievers) == 1
-    assert are_isomorphic(parse_graph6(achievers[0]), petersen_graph())
+    at_10 = [g6 for g6 in achievers if parse_graph6(g6).n == 10]
+    assert len(at_10) == 1
+    assert are_isomorphic(parse_graph6(at_10[0]), petersen_graph())
 
 
-def test_extremal_class_is_cubic_only(capsys):
-    code, _, err = run_cli(capsys, "extremal", "--class", "all", "--n", "10")
-    assert code == 2 and "invalid choice" in err
+def test_extremal_is_an_unknown_command(capsys):
+    code, out, err = run_cli(capsys, "extremal", "--n", "10")
+    assert code == 2 and out == "" and "invalid choice" in err
 
 
 def test_help_exits_zero(capsys):
@@ -256,6 +279,12 @@ def readme_commands():
     return commands
 
 
+def subcommands(parser):
+    """The parsers of parser's subcommands, by name."""
+    (action,) = [a for a in parser._actions if isinstance(a, argparse._SubParsersAction)]
+    return action.choices
+
+
 def test_readme_cli_commands_parse(monkeypatch):
     # the commands name options and scopes; whether this host has the CPUs
     # for the README's --jobs 2 is not what they document
@@ -268,3 +297,11 @@ def test_readme_cli_commands_parse(monkeypatch):
             parser.parse_args(argv)
         except SystemExit:
             pytest.fail(f"README command does not parse: rdom {' '.join(argv)}")
+    # and they name every subcommand and verify scope, as the module
+    # docstring names every subcommand
+    defined = subcommands(parser)
+    assert {argv[0] for argv in commands} == set(defined)
+    scopes = subcommands(defined["verify"])
+    assert {argv[1] for argv in commands if argv[0] == "verify"} == set(scopes)
+    listed = re.search(r"Subcommands: ([^.]*)\.", rdom.cli.__doc__).group(1)
+    assert {name.strip() for name in listed.split(",")} == set(defined)

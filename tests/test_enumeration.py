@@ -117,6 +117,12 @@ class TestDegreeBipartite:
             assert direct == filtered
         assert len(connected_classes(10, "degree-bipartite")) == 2
 
+    def test_sweep_items_are_whole_orders(self):
+        # no augmentation tree to split: one item per order, largest first
+        items = list(enumeration.sweep_roots("degree-bipartite", 12))
+        assert items == [(10, "degree-bipartite", None), (5, "degree-bipartite", None)]
+        assert connected_classes(*items[0]) == connected_classes(10, "degree-bipartite")
+
 
 class TestStreamProperties:
     def test_emitted_graphs_satisfy_class_and_connectivity(self):
@@ -246,15 +252,18 @@ class TestStreamProperties:
         for call in (lambda: enumerate_graphs(15, "cubic"),
                      lambda: enumerate_graphs(14, "special-subcubic", connected_only=False),
                      lambda: connected_classes(13, "degree-bipartite"),
-                     lambda: enumeration.sweep_classes("all", 10),
+                     lambda: enumeration.sweep_roots("all", 10),
                      lambda: enumeration.sweep_roots("cubic", 16)):
             with pytest.raises(ValueError, match="cap"):
                 call()
         with pytest.raises(ValueError, match="unknown"):
             enumerate_graphs(5, "no-such-class")
-        with pytest.raises(ValueError, match="no cubic graph"):
-            enumeration.sweep_classes("cubic", 13, min_n=13)
+        for connected_only in (True, False):
+            with pytest.raises(ValueError, match="negative"):
+                enumerate_graphs(-4, "cubic", connected_only=connected_only)
         with pytest.raises(ValueError, match="no cubic graph"):
             enumeration.sweep_roots("cubic", 13, min_n=13)
+        with pytest.raises(ValueError, match="no degree-bipartite graph"):
+            enumeration.sweep_roots("degree-bipartite", 4)
         assert enumeration.CLASS_CAPS["special-subcubic"] == 13
 

@@ -91,6 +91,12 @@ class TestTheoremSweeps:
         assert rep.passed and rep.checked == 1
         assert any("extremal" in n for n in rep.notes)
 
+    def test_cubic_bound_takes_max_n_or_a_corpus(self, no_enumeration):
+        with pytest.raises(ValueError, match="not both"):
+            harness.verify_cubic_bound(max_n=10, graphs=[petersen_graph()])
+        with pytest.raises(ValueError, match="need max_n"):
+            harness.verify_cubic_bound()
+
     def test_cubic_bound_rejects_non_cubic(self):
         with pytest.raises(ValueError, match="not cubic"):
             harness.verify_cubic_bound(graphs=[cycle_graph(5)])
@@ -124,7 +130,6 @@ class TestTheoremSweeps:
         pytest.param(harness.verify_cubic_bound, {"graphs": [petersen_graph()]}, id="cubic-corpus"),
         pytest.param(harness.verify_known_bounds, {"max_n": 7}, id="known-bounds"),
         pytest.param(harness.verify_lemma1, {"max_n": 10}, id="lemma1"),
-        pytest.param(harness.extremal_search, {"n": 12}, id="extremal"),
     ])
     def test_sweeps_check_jobs_before_enumerating(self, sweep, kwargs, no_enumeration, monkeypatch):
         # subtree roots are never cached, so a sweep that enumerates first
@@ -139,7 +144,6 @@ class TestTheoremSweeps:
         pytest.param(harness.verify_key_theorem, {"max_n": 2}, id="key-theorem-2"),
         pytest.param(harness.verify_known_bounds, {"max_n": 1}, id="known-bounds-1"),
         pytest.param(harness.verify_lemma1, {"max_n": 4}, id="lemma1-4"),
-        pytest.param(harness.extremal_search, {"n": 13}, id="extremal-odd"),
     ])
     def test_empty_scope_is_an_error(self, sweep, kwargs):
         with pytest.raises(ValueError, match="no .*graph"):
@@ -149,12 +153,31 @@ class TestTheoremSweeps:
         (rep,) = harness.verify_lemma1(12)
         assert rep.passed and rep.checked == 3
 
-    def test_extremal_search_at_10(self):
-        (rep,) = harness.extremal_search(10)
-        assert rep.passed and rep.checked == 19
+    def test_cubic_bound_extremal_at_10(self):
+        (rep,) = harness.verify_cubic_bound(10)
+        assert rep.passed and rep.checked == 1 + 2 + 5 + 19
         achievers = [n.split()[-1] for n in rep.notes if n.startswith("extremal")]
-        assert len(achievers) == 1
-        assert are_isomorphic(parse_graph6(achievers[0]), petersen_graph())
+        at_10 = [g6 for g6 in achievers if parse_graph6(g6).n == 10]
+        assert len(at_10) == 1
+        assert are_isomorphic(parse_graph6(at_10[0]), petersen_graph())
+
+    @pytest.mark.parametrize("sweep, kwargs, cls", [
+        pytest.param(harness.verify_key_theorem, {"max_n": 6}, "special-subcubic", id="key-theorem"),
+        pytest.param(harness.verify_cubic_bound, {"max_n": 8}, "cubic", id="cubic"),
+        pytest.param(harness.verify_known_bounds, {"max_n": 5}, "all", id="known-bounds"),
+        pytest.param(harness.verify_lemma1, {"max_n": 10}, "degree-bipartite", id="lemma1"),
+    ])
+    def test_enumerated_sweeps_go_through_check_classes(self, sweep, kwargs, cls, monkeypatch):
+        calls = []
+        check_classes = harness._check_classes
+
+        def spy(check, graph_class, *args, **kw):
+            calls.append(graph_class)
+            return check_classes(check, graph_class, *args, **kw)
+
+        monkeypatch.setattr(harness, "_check_classes", spy)
+        sweep(**kwargs)
+        assert calls == [cls]
 
 
 class TestReportMechanics:
@@ -183,7 +206,6 @@ class TestReportMechanics:
         assert serial == parallel
 
     @pytest.mark.parametrize("sweep, kwargs", [
-        pytest.param(harness.extremal_search, {"n": 10}, id="extremal_search"),
         pytest.param(harness.verify_lemma1, {"max_n": 10}, id="verify_lemma1"),
         pytest.param(harness.verify_cubic_bound, {"max_n": 10}, id="verify_cubic_bound"),
         pytest.param(

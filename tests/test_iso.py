@@ -5,7 +5,7 @@ from itertools import combinations
 
 import pytest
 
-from rdom.enumeration import sweep_classes
+from rdom.enumeration import connected_classes
 from rdom.graph import Graph, bits_of, complete_graph, cycle_graph, disjoint_union, petersen_graph
 from rdom.family import family_member
 from rdom.graph6 import parse_graph6, write_graph6
@@ -54,7 +54,7 @@ def test_certificate_stable_and_decodable():
 
 def test_certificate_is_the_canonical_graph6_line():
     rng = random.Random(5)
-    corpus = sweep_classes("cubic", 10)
+    corpus = [g for n in range(4, 11, 2) for g in connected_classes(n, "cubic")]
     for _ in range(200):
         n = rng.randint(0, 16)
         corpus.append(Graph.from_edges(n, [e for e in combinations(range(n), 2) if rng.random() < 0.3]))
