@@ -3,13 +3,15 @@
 Subcommands: family, solve, formulas, lemma1, enumerate, verify.
 Verification reports go to stdout as JSON (with --json), the human
 summary always goes to stderr. Exit codes: 0 all checks passed, 1 any
-violation, 2 usage or input errors.
+violation, 2 usage or input errors, 141 when stdout is closed before the
+output ends (as by "| head"), which stops the command without a traceback.
 """
 
 from __future__ import annotations
 
 import argparse
 import json
+import os
 import sys
 
 from rdom import __version__
@@ -28,6 +30,7 @@ from rdom.solvers import (
 from rdom import harness
 
 USAGE_ERROR = 2
+BROKEN_PIPE = 141  # 128 + SIGPIPE, what a shell reports for a killed writer
 
 
 def _read_graph_lines(path: str | None):
@@ -245,11 +248,22 @@ def build_parser() -> argparse.ArgumentParser:
 def main(argv=None) -> int:
     parser = build_parser()
     try:
-        args = parser.parse_args(argv)
-    except SystemExit as exc:
-        # argparse exits with 2 on usage errors and 0 on --help
-        return int(exc.code) if exc.code else 0
-    return args.func(args)
+        try:
+            args = parser.parse_args(argv)
+        except SystemExit as exc:
+            # argparse exits with 2 on usage errors and 0 on --help
+            status = int(exc.code) if exc.code else 0
+        else:
+            status = args.func(args)
+        # a reader that left is caught here rather than at exit
+        sys.stdout.flush()
+    except BrokenPipeError:
+        # as the SIGPIPE note of the Python docs shows: point stdout at
+        # devnull, so the flush at exit does not fail again
+        devnull = os.open(os.devnull, os.O_WRONLY)
+        os.dup2(devnull, sys.stdout.fileno())
+        return BROKEN_PIPE
+    return status
 
 
 if __name__ == "__main__":

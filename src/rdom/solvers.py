@@ -11,6 +11,12 @@ Variants:
     set need not be dominated) and type 2 ("dom": the exempt set is forced
     outside the solution, dominated, but excused from the outside-neighbor
     requirement)
+
+Decisions: ``gamma_r_at_most`` and ``gamma_r_nerd_at_most`` ask whether a
+set of size at most k exists, through the same search with its ``limit``
+set. Their outcome is "within", carrying the first witness the search
+accepts (not necessarily a minimum one), or "exceeds"; never "optimal", so
+a decision cannot be read as a value.
 """
 
 from __future__ import annotations
@@ -39,7 +45,7 @@ class NerdQuery:
 
 @dataclass(frozen=True)
 class SolveOutcome:
-    status: str  # "optimal" | "infeasible"
+    status: str  # "optimal" | "infeasible", or a decision's "within" | "exceeds"
     size: int | None = None
     witness: VertexSet | None = None
     micros: int = 0
@@ -47,6 +53,10 @@ class SolveOutcome:
     @property
     def optimal(self) -> bool:
         return self.status == "optimal"
+
+    @property
+    def within(self) -> bool:
+        return self.status == "within"
 
     def witness_ids(self) -> list[int]:
         return list(bits_of(self.witness)) if self.witness is not None else []
@@ -102,14 +112,17 @@ def is_nerd(g: Graph, s: VertexSet, q: NerdQuery) -> bool:
     return True
 
 
-def _solve(g: Graph, dom_req: int, res_req: int, force_in: int = 0, force_out: int = 0) -> SolveOutcome:
+def _solve(
+    g: Graph, dom_req: int, res_req: int, force_in: int = 0, force_out: int = 0,
+    limit: int | None = None,
+) -> SolveOutcome:
     t0 = time.perf_counter()
-    res = kernels.solve_min(g.n, g.adj, dom_req, res_req, force_in, force_out)
+    res = kernels.solve_min(g.n, g.adj, dom_req, res_req, force_in, force_out, limit)
     micros = int((time.perf_counter() - t0) * 1e6)
     if res is None:
-        return SolveOutcome("infeasible", micros=micros)
+        return SolveOutcome("infeasible" if limit is None else "exceeds", micros=micros)
     size, bits = res
-    return SolveOutcome("optimal", size, bits, micros)
+    return SolveOutcome("optimal" if limit is None else "within", size, bits, micros)
 
 
 def gamma_r_exact(g: Graph, force_in: VertexSet = 0, force_out: VertexSet = 0) -> SolveOutcome:
@@ -122,6 +135,16 @@ def gamma_r_exact(g: Graph, force_in: VertexSet = 0, force_out: VertexSet = 0) -
     return _solve(g, full, full, force_in, force_out)
 
 
+def gamma_r_at_most(
+    g: Graph, k: int, force_in: VertexSet = 0, force_out: VertexSet = 0
+) -> SolveOutcome:
+    """Whether a restrained dominating set of size at most k honors the
+    forcing sets: "within" with such a set, or "exceeds"."""
+    _check_subset(g, force_in | force_out, "forcing set")
+    full = g.vertex_mask()
+    return _solve(g, full, full, force_in, force_out, k)
+
+
 def gamma_exact(g: Graph) -> SolveOutcome:
     """Minimum dominating set (no restraint condition)."""
     return _solve(g, g.vertex_mask(), 0)
@@ -130,8 +153,18 @@ def gamma_exact(g: Graph) -> SolveOutcome:
 def gamma_r_nerd_exact(g: Graph, q: NerdQuery) -> SolveOutcome:
     """Minimum near-RD set for the query; type 2 with a nonempty exempt set
     can be infeasible (the exempt vertices are forced outside)."""
+    return _nerd(g, q)
+
+
+def gamma_r_nerd_at_most(g: Graph, q: NerdQuery, k: int) -> SolveOutcome:
+    """Whether a near-RD set of size at most k exists for the query:
+    "within" with such a set, or "exceeds"."""
+    return _nerd(g, q, k)
+
+
+def _nerd(g: Graph, q: NerdQuery, limit: int | None = None) -> SolveOutcome:
     _check_subset(g, q.x, "exempt set")
     full = g.vertex_mask()
     if q.variant == NERD_TYPE1:
-        return _solve(g, full & ~q.x, full)
-    return _solve(g, full, full & ~q.x, 0, q.x)
+        return _solve(g, full & ~q.x, full, limit=limit)
+    return _solve(g, full, full & ~q.x, 0, q.x, limit)

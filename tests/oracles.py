@@ -103,6 +103,24 @@ def lex_least_mask(sets) -> int:
     return best
 
 
+def naive_meets(n, adj, dom_req, res_req, s) -> bool:
+    """The constraints of ``rdom.kernels.solve_min`` checked vertex by
+    vertex on id sets: every ``dom_req`` vertex is in s or has a neighbor
+    in s, and every ``res_req`` vertex outside s has a neighbor outside s."""
+    if s >> n:
+        return False
+    members = {v for v in range(n) if s >> v & 1}
+    for v in range(n):
+        if v in members:
+            continue
+        nbrs = [u for u in range(n) if adj[v] >> u & 1]
+        if dom_req >> v & 1 and not any(u in members for u in nbrs):
+            return False
+        if res_req >> v & 1 and all(u in members for u in nbrs):
+            return False
+    return True
+
+
 def seed_solve_min(n, adj, dom_req, res_req, force_in=0, force_out=0):
     """Node-by-node reference for ``rdom.kernels.solve_min``: every search
     node rescans all n vertices. Kept verbatim from the solver it replaced,

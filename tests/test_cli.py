@@ -6,6 +6,8 @@ import json
 import os
 import re
 import shlex
+import subprocess
+import sys
 from itertools import groupby
 from pathlib import Path
 
@@ -13,7 +15,7 @@ import pytest
 
 import rdom
 from rdom import harness
-from rdom.cli import build_parser, main
+from rdom.cli import BROKEN_PIPE, build_parser, main
 from rdom.graph import complete_bipartite, cycle_graph, petersen_graph
 from rdom.graph6 import parse_graph6, write_graph6
 from rdom.iso import are_isomorphic
@@ -101,6 +103,27 @@ def test_solve_non_utf8_stdin_is_a_line_error(capsys, monkeypatch):
     code, out, err = run_cli(capsys, "solve")
     assert code == 2 and "line 2" in err and "not ASCII" in err
     assert len(out.splitlines()) == 2
+
+
+@pytest.mark.parametrize("lines_read", [0, 1], ids=["closed-before-output", "closed-after-first-line"])
+def test_closed_stdout_is_not_a_traceback(lines_read):
+    env = dict(os.environ, PYTHONPATH=str(Path(rdom.__file__).resolve().parents[1]),
+               PYTHONUNBUFFERED="1")
+    read, write = os.pipe()
+    if not lines_read:
+        os.close(read)  # no reader at all: the first line already fails
+    proc = subprocess.Popen([sys.executable, "-m", "rdom.cli", "family"],
+                            stdout=write, stderr=subprocess.PIPE, env=env)
+    os.close(write)
+    if lines_read:
+        with os.fdopen(read, "rb") as out:
+            assert json.loads(out.readline())["id"] == "R1"
+    err = proc.stderr.read().decode()
+    proc.stderr.close()
+    code = proc.wait()
+    assert "Traceback" not in err and "Error" not in err, err
+    # a reader that leaves after one line may still have taken all ten
+    assert code == BROKEN_PIPE if not lines_read else code in (0, BROKEN_PIPE)
 
 
 def test_formulas(capsys):

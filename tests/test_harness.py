@@ -135,8 +135,30 @@ class TestTheoremSweeps:
         # subtree roots are never cached, so a sweep that enumerates first
         # reaches the patch; so does one that starts working on its corpus
         monkeypatch.setattr(harness, "gamma_r_exact", lambda g: pytest.fail("solved"))
+        # the upper bounds are decided, so their entry points must fail too
+        for name in ("gamma_r_at_most", "gamma_r_nerd_at_most", "gamma_r_nerd_exact"):
+            monkeypatch.setattr(harness, name, lambda *args, **kwargs: pytest.fail("solved"))
         with pytest.raises(ValueError, match="jobs"):
             sweep(**kwargs, jobs=0)
+
+    @pytest.mark.parametrize("sweep, kwargs, solves", [
+        pytest.param(harness.verify_cubic_bound, {"max_n": 10}, 0, id="cubic"),
+        pytest.param(harness.verify_key_theorem, {"max_n": 7}, 3, id="key-theorem"),  # R1, R2, R10
+        pytest.param(harness.verify_known_bounds, {"max_n": 6}, 5, id="known-bounds"),  # the stars
+    ])
+    def test_passing_upper_bounds_are_decided(self, sweep, kwargs, solves, monkeypatch):
+        # a passing graph takes an exact solve only where its report needs
+        # the value: catalog members and stars
+        solved = []
+        exact = harness.gamma_r_exact
+
+        def counted(g, *args):
+            solved.append(g)
+            return exact(g, *args)
+
+        monkeypatch.setattr(harness, "gamma_r_exact", counted)
+        assert all(r.passed for r in sweep(**kwargs))
+        assert len(solved) == solves
 
     @pytest.mark.parametrize("sweep, kwargs", [
         pytest.param(harness.verify_cubic_bound, {"max_n": -3}, id="cubic-negative"),

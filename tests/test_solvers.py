@@ -17,7 +17,9 @@ from rdom.graph import (
     petersen_graph,
     small_vertices,
     star_graph,
+    subdivide,
 )
+from rdom.enumeration import connected_classes
 from rdom.family import all_family_members
 from rdom.solvers import (
     NERD_TYPE1,
@@ -25,7 +27,9 @@ from rdom.solvers import (
     NerdQuery,
     SolveOutcome,
     gamma_exact,
+    gamma_r_at_most,
     gamma_r_exact,
+    gamma_r_nerd_at_most,
     gamma_r_nerd_exact,
     is_dominating,
     is_nerd,
@@ -169,6 +173,61 @@ class TestNerdSolver:
                 q2 = gamma_r_nerd_exact(g, NerdQuery(mask_of(ids), NERD_TYPE2))
                 if q2.optimal:
                     assert q2.size <= gr + 1
+
+
+class TestDecisions:
+    """The decisions held to the exact solvers: "exceeds" one below the
+    minimum, and "within" at it with a witness the predicate accepts.
+    Neither outcome reads as optimal."""
+
+    @pytest.mark.parametrize("cls, max_n", [("cubic", 12), ("special-subcubic", 10), ("all", 7)])
+    def test_gamma_r_on_corpora(self, cls, max_n):
+        checked = 0
+        for n in range(1, max_n + 1):
+            for g in connected_classes(n, cls):
+                gr = gamma_r_exact(g).size
+                below = gamma_r_at_most(g, gr - 1)
+                assert below.status == "exceeds" and below.witness is None, g.adj
+                at = gamma_r_at_most(g, gr)
+                assert at.status == "within" and not at.optimal, g.adj
+                assert at.size == at.witness.bit_count() == gr, g.adj
+                assert is_restrained_dominating(g, at.witness), g.adj
+                checked += 1
+        assert checked > 100
+
+    def test_gamma_r_honors_forcing(self):
+        g = petersen_graph()
+        out = gamma_r_at_most(g, 4, force_in=1 << 0, force_out=1 << 1)
+        assert out.within and out.witness & 1 and not out.witness & 2
+        assert is_restrained_dominating(g, out.witness)
+        assert gamma_r_at_most(g, 9, force_out=mask_of(range(9))).status == "exceeds"
+
+    def test_nerd_on_catalog_and_subdivisions(self):
+        # every degree-2 vertex and pair of a member; every path vertex of
+        # its one- to four-fold edge subdivisions
+        cases = []
+        for m in all_family_members():
+            g = m.graph
+            smalls = list(bits_of(small_vertices(g)))
+            cases += [(g, 1 << v) for v in smalls]
+            cases += [(g, 1 << u | 1 << v) for u, v in combinations(smalls, 2)]
+            for e in g.edges():
+                for t in range(1, 5):
+                    sub = subdivide(g, e, t)
+                    cases += [(sub, 1 << v) for v in range(g.n, sub.n)]
+        for g, x in cases:
+            for variant in (NERD_TYPE1, NERD_TYPE2):
+                q = NerdQuery(x, variant)
+                exact = gamma_r_nerd_exact(g, q)
+                if not exact.optimal:
+                    assert gamma_r_nerd_at_most(g, q, g.n).status == "exceeds"
+                    continue
+                if exact.size:
+                    assert gamma_r_nerd_at_most(g, q, exact.size - 1).status == "exceeds"
+                at = gamma_r_nerd_at_most(g, q, exact.size)
+                assert at.status == "within" and at.size == at.witness.bit_count() == exact.size
+                assert is_nerd(g, at.witness, q), (g.adj, x, variant)
+        assert len(cases) > 1000
 
 
 class TestOracleEquivalence:
