@@ -8,17 +8,20 @@ automorphisms found while labeling it, and degree-feasibility pruning
 discards partial graphs that can no longer reach the target class. A
 child is labeled only when no vertex whose deletion leaves it connected
 ranks above the new vertex by degree and then vertex invariants, which
-turns most children away before labeling. It is kept only when the new
-vertex is in the orbit of its canonical deletion vertex, and only once
-among its siblings, so every class has one node and no level is ever held
-in memory. Because every connected graph admits a build order with all
-prefixes connected, attaching to at least one existing vertex loses
-nothing.
+turns most children away before labeling. For the classes whose
+attachments are capped at 3 vertices, a child below the leaf level is
+labeled only when it can have a child of its own: some attachment to it
+passes the same checks. It is kept only when the new vertex is in the
+orbit of its canonical deletion vertex, and only once among its siblings,
+so every class has one node and no level is ever held in memory. Because
+every connected graph admits a build order with all prefixes connected,
+attaching to at least one existing vertex loses nothing.
 
 The tree splits into disjoint subtrees two levels above its leaves.
 ``sweep_roots`` hands their roots out as work items, so a sweep's pool
 workers enumerate as well as check, and the items do not depend on the
-number of workers.
+number of workers. Below the leaf level the cubic and special-subcubic
+trees hold only live nodes, those that can have a child.
 
 Graph classes:
   * ``cubic``             every vertex of final degree 3
@@ -76,7 +79,7 @@ def _check_cap(n: int, cls: str) -> None:
 
 def _feasible_cubic(degs: list[int], r: int) -> bool:
     """Whether a graph with these degrees can still become cubic with r
-    more vertices. ``_canonical_children`` checks it in two parts: the
+    more vertices. ``_attachments`` checks it in two parts: the
     per-vertex needs through its forced vertices, the total per
     attachment size through ``_cubic_total_ok``."""
     total = 0
@@ -266,16 +269,16 @@ def _signature(rows):
     )
 
 
-def _canonical_children(n, cls, rows, autos, cert):
-    """The children of one node of the augmentation tree for order n: one
-    per isomorphism class among the graphs P + v that reduce to P = rows by
-    deleting their canonical deletion vertex. Each child comes as
-    ``(rows, automorphisms, certificate)``."""
+def _attachments(n, cls, rows, autos):
+    """The ways to attach a new vertex to the node rows of the tree for
+    order n that pass the class's feasibility checks and ``_rank_ties``, one
+    per orbit of the group generated by ``autos`` (every one for
+    ``autos=()``), lazily. Each comes as ``(new rows, ties)``."""
     size = len(rows)
     r_after = n - size - 1
     parent_degs = [row.bit_count() for row in rows]
     if cls == "all":
-        forced, free, max_sz = (), list(range(size)), size
+        forced, free, min_sz, max_sz = (), list(range(size)), 1, size
     else:
         # A vertex that needs more edges than the r_after vertices still to
         # come can give must take the new vertex. The set is Aut(P)-invariant,
@@ -286,12 +289,12 @@ def _canonical_children(n, cls, rows, autos, cert):
         floor = 3 if cls == "cubic" else 2
         forced = tuple(v for v in range(size) if floor - parent_degs[v] > r_after)
         free = [v for v in range(size) if parent_degs[v] < 3 and v not in forced]
-        max_sz = 3
         total = sum(3 - d for d in parent_degs)  # the total need, for cubic
-    children = []
-    siblings = set()
-    signature = None  # the parent's, once a fallback needs it
-    for sz in range(max(1, len(forced)), min(max_sz, len(forced) + len(free)) + 1):
+        # A degree-3 vertex u is never attached. If P - u is connected, so
+        # is P + v - u, and u outranks a new vertex v of degree 1 or 2.
+        outranked = any(d == 3 and not _is_cut(rows, u) for u, d in enumerate(parent_degs))
+        min_sz, max_sz = (3 if outranked else 1), 3
+    for sz in range(max(min_sz, len(forced)), min(max_sz, len(forced) + len(free)) + 1):
         if cls == "cubic" and (3 - sz > r_after or not _cubic_total_ok(total + 3 - 2 * sz, r_after)):
             continue
         if cls == "special-subcubic" and 2 - sz > r_after:
@@ -311,23 +314,47 @@ def _canonical_children(n, cls, rows, autos, cert):
                 new_rows[u] |= 1 << size
             new_rows.append(attach)
             ties = _rank_ties(new_rows, degs, size)
-            if ties is None:
+            if ties is not None:
+                yield new_rows, ties
+
+
+def _can_grow(n, cls, rows):
+    """Whether some attachment to rows passes the checks of
+    ``_attachments``. A node for which none does has no children."""
+    return next(_attachments(n, cls, rows, ()), None) is not None
+
+
+def _canonical_children(n, cls, rows, autos, cert):
+    """The children of one node of the augmentation tree for order n: one
+    per isomorphism class among the graphs P + v that reduce to P = rows by
+    deleting their canonical deletion vertex and, below the leaf level,
+    can have a child of their own. Each child comes as
+    ``(rows, automorphisms, certificate)``."""
+    size = len(rows)
+    # with at most 3 vertices per attachment most children below the leaf
+    # level have no child; for "all" the lookahead finds few and costs more
+    lookahead = cls != "all" and size + 1 < n
+    children = []
+    siblings = set()
+    signature = None  # the parent's, once a fallback needs it
+    for new_rows, ties in _attachments(n, cls, rows, autos):
+        if lookahead and not _can_grow(n, cls, new_rows):
+            continue
+        found = []
+        child_cert, perm = kernels.canonical_form(size + 1, new_rows, found)
+        if child_cert in siblings:
+            continue
+        c = _deletion_vertex(new_rows, ties, perm) if ties else size
+        if c != size and not _in_orbit(found, size, c):
+            # the found automorphisms may generate only part of Aut(G):
+            # keep G when G - c is the parent after all
+            reduced = _without(new_rows, c)
+            if signature is None:
+                signature = _signature(rows)
+            if _signature(reduced) != signature or kernels.canonical_form(size, reduced)[0] != cert:
                 continue
-            found = []
-            child_cert, perm = kernels.canonical_form(size + 1, new_rows, found)
-            if child_cert in siblings:
-                continue
-            c = _deletion_vertex(new_rows, ties, perm) if ties else size
-            if c != size and not _in_orbit(found, size, c):
-                # the found automorphisms may generate only part of Aut(G):
-                # keep G when G - c is the parent after all
-                reduced = _without(new_rows, c)
-                if signature is None:
-                    signature = _signature(rows)
-                if _signature(reduced) != signature or kernels.canonical_form(size, reduced)[0] != cert:
-                    continue
-            siblings.add(child_cert)
-            children.append((tuple(new_rows), tuple(found), child_cert))
+        siblings.add(child_cert)
+        children.append((tuple(new_rows), tuple(found), child_cert))
     return children
 
 
@@ -384,7 +411,12 @@ def _augment_classes(n, cls, root=_TOP):
 
     ``_rank_ties`` rejects a child before labeling when a vertex of D ranks
     above v, and otherwise finds the vertices that rank with v, among
-    which c is. The subtrees below the nodes of any one level partition the
+    which c is. For cubic and special-subcubic a child below the leaf
+    level is labeled only when ``_can_grow`` finds an attachment to it
+    that passes the feasibility checks and ``_rank_ties``. Its children
+    would be such attachments, and orbit pruning only drops some of them,
+    so a child that fails has no children and skipping it loses no leaf.
+    The subtrees below the nodes of any one level partition the
     leaves, which lets a sweep hand them to its workers (``sweep_roots``).
     """
     predicate = CLASS_PREDICATES[cls]
@@ -521,9 +553,11 @@ def sweep_roots(cls: str, max_n: int, min_n: int = 1) -> Iterator[tuple]:
     items for ``connected_classes(*item)`` whose outputs are disjoint: the
     nodes two levels above the leaves of each order's augmentation tree
     (the top for n <= 3), largest orders first, so that a pool starts on
-    the largest subtrees. degree-bipartite has no augmentation tree, and
-    each of its orders is one item. The items come lazily, so a serial
-    sweep holds one at a time. Raises ValueError, before enumerating
+    the largest subtrees. For cubic and special-subcubic the items are live
+    nodes: each has an attachment that passes the cheap checks, though the
+    deletion test may still reject every child. degree-bipartite has no
+    augmentation tree, and each of its orders is one item. The items come
+    lazily, so a serial sweep holds one at a time. Raises ValueError, before enumerating
     anything, for an order above the cap or a range that holds no graph of
     the class."""
     orders = reversed(_sweep_orders(cls, max_n, min_n))

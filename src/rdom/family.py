@@ -103,19 +103,22 @@ class WeightReport:
     f: tuple[int, int, int, int, int]  # component counts per catalog class
     omega: int
     w: int
+    members: tuple[str, ...]  # the catalog id of each member component
 
 
 def weight(g: Graph) -> WeightReport:
     """Weight report for a special subcubic graph (omega summed over
     components). Raises on any vertex of degree other than 2 or 3."""
     f = [0, 0, 0, 0, 0]
+    members = []
     for comp, vmap in components(g):
         if not is_special_subcubic(comp):
             raise ValueError("weight is defined for special subcubic graphs only")
         hit = classify_brdom(comp)
         if hit is not None:
             f[hit[1] - 1] += 1
+            members.append(hit[0])
     profile = g.degree_profile()
     omega = sum((i + 1) * f[i] for i in range(5))
     return WeightReport(profile.n2, profile.n3, tuple(f), omega,
-                        5 * profile.n2 + 4 * profile.n3 + omega)
+                        5 * profile.n2 + 4 * profile.n3 + omega, tuple(members))

@@ -33,7 +33,7 @@ from typing import Callable, Iterable, Sequence
 
 from rdom.construct import Lemma1Trace, lemma1_construct
 from rdom.enumeration import connected_classes, sweep_roots
-from rdom.family import all_family_members, classify_brdom, weight
+from rdom.family import all_family_members, weight
 from rdom.graph import (
     Graph,
     bits_of,
@@ -411,7 +411,7 @@ def verify_observations_2_to_6() -> list[VerificationReport]:
 def _key_theorem_worker(g: Graph) -> tuple[str | None, int | None]:
     """Returns (violation, weight of a tight non-member)."""
     rep = weight(g)
-    member = classify_brdom(g)
+    member = rep.members[0] if rep.members else None  # g is connected
     plain = 5 * rep.n2 + 4 * rep.n3
     if member is None and gamma_r_at_most(g, plain // 10).within:
         # 10*gamma_r <= plain <= w, so it passes; tight iff gamma_r = w/10
@@ -424,10 +424,10 @@ def _key_theorem_worker(g: Graph) -> tuple[str | None, int | None]:
     # catalog membership is equivalent to violating the penalty-free form,
     # and members meet the weight bound with equality
     if (10 * gr > plain) != (member is not None):
-        tag = member[0] if member else "non-member"
+        tag = member or "non-member"
         return f"catalog completeness: 10*gamma_r={10 * gr}, 5n2+4n3={plain}, {tag}", None
     if member is not None and 10 * gr != rep.w:
-        return f"{member[0]} misses equality: 10*gamma_r={10 * gr}, weight={rep.w}", None
+        return f"{member} misses equality: 10*gamma_r={10 * gr}, weight={rep.w}", None
     return None, rep.w if member is None and 10 * gr == rep.w else None
 
 

@@ -224,6 +224,66 @@ class TestStreamProperties:
                 assert len(union) == len(set(union)), (cls, n)
                 assert sorted(union) == [write_graph6(g) for g in enumeration._augment_classes(n, cls)], (cls, n)
 
+    def test_lookahead_skips_only_childless_nodes(self):
+        # every child the lookahead turns away, labeled after all, has no
+        # children of its own
+        skipped = 0
+
+        def walk(n, cls, node):
+            nonlocal skipped
+            rows, autos, cert = node
+            if len(rows) + 1 < n:
+                for new_rows, _ in enumeration._attachments(n, cls, rows, autos):
+                    if not enumeration._can_grow(n, cls, new_rows):
+                        found = []
+                        child_cert, _ = kernels.canonical_form(len(new_rows), new_rows, found)
+                        assert enumeration._canonical_children(n, cls, new_rows, found, child_cert) == []
+                        skipped += 1
+            for child in enumeration._canonical_children(n, cls, *node):
+                walk(n, cls, child)
+
+        for cls, orders in (("cubic", range(4, 13, 2)), ("special-subcubic", range(3, 11))):
+            for n in orders:
+                walk(n, cls, enumeration._TOP)
+        assert skipped > 1000
+
+    def test_non_cut_degree_3_vertex_outranks_small_attachments(self):
+        # why a node with such a vertex takes only attachments of 3 vertices
+        checked = 0
+        for n in range(2, 8):
+            for g in connected_classes(n, "all"):
+                rows = list(g.adj)
+                degs = [row.bit_count() for row in rows]
+                if max(degs) > 3 or not any(d == 3 and not enumeration._is_cut(rows, u) for u, d in enumerate(degs)):
+                    continue
+                free = [u for u in range(n) if degs[u] < 3]
+                for sz in (1, 2):
+                    for combo in combinations(free, sz):
+                        new_rows = [row | (1 << n if u in combo else 0) for u, row in enumerate(rows)]
+                        new_rows.append(mask_of(combo))
+                        new_degs = [d + (u in combo) for u, d in enumerate(degs)] + [sz]
+                        assert enumeration._rank_ties(new_rows, new_degs, n) is None
+                        checked += 1
+        assert checked > 300
+
+    def test_lookahead_runs_only_for_capped_attachments(self, monkeypatch):
+        looked = []
+        can_grow = enumeration._can_grow
+        monkeypatch.setattr(enumeration, "_can_grow", lambda n, cls, rows: looked.append(cls) or can_grow(n, cls, rows))
+        assert len(enumeration._augment_classes(7, "all")) == 853
+        assert looked == []
+        enumeration._augment_classes(8, "cubic")
+        enumeration._augment_classes(7, "special-subcubic")
+        assert set(looked) == {"cubic", "special-subcubic"}
+
+    def test_labeling_calls_for_cubic_12(self, monkeypatch):
+        # the lookahead labels only the nodes that can have children
+        calls = []
+        labeler = kernels.canonical_form
+        monkeypatch.setattr(kernels, "canonical_form", lambda n, adj, autos=None: calls.append(n) or labeler(n, adj, autos))
+        assert len(enumeration._augment_classes(12, "cubic")) == 85
+        assert len(calls) <= 1000
+
     def test_deletion_stays_in_the_previous_level(self):
         # the lemma behind the deletion rule: deleting a non-cut vertex keeps
         # a feasible partial graph feasible with one more vertex to add

@@ -105,6 +105,11 @@ class TestWeight:
         assert rep.w == 30 + 50
         assert rep.f == (0, 1, 1, 0, 0)
 
+    def test_members_name_the_catalog_components(self):
+        g = disjoint_union([family_member("R9").graph, cycle_graph(6), family_member("R2").graph])
+        assert sorted(weight(g).members) == ["R2", "R9"]
+        assert weight(petersen_graph()).members == ()
+
     def test_additive_over_components(self):
         parts = [cycle_graph(6), family_member("R4").graph, petersen_graph()]
         whole = disjoint_union(parts)

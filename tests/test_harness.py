@@ -6,7 +6,7 @@ import time
 
 import pytest
 
-from rdom import harness
+from rdom import family, harness
 from rdom.enumeration import connected_classes
 from rdom.family import classify_brdom, weight
 from rdom.graph import complete_graph, cycle_graph, petersen_graph, star_graph
@@ -159,6 +159,19 @@ class TestTheoremSweeps:
         monkeypatch.setattr(harness, "gamma_r_exact", counted)
         assert all(r.passed for r in sweep(**kwargs))
         assert len(solved) == solves
+
+    def test_key_theorem_classifies_each_graph_once(self, monkeypatch):
+        # the weight's one classification also names the member
+        classified = []
+        classify = family.classify_brdom
+
+        def counted(g):
+            classified.append(g)
+            return classify(g)
+
+        monkeypatch.setattr(family, "classify_brdom", counted)
+        (rep,) = harness.verify_key_theorem(8)
+        assert rep.passed and len(classified) == rep.checked
 
     @pytest.mark.parametrize("sweep, kwargs", [
         pytest.param(harness.verify_cubic_bound, {"max_n": -3}, id="cubic-negative"),

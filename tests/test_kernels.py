@@ -175,9 +175,9 @@ class TestLabelingMatchesSeed:
         monkeypatch.setattr(kernels, "canonical_form", checked)
         enumeration.connected_classes.cache_clear()
         try:
-            for n in range(4, 11, 2):
+            for n in range(4, 13, 2):
                 enumeration.connected_classes(n, "cubic")
-            for n in range(3, 10):
+            for n in range(3, 11):
                 enumeration.connected_classes(n, "special-subcubic")
         finally:
             enumeration.connected_classes.cache_clear()
