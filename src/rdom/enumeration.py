@@ -12,8 +12,10 @@ turns most children away before labeling. For the classes whose
 attachments are capped at 3 vertices, a child below the leaf level is
 labeled only when it can have a child of its own: some attachment to it
 passes the same checks. It is kept only when the new vertex is in the
-orbit of its canonical deletion vertex, and only once among its siblings,
-so every class has one node and no level is ever held in memory. Because
+orbit of its canonical deletion vertex. That one test decides exactly,
+because the automorphisms the labeler finds generate the whole
+automorphism group (``kernels.canonical_form``), so every class has one
+node and no level is ever held in memory. Because
 every connected graph admits a build order with all prefixes connected,
 attaching to at least one existing vertex loses nothing.
 
@@ -42,23 +44,14 @@ from __future__ import annotations
 
 from functools import lru_cache
 from itertools import combinations
-from typing import Callable, Iterator
+from typing import Iterator
 
 from rdom import kernels
-from rdom.graph import (
-    Graph, disjoint_union, is_connected, is_cubic, is_degree_bipartite, is_special_subcubic, mask_of,
-)
+from rdom.graph import Graph, disjoint_union, is_connected, mask_of
 from rdom.graph6 import parse_graph6, write_graph6
 from rdom.iso import canonical_certificate
 
 CLASS_CAPS = {"cubic": 14, "special-subcubic": 13, "degree-bipartite": 12, "all": 9}
-
-CLASS_PREDICATES: dict[str, Callable[[Graph], bool]] = {
-    "cubic": is_cubic,
-    "special-subcubic": is_special_subcubic,
-    "degree-bipartite": is_degree_bipartite,
-    "all": lambda g: True,
-}
 
 _MIN_ORDER = {"cubic": 4, "special-subcubic": 3, "degree-bipartite": 5, "all": 1}
 _ORDER_STEP = {"cubic": 2, "special-subcubic": 1, "degree-bipartite": 5, "all": 1}
@@ -237,12 +230,6 @@ def _deletion_vertex(rows, ties, perm):
             return c
 
 
-def _without(rows, c):
-    """The rows of the graph with vertex c deleted and the later ids shifted down."""
-    keep = (1 << c) - 1
-    return [row & keep | row >> (c + 1) << c for u, row in enumerate(rows) if u != c]
-
-
 def _in_orbit(autos, v, c):
     """Whether some product of ``autos`` maps v to c."""
     orbit = [v]
@@ -254,19 +241,6 @@ def _in_orbit(autos, v, c):
                 seen |= 1 << y
                 orbit.append(y)
     return bool(seen >> c & 1)
-
-
-def _signature(rows):
-    """The coarsest equitable partition that refines the degree partition,
-    as canonical labeling starts (``kernels._refine``), given by the size
-    of each cell and the neighbour counts of its vertices in every cell, in
-    cell order. Isomorphic graphs have equal signatures."""
-    cells = kernels._degree_cells(len(rows), rows)
-    cells = kernels._refine(rows, cells, cells[:-1])
-    return tuple(
-        (cell.bit_count(), tuple((rows[(cell & -cell).bit_length() - 1] & other).bit_count() for other in cells))
-        for cell in cells
-    )
 
 
 def _attachments(n, cls, rows, autos):
@@ -324,19 +298,19 @@ def _can_grow(n, cls, rows):
     return next(_attachments(n, cls, rows, ()), None) is not None
 
 
-def _canonical_children(n, cls, rows, autos, cert):
-    """The children of one node of the augmentation tree for order n: one
-    per isomorphism class among the graphs P + v that reduce to P = rows by
-    deleting their canonical deletion vertex and, below the leaf level,
-    can have a child of their own. Each child comes as
-    ``(rows, automorphisms, certificate)``."""
+def _canonical_children(n, cls, rows, autos):
+    """The children of one node P = rows of the augmentation tree for order
+    n, whose automorphisms ``autos`` generate Aut(P): the graphs P + v,
+    one per attachment orbit, in which v is in the orbit of the canonical
+    deletion vertex and which, below the leaf level, can have a child of
+    their own. Each comes as ``(rows, automorphisms, certificate)``, one
+    per isomorphism class."""
     size = len(rows)
     # with at most 3 vertices per attachment most children below the leaf
     # level have no child; for "all" the lookahead finds few and costs more
     lookahead = cls != "all" and size + 1 < n
     children = []
     siblings = set()
-    signature = None  # the parent's, once a fallback needs it
     for new_rows, ties in _attachments(n, cls, rows, autos):
         if lookahead and not _can_grow(n, cls, new_rows):
             continue
@@ -344,15 +318,8 @@ def _canonical_children(n, cls, rows, autos, cert):
         child_cert, perm = kernels.canonical_form(size + 1, new_rows, found)
         if child_cert in siblings:
             continue
-        c = _deletion_vertex(new_rows, ties, perm) if ties else size
-        if c != size and not _in_orbit(found, size, c):
-            # the found automorphisms may generate only part of Aut(G):
-            # keep G when G - c is the parent after all
-            reduced = _without(new_rows, c)
-            if signature is None:
-                signature = _signature(rows)
-            if _signature(reduced) != signature or kernels.canonical_form(size, reduced)[0] != cert:
-                continue
+        if ties and not _in_orbit(found, size, _deletion_vertex(new_rows, ties, perm)):
+            continue
         siblings.add(child_cert)
         children.append((tuple(new_rows), tuple(found), child_cert))
     return children
@@ -369,7 +336,7 @@ def _grow(n, cls, node, level):
     if len(node[0]) == level:
         yield node
         return
-    for child in _canonical_children(n, cls, *node):
+    for child in _canonical_children(n, cls, node[0], node[1]):
         yield from _grow(n, cls, child, level)
 
 
@@ -392,22 +359,28 @@ def _augment_classes(n, cls, root=_TOP):
       one more vertex to add. Each vertex's need grows by at most one, and
       for cubic the other conditions reduce to r + deg(u) >= 3, which the
       per-vertex check 3 - deg(u) <= r already guarantees.
+    * Exact orbits: the automorphisms ``kernels.canonical_form`` returns
+      generate Aut(G) (its docstring proves it), so ``_in_orbit`` decides
+      whether v is in the Aut(G)-orbit of c, and ``_one_per_orbit`` takes
+      one attachment per Aut(P)-orbit.
     * Completeness: a graph G of a level reduces to G - c, which is
       isomorphic to some node P of the previous level by induction. P is
       extended by an attachment in the orbit of c's neighbourhood, which
       yields a copy of G in which the new vertex lies in the orbit of c,
       so it is kept.
-    * One parent per class: if G is kept from P1 + v1 and from P2 + v2,
-      then P1 and P2 are both isomorphic to G - c, so by induction they are
-      the same node. Isomorphic children of one parent that its found
-      automorphisms did not identify meet the per-parent ``siblings`` set,
-      so memory is bounded by the depth of the tree, not by a level.
-    * The labeler hands out automorphisms that may generate only part of
-      Aut(G). When c is not in the orbit of v they generate, G is still
-      kept if G - c has the parent's certificate; without this fallback
-      classes would be lost. A fallback first compares the signatures of
-      G - c and the parent (``_signature``), which settles most of them
-      without labeling.
+    * Uniqueness: if G is kept from P1 + v1 and from P2 + v2, then P1 and
+      P2 are both isomorphic to G - c, so by induction they are the same
+      node P. An isomorphism between the two copies of G that maps v1 to
+      v2 restricts to an automorphism of P that maps one attachment onto
+      the other, so they are the same attachment. The per-parent
+      ``siblings`` set therefore only turns away children that the
+      deletion test would reject too; it matters when the orbit pruning is
+      off, as some tests switch it. Being per parent, it holds one set per
+      node of the current path, never a level.
+    * At the leaf level no vertex is left to add: the feasibility checks
+      then demand degree 3 everywhere for cubic and at least 2 for
+      special-subcubic, and attachments never raise a degree above 3, so
+      every leaf is in the class.
 
     ``_rank_ties`` rejects a child before labeling when a vertex of D ranks
     above v, and otherwise finds the vertices that rank with v, among
@@ -419,13 +392,7 @@ def _augment_classes(n, cls, root=_TOP):
     The subtrees below the nodes of any one level partition the
     leaves, which lets a sweep hand them to its workers (``sweep_roots``).
     """
-    predicate = CLASS_PREDICATES[cls]
-    out = []
-    for cert in sorted(leaf[2] for leaf in _grow(n, cls, root, n)):
-        g = parse_graph6(cert)
-        if predicate(g):
-            out.append(g)
-    return out
+    return [parse_graph6(cert) for cert in sorted(leaf[2] for leaf in _grow(n, cls, root, n))]
 
 
 def _cubic_multigraphs(num_vertices: int) -> list[dict[tuple[int, int], int]]:

@@ -286,8 +286,40 @@ def canonical_form(n, adj, autos=None):
     what the unpruned search returns.
 
     When ``autos`` is a list, the automorphisms found are appended to it as
-    tuples ``g`` with ``g[v]`` the image of ``v``. They generate a subgroup
-    of Aut(G), not necessarily all of it.
+    tuples ``g`` with ``g[v]`` the image of ``v``. They generate all of
+    Aut(G), so their orbits are the orbits of Aut(G); the enumerator's
+    deletion test relies on this. Proof (as for nauty: McKay & Piperno,
+    *Practical graph isomorphism II*, JSC 60, 2014): refinement and the
+    choice of the target cell are label-invariant, so an automorphism that
+    fixes a node's individualized vertices pointwise maps the subtree of
+    each child onto the subtree of its image, leaf certificates included.
+    Let ``b`` be the first least leaf, on the path ``m_0 (the root), m_1,
+    ..., m_k = b``, and ``S_i`` the automorphisms that fix the
+    individualized vertices of ``m_i`` pointwise.
+    Show by induction from ``i = k`` down that the found automorphisms in
+    ``S_i`` generate ``S_i``; ``S_k`` is trivial, since the partition at a
+    leaf is discrete, and ``S_0`` is Aut(G). Let ``m_(i+1)`` individualize
+    ``v``, and ``w`` be another vertex of ``v``'s ``S_i``-orbit.
+
+    * A skipped child is the image of a tried sibling under automorphisms
+      that fix the node, so a node whose unpruned subtree holds a leaf
+      with ``b``'s certificate has one in its searched subtree as well.
+    * So ``w < v`` cannot be: ``w``, or the tried sibling it is skipped
+      for, would have shown such a leaf before ``b``, which is the first.
+    * If ``w`` is tried, its subtree shows a leaf ``l`` with ``b``'s
+      certificate, after ``b`` and while ``b`` is the best leaf, so
+      ``l`` yields ``g`` with ``g[b_perm[i]] = l_perm[i]``. The two leaves
+      share the ordered partition of ``m_i``, and each cell keeps its
+      positions down to a leaf, so ``g`` fixes ``m_i``'s individualized
+      vertices and maps ``v`` to ``w``: ``g`` is found and lies in ``S_i``.
+    * If ``w`` is skipped, found automorphisms in ``S_i`` map a tried
+      sibling ``u`` onto it. Then ``u`` is in the same orbit, so it is
+      ``v`` or, by the bullet above, the image of ``v`` under found
+      automorphisms in ``S_i``.
+
+    So the group that the found automorphisms in ``S_i`` generate contains
+    ``S_(i+1)``, the stabilizer of ``v`` in ``S_i`` (by induction), and it
+    moves ``v`` over the whole ``S_i``-orbit of ``v``: it is ``S_i``.
     """
     if n > CERT_MAX_N:
         raise ValueError(f"canonical labeling supports n <= {CERT_MAX_N}, got {n}")

@@ -2,7 +2,8 @@
 
 Everything here deliberately avoids the production code paths: predicates
 walk neighbor id lists instead of bitmasks, minimization enumerates subsets
-in increasing size, isomorphism tries permutations, and the graph6 encoder
+in increasing size, isomorphism tries permutations, automorphisms are
+found by backtracking over vertex images, and the graph6 encoder
 builds the bit string by hand. The one shared piece is the canonical
 certificate used to dedupe the labeled-mask enumeration, which agrees for
 two graphs iff they are isomorphic. ``seed_solve_min``,
@@ -18,8 +19,8 @@ from __future__ import annotations
 from itertools import combinations, permutations
 
 from rdom import kernels
-from rdom.enumeration import CLASS_PREDICATES, _MIN_ORDER, _feasible_cubic, _feasible_ss, _one_per_orbit
-from rdom.graph import Graph, bits_of
+from rdom.enumeration import _MIN_ORDER, _feasible_cubic, _feasible_ss, _one_per_orbit
+from rdom.graph import Graph, bits_of, is_cubic, is_special_subcubic
 from rdom.graph6 import parse_graph6
 from rdom.iso import canonical_certificate
 
@@ -324,6 +325,56 @@ def brute_isomorphic(g1: Graph, g2: Graph) -> bool:
     return assign(0, {})
 
 
+def brute_automorphisms(n: int, adj, u: int | None = None, w: int | None = None):
+    """Every automorphism of the graph with these rows, as tuples g with
+    g[v] the image of v, lazily; with u and w only those mapping u to w.
+    Vertices get their images one at a time in breadth-first order from u
+    (or 0); an image must have the same degree and the same adjacency to
+    every vertex mapped before it."""
+    order = []
+    for start in ([u] if u is not None else []) + list(range(n)):
+        if start in order:
+            continue
+        i = len(order)
+        order.append(start)
+        while i < len(order):
+            x = order[i]
+            i += 1
+            order += [y for y in range(n) if adj[x] >> y & 1 and y not in order]
+    image = [-1] * n
+
+    def extend(i, used):
+        if i == n:
+            yield tuple(image)
+            return
+        x = order[i]
+        for y in ([w] if i == 0 and u is not None else range(n)):
+            if used >> y & 1 or adj[y].bit_count() != adj[x].bit_count():
+                continue
+            if any((adj[x] >> z & 1) != (adj[y] >> image[z] & 1) for z in order[:i]):
+                continue
+            image[x] = y
+            yield from extend(i + 1, used | 1 << y)
+        image[x] = -1
+
+    return extend(0, 0)
+
+
+def brute_orbits(n: int, adj) -> list[int]:
+    """The orbits of Aut(G) as vertex masks, in order of their least
+    vertex: v and w share an orbit iff some automorphism maps v to w."""
+    orbits = []
+    for v in range(n):
+        if any(orbit >> v & 1 for orbit in orbits):
+            continue
+        orbit = 1 << v
+        for w in range(v + 1, n):
+            if next(brute_automorphisms(n, adj, v, w), None) is not None:
+                orbit |= 1 << w
+        orbits.append(orbit)
+    return orbits
+
+
 def mask_graphs(n: int):
     """Every labeled simple graph on n vertices whose degree sequence is
     already non-increasing (each isomorphism class keeps at least one such
@@ -443,8 +494,9 @@ def dedupe_augment_classes(n: int, cls: str) -> list[Graph]:
     Each class of a level is kept with the automorphisms its labeling
     found. Subsets that one of them maps onto each other give isomorphic
     children, so a parent is extended by the first subset of each orbit
-    only. The automorphisms may generate only part of Aut(parent); the
-    certificate dedupe removes the isomorphic children that remain.
+    only. The certificate dedupe removes any isomorphic children that
+    remain, so this does not rely on the automorphisms generating all of
+    Aut(parent).
     """
     if n < _MIN_ORDER[cls]:
         return []
@@ -485,7 +537,7 @@ def dedupe_augment_classes(n: int, cls: str) -> list[Graph]:
                     if cert not in nxt:
                         nxt[cert] = (tuple(new_rows), found)
         level = nxt
-    predicate = CLASS_PREDICATES[cls]
+    predicate = {"cubic": is_cubic, "special-subcubic": is_special_subcubic, "all": lambda g: True}[cls]
     out = []
     for cert in sorted(level):
         g = parse_graph6(cert)

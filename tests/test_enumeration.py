@@ -6,22 +6,29 @@ import pytest
 
 from rdom import enumeration, kernels
 from rdom.enumeration import (
-    CLASS_PREDICATES,
     _feasible_cubic,
     _feasible_ss,
     _one_per_orbit,
     connected_classes,
     enumerate_graphs,
 )
-from rdom.graph import complete_bipartite, complete_graph, is_connected, is_special_subcubic, mask_of
+from rdom.graph import (
+    Graph, complete_bipartite, complete_graph, is_connected, is_cubic, is_degree_bipartite, is_special_subcubic, mask_of,
+)
 from rdom.graph6 import write_graph6
 from rdom.graph6 import parse_graph6
 from rdom.iso import are_isomorphic, canonical_certificate
-from oracles import _connected, dedupe_augment_classes, labeled_cubic_classes, mask_connected_classes
+from oracles import _connected, brute_automorphisms, dedupe_augment_classes, labeled_cubic_classes, mask_connected_classes
 
 # the corpora on which the generator is held to the dedupe generator
 DIFFERENTIAL = [("cubic", n) for n in range(4, 13, 2)] + \
     [("special-subcubic", n) for n in range(3, 11)] + [("all", n) for n in range(1, 8)]
+
+
+def no_orbit_pruning(monkeypatch):
+    """Attach a new vertex to every subset, not to one per orbit. The
+    per-parent ``siblings`` set then drops the isomorphic children."""
+    monkeypatch.setattr(enumeration, "_one_per_orbit", lambda subsets, autos: ((s, mask_of(s)) for s in subsets))
 
 
 class TestCubic:
@@ -126,9 +133,10 @@ class TestDegreeBipartite:
 
 class TestStreamProperties:
     def test_emitted_graphs_satisfy_class_and_connectivity(self):
-        for cls, n in [("cubic", 8), ("special-subcubic", 7), ("degree-bipartite", 10)]:
+        for predicate, cls, n in [(is_cubic, "cubic", 8), (is_special_subcubic, "special-subcubic", 7),
+                                  (is_degree_bipartite, "degree-bipartite", 10)]:
             for g in enumerate_graphs(n, cls):
-                assert CLASS_PREDICATES[cls](g)
+                assert predicate(g)
                 assert is_connected(g)
 
     def test_pairwise_distinct_certificates(self):
@@ -160,12 +168,10 @@ class TestStreamProperties:
         assert not enumeration._in_orbit([], 1, 5)
 
     def test_orbit_pruning_keeps_every_class(self, monkeypatch):
-        # a labeler that reports no automorphisms turns the orbit pruning off
         pruned = {(n, cls): [write_graph6(g) for g in connected_classes(n, cls)]
                   for cls, ns in (("cubic", (8, 10)), ("special-subcubic", (7, 8)), ("all", (6,)))
                   for n in ns}
-        labeler = kernels.canonical_form
-        monkeypatch.setattr(kernels, "canonical_form", lambda n, adj, autos=None: labeler(n, adj))
+        no_orbit_pruning(monkeypatch)
         connected_classes.cache_clear()
         try:
             for (n, cls), lines in pruned.items():
@@ -173,45 +179,18 @@ class TestStreamProperties:
         finally:
             connected_classes.cache_clear()
 
-    @pytest.mark.parametrize("autos", [True, False], ids=["autos", "no-autos"])
-    def test_matches_dedupe_generator(self, monkeypatch, autos):
-        # a labeler that reports no automorphisms turns the orbit pruning off
-        if not autos:
-            labeler = kernels.canonical_form
-            monkeypatch.setattr(kernels, "canonical_form", lambda n, adj, autos=None: labeler(n, adj))
+    @pytest.mark.parametrize("pruning", [True, False], ids=["autos", "no-orbit-pruning"])
+    def test_matches_dedupe_generator(self, monkeypatch, pruning):
+        if not pruning:
+            no_orbit_pruning(monkeypatch)
         for cls, n in DIFFERENTIAL:
             ours = [write_graph6(g) for g in enumeration._augment_classes(n, cls)]
             assert ours == [write_graph6(g) for g in dedupe_augment_classes(n, cls)], (cls, n)
 
-    def test_fallback_is_needed_without_automorphisms(self, monkeypatch):
-        labeler = kernels.canonical_form
-        monkeypatch.setattr(kernels, "canonical_form", lambda n, adj, autos=None: labeler(n, adj))
-        # an edgeless graph never has a connected parent's certificate
-        monkeypatch.setattr(enumeration, "_without", lambda rows, c: [0] * (len(rows) - 1))
-        assert len(enumeration._augment_classes(10, "cubic")) < 19
-
-    def test_signature_settles_most_fallbacks(self, monkeypatch):
-        # the labeler's automorphisms leave some ties to the fallback; the
-        # signature turns most of them away before G - c is labeled
-        labeler = kernels.canonical_form
-        reduced, labeled = [], []
-
-        def spy(n, adj, autos=None):
-            labeled.append(any(adj is rows for rows in reduced))
-            return labeler(n, adj, autos)
-
-        without = enumeration._without
-        monkeypatch.setattr(kernels, "canonical_form", spy)
-        monkeypatch.setattr(enumeration, "_without", lambda rows, c: reduced.append(without(rows, c)) or reduced[-1])
-        for cls, n, count in [("cubic", 10, 19), ("cubic", 12, 85), ("special-subcubic", 10, 458)]:
-            assert len(enumeration._augment_classes(n, cls)) == count
-        assert len(reduced) > 100 and sum(labeled) < len(reduced) / 10
-
-    @pytest.mark.parametrize("autos", [True, False], ids=["autos", "no-autos"])
-    def test_subtrees_partition_the_classes(self, monkeypatch, autos):
-        if not autos:
-            labeler = kernels.canonical_form
-            monkeypatch.setattr(kernels, "canonical_form", lambda n, adj, autos=None: labeler(n, adj))
+    @pytest.mark.parametrize("pruning", [True, False], ids=["autos", "no-orbit-pruning"])
+    def test_subtrees_partition_the_classes(self, monkeypatch, pruning):
+        if not pruning:
+            no_orbit_pruning(monkeypatch)
         # each order's subtrees, largest orders first
         corpora = [("cubic", [12, 10, 8, 6, 4]), ("special-subcubic", range(10, 2, -1)), ("all", range(7, 0, -1))]
         for cls, orders in corpora:
@@ -224,6 +203,34 @@ class TestStreamProperties:
                 assert len(union) == len(set(union)), (cls, n)
                 assert sorted(union) == [write_graph6(g) for g in enumeration._augment_classes(n, cls)], (cls, n)
 
+    @pytest.mark.parametrize("answer", [True, False], ids=["always-in-orbit", "never-in-orbit"])
+    def test_deletion_test_decides_the_classes(self, monkeypatch, answer):
+        # the orbit test is the only deletion test: with it answering
+        # blindly, classes repeat or go missing
+        monkeypatch.setattr(enumeration, "_in_orbit", lambda autos, v, c: answer)
+        for cls, n in [("cubic", 10), ("special-subcubic", 8)]:
+            ours = [write_graph6(g) for g in enumeration._augment_classes(n, cls)]
+            assert ours != [write_graph6(g) for g in dedupe_augment_classes(n, cls)], (cls, n)
+
+    def test_pseudo_similar_child_is_kept_once(self):
+        # G - 10 and G - 9 are isomorphic, but no automorphism maps 10 to 9:
+        # this labeling is not a child of G - 10, another labeling of its
+        # class is
+        g = parse_graph6("JqGOOGBcb@?")
+        rows = list(g.adj)
+        minus = lambda rows, c: canonical_certificate(
+            Graph(10, [row & (1 << c) - 1 | row >> (c + 1) << c for u, row in enumerate(rows) if u != c]))
+        assert next(brute_automorphisms(11, rows, 10, 9), None) is None
+        assert minus(rows, 10) == minus(rows, 9)
+        found = []
+        _, perm = kernels.canonical_form(11, rows, found)
+        ties = enumeration._rank_ties(rows, [row.bit_count() for row in rows], 10)
+        assert ties is not None and enumeration._deletion_vertex(rows, ties, perm) == 9
+        assert not enumeration._in_orbit(found, 10, 9)
+        kept = [node[0] for node in enumeration._grow(12, "cubic", enumeration._TOP, 11)
+                if node[2] == canonical_certificate(g)]
+        assert len(kept) == 1 and list(kept[0]) != rows and minus(kept[0], 10) == minus(rows, 10)
+
     def test_lookahead_skips_only_childless_nodes(self):
         # every child the lookahead turns away, labeled after all, has no
         # children of its own
@@ -231,15 +238,15 @@ class TestStreamProperties:
 
         def walk(n, cls, node):
             nonlocal skipped
-            rows, autos, cert = node
+            rows, autos, _ = node
             if len(rows) + 1 < n:
                 for new_rows, _ in enumeration._attachments(n, cls, rows, autos):
                     if not enumeration._can_grow(n, cls, new_rows):
                         found = []
                         child_cert, _ = kernels.canonical_form(len(new_rows), new_rows, found)
-                        assert enumeration._canonical_children(n, cls, new_rows, found, child_cert) == []
+                        assert enumeration._canonical_children(n, cls, new_rows, found) == []
                         skipped += 1
-            for child in enumeration._canonical_children(n, cls, *node):
+            for child in enumeration._canonical_children(n, cls, rows, autos):
                 walk(n, cls, child)
 
         for cls, orders in (("cubic", range(4, 13, 2)), ("special-subcubic", range(3, 11))):
@@ -305,6 +312,34 @@ class TestStreamProperties:
                             assert _feasible_cubic(smaller, r + 1)
                         if _feasible_ss(degs, r):
                             assert _feasible_ss(smaller, r + 1)
+
+    def test_attachments_apply_exactly_the_feasibility_checks(self):
+        # _attachments checks feasibility in pieces (forced vertices, the
+        # cubic total per size); together they keep exactly the subsets of
+        # 1 to 3 vertices of degree < 3 whose child is feasible and passes
+        # the rank test
+        cases = 0
+        for n in range(1, 8):
+            for g in connected_classes(n, "all"):
+                rows = list(g.adj)
+                degs = [row.bit_count() for row in rows]
+                if max(degs) > 3:
+                    continue
+                free = [u for u in range(n) if degs[u] < 3]
+                for cls, feasible in (("cubic", _feasible_cubic), ("special-subcubic", _feasible_ss)):
+                    for r in range(7):
+                        got = [new_rows[n] for new_rows, _ in enumeration._attachments(n + 1 + r, cls, rows, ())]
+                        want = []
+                        for sz in (1, 2, 3):
+                            for combo in combinations(free, sz):
+                                new_degs = [d + (u in combo) for u, d in enumerate(degs)] + [sz]
+                                new_rows = [row | (1 << n if u in combo else 0) for u, row in enumerate(rows)]
+                                new_rows.append(mask_of(combo))
+                                if feasible(new_degs, r) and enumeration._rank_ties(new_rows, new_degs, n) is not None:
+                                    want.append(mask_of(combo))
+                        assert sorted(got) == sorted(want), (write_graph6(g), cls, r)
+                        cases += 1
+        assert cases > 1500
 
     def test_caps_enforced(self, no_enumeration):
         # every check runs before anything is enumerated; an order above its

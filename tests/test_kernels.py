@@ -11,7 +11,9 @@ from rdom.graph import Graph, complete_graph, cycle_graph, petersen_graph
 from rdom.graph6 import parse_graph6
 from rdom.iso import canonical_graph
 
-from oracles import encode_graph6_oracle, naive_meets, seed_canonical_form, seed_solve_min
+from oracles import (
+    brute_automorphisms, brute_orbits, encode_graph6_oracle, naive_meets, seed_canonical_form, seed_solve_min,
+)
 
 
 def random_graphs(count, max_n, seed):
@@ -193,6 +195,67 @@ class TestLabelingMatchesSeed:
         autos = []
         assert kernels.canonical_form(g.n, g.adj, autos) == kernels.canonical_form(g.n, g.adj)
         assert autos and all(is_automorphism(g.n, g.adj, a) for a in autos)
+
+
+def _orbits(n, autos):
+    """The orbits of the group generated by autos, as vertex masks in order
+    of their least vertex."""
+    orbits = []
+    for v in range(n):
+        if any(orbit >> v & 1 for orbit in orbits):
+            continue
+        orbit, todo = 1 << v, [v]
+        for x in todo:
+            for g in autos:
+                if not orbit >> g[x] & 1:
+                    orbit |= 1 << g[x]
+                    todo.append(g[x])
+        orbits.append(orbit)
+    return orbits
+
+
+def _group_order(n, autos):
+    """The order of the group generated by autos, by closing it up."""
+    group = {tuple(range(n))}
+    todo = list(group)
+    for x in todo:
+        for g in autos:
+            y = tuple(g[i] for i in x)
+            if y not in group:
+                group.add(y)
+                todo.append(y)
+    return len(group)
+
+
+class TestAutomorphismContract:
+    """The automorphisms ``canonical_form`` returns generate Aut(G), which
+    is what lets the enumerator's deletion test decide orbits exactly."""
+
+    def test_orbits_and_orders_match_brute_force(self):
+        bounded = [m.graph for m in all_family_members()] + [petersen_graph()]
+        for cls, orders in (("all", range(1, 8)), ("cubic", range(4, 13, 2)), ("special-subcubic", range(3, 11))):
+            for n in orders:
+                bounded += enumeration.connected_classes(n, cls)
+        symmetric = [complete_graph(16), Graph(16, [0] * 16), cycle_graph(16)]
+        for g in bounded + symmetric + random_graphs(600, 12, seed=61):
+            autos = []
+            kernels.canonical_form(g.n, g.adj, autos)
+            assert _orbits(g.n, autos) == brute_orbits(g.n, g.adj), g.adj
+        # where Aut(G) is small enough to list, the groups are equal
+        for g in bounded:
+            autos = []
+            kernels.canonical_form(g.n, g.adj, autos)
+            assert _group_order(g.n, autos) == sum(1 for _ in brute_automorphisms(g.n, g.adj)), g.adj
+        assert len(bounded) > 1800
+
+    def test_oracle_finds_known_groups(self):
+        assert sum(1 for _ in brute_automorphisms(10, petersen_graph().adj)) == 120
+        assert sum(1 for _ in brute_automorphisms(6, cycle_graph(6).adj)) == 12
+        assert brute_orbits(16, complete_graph(16).adj) == [(1 << 16) - 1]
+        path = Graph.from_edges(4, [(0, 1), (1, 2), (2, 3)])
+        assert brute_orbits(4, path.adj) == [0b1001, 0b0110]
+        assert [g for g in brute_automorphisms(4, path.adj, 0, 3)] == [(3, 2, 1, 0)]
+        assert next(brute_automorphisms(4, path.adj, 0, 1), None) is None
 
 
 class TestSymmetricLabeling:
