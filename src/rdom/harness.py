@@ -7,9 +7,11 @@ the report alone. Every enumerated sweep goes through ``_check_classes``,
 whose workers enumerate and check the items of ``sweep_roots``. The
 cubic sweep's ``extremal:`` notes list the graphs with gamma_r =
 floor(2n/5) of every order it covers. Existence claims (a witness set of
-a stated size and shape exists) are certified by constrained exhaustive
-enumeration at the exact cardinality, independently of the
-branch-and-bound solver.
+a stated size and shape exists) are certified by ``exists_set_of_size``,
+independently of the branch-and-bound solver: it enumerates the subsets
+of the exact cardinality in lexicographic order, skips only those whose
+closed neighborhoods cannot cover the graph, and accepts a set only by
+the definition check ``is_restrained_dominating``.
 
 Upper bounds are decided, not minimized: ``gamma_r_at_most`` and
 ``gamma_r_nerd_at_most`` settle ``gamma_r <= 2n/5`` and its ``extremal:``
@@ -29,7 +31,7 @@ import time
 from dataclasses import dataclass, field
 from functools import partial
 from itertools import combinations
-from typing import Callable, Iterable, Sequence
+from typing import Iterable, Sequence
 
 from rdom.construct import Lemma1Trace, lemma1_construct
 from rdom.enumeration import connected_classes, sweep_roots
@@ -94,40 +96,64 @@ class VerificationReport:
         return f"{self.claim_id}: {state}  [checked {self.checked}, {self.elapsed:.2f}s]"
 
 
-def exists_set_of_size(
-    g: Graph,
-    size: int,
-    predicate: Callable[[Graph, int], bool],
-    force_in: int = 0,
-    force_out: int = 0,
-) -> int | None:
-    """Search all vertex sets of the exact size honoring the membership
-    constraints; return a witness mask or None. This is the certification
-    route for existence claims: plain enumeration, no solver involved."""
-    base = force_in.bit_count()
-    if base > size:
+def _check_forcing(g: Graph, force_in: int, force_out: int) -> None:
+    if (force_in | force_out) & ~g.vertex_mask():
+        raise ValueError("forcing set is not a subset of the vertex set")
+
+
+def exists_set_of_size(g: Graph, size: int, force_in: int = 0, force_out: int = 0) -> int | None:
+    """The first restrained dominating set of the exact size, containing
+    force_in and avoiding force_out, in ``itertools.combinations`` order over
+    the free vertices; its mask, or None if there is none (always when the
+    two forcing sets meet). This is the certification route for existence
+    claims: subset enumeration, no solver involved.
+
+    The walk picks the free vertices depth first in index order, so it
+    visits the subsets in ``combinations`` order, and carries ``dom``, the
+    union of the closed neighborhoods of the vertices chosen so far. Every
+    set below the choice of ``free[i]`` lies inside the chosen vertices and
+    ``free[i:]``, so its closed neighborhoods cover at most ``dom |
+    cover[i]``, where ``cover[i]`` is the union of the closed neighborhoods
+    of ``free[i:]``. When that misses a vertex, none of those sets
+    dominates, and since ``cover`` shrinks as i grows, neither does any set
+    below a later choice at this depth: the walk backs up. A full-size set
+    that dominates is accepted only by ``is_restrained_dominating``. Only
+    sets that do not dominate, hence are not restrained dominating, are
+    skipped, so the walk returns exactly what testing every subset in
+    ``combinations`` order would return."""
+    _check_forcing(g, force_in, force_out)
+    if force_in & force_out or force_in.bit_count() > size:
         return None
+    full = g.vertex_mask()
     free = [v for v in range(g.n) if not ((force_in | force_out) >> v & 1)]
-    if size - base > len(free):
+    closed = [g.adj[v] | 1 << v for v in free]
+    cover = [0] * (len(free) + 1)
+    for i in range(len(free) - 1, -1, -1):
+        cover[i] = cover[i + 1] | closed[i]
+
+    def walk(start: int, dom: int, mask: int, left: int) -> int | None:
+        if not left:
+            return mask if dom == full and is_restrained_dominating(g, mask) else None
+        for i in range(start, len(free) - left + 1):
+            if full & ~(dom | cover[i]):
+                break
+            hit = walk(i + 1, dom | closed[i], mask | 1 << free[i], left - 1)
+            if hit is not None:
+                return hit
         return None
-    for combo in combinations(free, size - base):
-        mask = force_in | mask_of(combo)
-        if predicate(g, mask):
-            return mask
-    return None
+
+    dom = 0
+    for v in bits_of(force_in):
+        dom |= g.adj[v] | 1 << v
+    return walk(0, dom, force_in, size - force_in.bit_count())
 
 
-def exists_set_up_to(
-    g: Graph,
-    max_size: int,
-    predicate: Callable[[Graph, int], bool],
-    force_in: int = 0,
-    force_out: int = 0,
-) -> int | None:
+def exists_set_up_to(g: Graph, max_size: int, force_in: int = 0, force_out: int = 0) -> int | None:
     """``exists_set_of_size`` for each size from |force_in| up to max_size
     in turn: returns a smallest witness of size at most max_size, or None."""
+    _check_forcing(g, force_in, force_out)
     for size in range(force_in.bit_count(), max_size + 1):
-        mask = exists_set_of_size(g, size, predicate, force_in, force_out)
+        mask = exists_set_of_size(g, size, force_in, force_out)
         if mask is not None:
             return mask
     return None
@@ -149,7 +175,9 @@ def _timed(reports: list[VerificationReport], t0: float) -> list[VerificationRep
 # degenerate pairs, always by exactly one unit, and the exceptions below are
 # frozen so the sweeps stay falsifiable: a new exception, or an old one with
 # a different value, is reported as a violation. Independent brute-force
-# subset enumeration confirms every entry.
+# subset enumeration confirms every entry, in the gate
+# (tests/test_harness.py::TestFrozenExceptions); an entry may be added only
+# with such a certificate.
 #
 # Type-2 relaxation for a PAIR of degree-2 vertices: the generic guarantee
 # is gamma_r - 1; for the pairs below the true value is exactly gamma_r,
@@ -207,10 +235,10 @@ def verify_observation_1() -> list[VerificationReport]:
         smalls = list(bits_of(small_vertices(g)))
         for v in smalls:
             reports["b"].checked += 1
-            if exists_set_of_size(g, gr, is_restrained_dominating, force_in=1 << v) is None:
+            if exists_set_of_size(g, gr, force_in=1 << v) is None:
                 reports["b"].add_violation(g, f"{m.id}: no gamma_r-set contains vertex {v}")
             reports["c"].checked += 1
-            if exists_set_of_size(g, gr, is_restrained_dominating, force_out=1 << v) is None:
+            if exists_set_of_size(g, gr, force_out=1 << v) is None:
                 reports["c"].add_violation(g, f"{m.id}: no gamma_r-set avoids vertex {v}")
             reports["d"].checked += 1
             q = NerdQuery(1 << v, NERD_TYPE1)
@@ -296,8 +324,7 @@ def verify_observations_2_to_6() -> list[VerificationReport]:
             if gr1 > gr:
                 reports["obs2"].add_violation(g1, f"{m.id} edge ({x},{y}): gamma_r grew to {gr1}")
             elif exists_set_up_to(
-                g1, witness_bound, is_restrained_dominating,
-                force_in=1 << n, force_out=1 << x | 1 << y,
+                g1, witness_bound, force_in=1 << n, force_out=1 << x | 1 << y
             ) is None:
                 reports["obs2"].add_violation(
                     g1, f"{m.id} edge ({x},{y}): no witness with the new vertex, avoiding both ends"
@@ -313,12 +340,8 @@ def verify_observations_2_to_6() -> list[VerificationReport]:
             if gr2 > gr:
                 reports["obs3"].add_violation(g2, f"{m.id} edge ({x},{y}): gamma_r grew to {gr2}")
             else:
-                hit_a = exists_set_of_size(
-                    g2, gr2, is_restrained_dominating, force_in=1 << n, force_out=1 << (n + 1)
-                )
-                hit_b = exists_set_of_size(
-                    g2, gr2, is_restrained_dominating, force_in=1 << (n + 1), force_out=1 << n
-                )
+                hit_a = exists_set_of_size(g2, gr2, force_in=1 << n, force_out=1 << (n + 1))
+                hit_b = exists_set_of_size(g2, gr2, force_in=1 << (n + 1), force_out=1 << n)
                 if hit_a is None and hit_b is None:
                     reports["obs3"].add_violation(
                         g2, f"{m.id} edge ({x},{y}): neither orientation admits the witness"
@@ -371,7 +394,6 @@ def verify_observations_2_to_6() -> list[VerificationReport]:
             if exists_set_up_to(
                 g4,
                 bound5,
-                is_restrained_dominating,
                 force_in=1 << n | 1 << (n + 3),
                 force_out=1 << (n + 1) | 1 << (n + 2),
             ) is None:
@@ -382,8 +404,8 @@ def verify_observations_2_to_6() -> list[VerificationReport]:
             key6 = "obs6b" if twin_edge else "obs6a"
             bound6 = gr + 1 if twin_edge or m.id in _SUBDIV4_RELAXED_MEMBERS else gr
             reports[key6].checked += 1
-            hit_a = exists_set_up_to(g4, bound6, is_restrained_dominating, force_in=1 << (n + 1))
-            hit_b = exists_set_up_to(g4, bound6, is_restrained_dominating, force_in=1 << (n + 2))
+            hit_a = exists_set_up_to(g4, bound6, force_in=1 << (n + 1))
+            hit_b = exists_set_up_to(g4, bound6, force_in=1 << (n + 2))
             if hit_a is None and hit_b is None:
                 reports[key6].add_violation(
                     g4, f"{m.id} edge ({x},{y}): no witness through a second path vertex"

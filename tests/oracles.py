@@ -7,11 +7,13 @@ found by backtracking over vertex images, and the graph6 encoder
 builds the bit string by hand. The one shared piece is the canonical
 certificate used to dedupe the labeled-mask enumeration, which agrees for
 two graphs iff they are isomorphic. ``seed_solve_min``,
-``seed_canonical_form`` and ``dedupe_augment_classes`` are the other kind
-of reference: the per-node rescan that the production search replaced,
-the labeling that refined against every cell and walked every leaf, and
-the generator that labeled every child and deduped by certificate, kept
-so that the new code can be held to the very same results.
+``seed_canonical_form``, ``dedupe_augment_classes`` and
+``plain_exists_set_of_size`` are the other kind of reference: the
+per-node rescan that the production search replaced, the labeling that
+refined against every cell and walked every leaf, the generator that
+labeled every child and deduped by certificate, and the certifier that
+tested every subset, kept so that the new code can be held to the very
+same results.
 """
 
 from __future__ import annotations
@@ -20,7 +22,7 @@ from itertools import combinations, permutations
 
 from rdom import kernels
 from rdom.enumeration import _MIN_ORDER, _feasible_cubic, _feasible_ss, _one_per_orbit
-from rdom.graph import Graph, bits_of, is_cubic, is_special_subcubic
+from rdom.graph import Graph, bits_of, is_cubic, is_special_subcubic, mask_of
 from rdom.graph6 import parse_graph6
 from rdom.iso import canonical_certificate
 
@@ -91,6 +93,23 @@ def naive_min_dom(g: Graph):
 
 def naive_min_nerd(g: Graph, x_ids, variant):
     return naive_minimum(g, lambda gg, c: naive_is_nerd(gg, c, x_ids, variant))
+
+
+def plain_exists_set_of_size(g: Graph, size, predicate, force_in=0, force_out=0):
+    """The certifier before its domination prune: test every subset of the
+    free vertices in ``combinations`` order and return the first the
+    predicate accepts."""
+    base = force_in.bit_count()
+    if base > size:
+        return None
+    free = [v for v in range(g.n) if not ((force_in | force_out) >> v & 1)]
+    if size - base > len(free):
+        return None
+    for combo in combinations(free, size - base):
+        mask = force_in | mask_of(combo)
+        if predicate(g, mask):
+            return mask
+    return None
 
 
 def lex_least_mask(sets) -> int:

@@ -2,6 +2,7 @@ from __future__ import annotations
 
 import concurrent.futures
 import os
+import random
 import time
 
 import pytest
@@ -9,32 +10,151 @@ import pytest
 from rdom import family, harness
 from rdom.enumeration import connected_classes
 from rdom.family import classify_brdom, weight
-from rdom.graph import complete_graph, cycle_graph, petersen_graph, star_graph
+from rdom.graph import (
+    Graph, bits_of, complete_graph, cycle_graph, petersen_graph, small_vertices, star_graph, subdivide,
+)
 from rdom.graph6 import parse_graph6, write_graph6
 from rdom.iso import are_isomorphic
 from rdom.solvers import gamma_r_exact, is_restrained_dominating
+
+from oracles import naive_is_restrained, naive_min_nerd, naive_min_rd, naive_minimum, plain_exists_set_of_size
+
+
+def random_forced_instances(count, max_n, seed):
+    """Seeded graphs of order 1..max_n, each with disjoint random forcing
+    masks."""
+    rng = random.Random(seed)
+    for _ in range(count):
+        n = rng.randint(1, max_n)
+        rows = [0] * n
+        p = rng.choice((0.15, 0.35, 0.6))
+        for i in range(n):
+            for j in range(i + 1, n):
+                if rng.random() < p:
+                    rows[i] |= 1 << j
+                    rows[j] |= 1 << i
+        force_in = force_out = 0
+        for v in range(n):
+            r = rng.random()
+            if r < 0.12:
+                force_in |= 1 << v
+            elif r < 0.24:
+                force_out |= 1 << v
+        yield Graph(n, rows), force_in, force_out
+
+
+def catalog_forced_instances():
+    """Every R1..R10 member with the forcing of obs1b/c at each degree-2
+    vertex, and its 1- to 4-fold edge subdivisions with the forcing of obs2,
+    obs3, obs5 and obs6 wherever the path has the vertices they name, each
+    with the member's gamma_r."""
+    for m in family.all_family_members():
+        g, n = m.graph, m.graph.n
+        for v in bits_of(small_vertices(g)):
+            yield g, 1 << v, 0, m.gamma_r  # obs1b
+            yield g, 0, 1 << v, m.gamma_r  # obs1c
+        for x, y in g.edges():
+            for t in range(1, 5):
+                h = subdivide(g, (x, y), t)  # the new vertices are n .. n + t - 1
+                patterns = [(1 << n, 1 << x | 1 << y)]  # obs2
+                if t >= 2:
+                    patterns += [(1 << n, 1 << (n + 1)), (1 << (n + 1), 1 << n)]  # obs3
+                if t == 4:
+                    patterns.append((1 << n | 1 << (n + 3), 1 << (n + 1) | 1 << (n + 2)))  # obs5
+                    patterns += [(1 << (n + 1), 0), (1 << (n + 2), 0)]  # obs6
+                for force_in, force_out in patterns:
+                    yield h, force_in, force_out, m.gamma_r
 
 
 class TestExistenceSearch:
     def test_exact_size_and_forcing(self):
         g = petersen_graph()
-        hit = harness.exists_set_of_size(g, 4, is_restrained_dominating, force_in=1 << 0)
+        hit = harness.exists_set_of_size(g, 4, force_in=1 << 0)
         assert hit is not None
         assert hit.bit_count() == 4 and hit & 1
         assert is_restrained_dominating(g, hit)
 
     def test_force_out_respected(self):
         g = cycle_graph(5)
-        hit = harness.exists_set_of_size(g, 3, is_restrained_dominating, force_out=0b11)
+        hit = harness.exists_set_of_size(g, 3, force_out=0b11)
         assert hit is not None and not hit & 0b11
 
     def test_none_when_impossible(self):
         g = star_graph(4)
-        assert harness.exists_set_of_size(g, 4, is_restrained_dominating) is None
+        assert harness.exists_set_of_size(g, 4) is None
 
     def test_up_to_finds_smallest_band(self):
         g = complete_graph(4)
-        assert harness.exists_set_up_to(g, 2, is_restrained_dominating).bit_count() == 1
+        assert harness.exists_set_up_to(g, 2).bit_count() == 1
+
+    def test_contradictory_forcing_has_no_witness(self):
+        g = complete_graph(4)
+        assert gamma_r_exact(g, force_in=1, force_out=1).status == "infeasible"
+        for size in range(5):
+            assert harness.exists_set_of_size(g, size, force_in=1, force_out=1) is None
+            assert harness.exists_set_up_to(g, size, force_in=1, force_out=1) is None
+
+    @pytest.mark.parametrize("size", [0, 1, 6])
+    @pytest.mark.parametrize("forcing", [
+        {"force_in": 1 << 9}, {"force_out": 1 << 9}, {"force_in": 1 << 4, "force_out": 1},
+    ], ids=["in", "out", "in-beside-out"])
+    def test_forcing_outside_the_vertex_set_is_an_error(self, forcing, size):
+        g = complete_graph(4)
+        with pytest.raises(ValueError, match="forcing set is not a subset of the vertex set"):
+            gamma_r_exact(g, **forcing)
+        with pytest.raises(ValueError, match="forcing set is not a subset of the vertex set"):
+            harness.exists_set_of_size(g, size, **forcing)
+        with pytest.raises(ValueError, match="forcing set is not a subset of the vertex set"):
+            harness.exists_set_up_to(g, size, **forcing)
+
+    def test_matches_plain_enumeration_on_random_graphs(self):
+        # the pruned walk returns the first restrained dominating set in
+        # combinations order, or None, exactly as testing every subset does
+        found = missing = 0
+        for g, force_in, force_out in random_forced_instances(5000, 11, seed=151):
+            for size in range(g.n + 1):
+                want = plain_exists_set_of_size(g, size, is_restrained_dominating, force_in, force_out)
+                assert harness.exists_set_of_size(g, size, force_in, force_out) == want, (
+                    write_graph6(g), size, force_in, force_out)
+                found += want is not None
+                missing += want is None
+        assert found > 10_000 and missing > 10_000
+
+    def test_matches_plain_enumeration_on_the_catalog(self):
+        checked = 0
+        for g, force_in, force_out, gr in catalog_forced_instances():
+            for size in range(max(gr - 1, 0), gr + 2):
+                want = plain_exists_set_of_size(g, size, is_restrained_dominating, force_in, force_out)
+                assert harness.exists_set_of_size(g, size, force_in, force_out) == want, (
+                    write_graph6(g), size, force_in, force_out)
+                checked += 1
+        assert checked == 3 * (2 * 42 + 13 * 108)  # 42 degree-2 vertices, 108 edges
+
+
+class TestFrozenExceptions:
+    def test_tables_hold_by_subset_enumeration(self):
+        # each entry of the harness's exception tables, recomputed without
+        # the solver or the certifier
+        members = {m.id: m.graph for m in family.all_family_members()}
+        pairs = 0
+        for member_id, table in harness._PAIR_RELAXATION_EXCEPTIONS.items():
+            g = members[member_id]
+            gr = naive_min_rd(g)[0]
+            for u, v in table:
+                expected = gr + 1 if (member_id, (u, v)) == ("R2", (3, 4)) else gr
+                assert naive_min_nerd(g, (u, v), "dom")[0] == expected, (member_id, u, v)
+                pairs += 1
+        assert pairs == 26
+        for member_id, (x, y) in harness._SUBDIV1_WITNESS_EXCEPTIONS:
+            g = members[member_id]
+            g1 = subdivide(g, (x, y), 1)
+            new = g.n
+
+            def witness(h, c, x=x, y=y, new=new):
+                return new in c and x not in c and y not in c and naive_is_restrained(h, c)
+
+            # the smallest witness has size gamma_r(G), above gamma_r(G_1)
+            assert naive_minimum(g1, witness)[0] == naive_min_rd(g)[0] > naive_min_rd(g1)[0]
 
 
 class TestObservationReports:
@@ -77,8 +197,8 @@ class TestTheoremSweeps:
         (rep,) = harness.verify_key_theorem(9)
         assert rep.violations == [("H?QHhrO", "10*gamma_r = 40 exceeds weight 39")]
         g = parse_graph6("H?QHhrO")
-        assert harness.exists_set_of_size(g, 3, is_restrained_dominating) is None
-        assert harness.exists_set_of_size(g, 4, is_restrained_dominating) is not None
+        assert harness.exists_set_of_size(g, 3) is None
+        assert harness.exists_set_of_size(g, 4) is not None
 
     def test_cubic_bound_small(self):
         (rep,) = harness.verify_cubic_bound(8)
