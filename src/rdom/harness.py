@@ -4,14 +4,16 @@ Each ``verify_*`` function sweeps an enumerated instance set and returns
 :class:`VerificationReport` objects whose violation entries carry the
 offending graph as graph6, so any reported failure can be re-checked from
 the report alone. Every enumerated sweep goes through ``_check_classes``,
-whose workers enumerate and check the items of ``sweep_roots``. The
-cubic sweep's ``extremal:`` notes list the graphs with gamma_r =
-floor(2n/5) of every order it covers. Existence claims (a witness set of
-a stated size and shape exists) are certified by ``exists_set_of_size``,
-independently of the branch-and-bound solver: it enumerates the subsets
-of the exact cardinality in lexicographic order, skips only those whose
-closed neighborhoods cannot cover the graph, and accepts a set only by
-the definition check ``is_restrained_dominating``.
+whose workers enumerate the items of ``sweep_roots`` and give each graph
+one :class:`Finding` per report, or None where the report's scope leaves
+it out; ``_fold`` adds them to the reports in graph6 order. The cubic
+sweep's ``extremal:`` notes list the graphs with gamma_r = floor(2n/5).
+Existence claims (a witness set of a stated size and shape exists) are
+certified by ``exists_set_of_size``, independently of the branch-and-bound
+solver: it enumerates the subsets of the exact cardinality in
+lexicographic order, skips only those whose closed neighborhoods cannot
+cover the graph, and accepts a set only by the definition check
+``is_restrained_dominating``.
 
 Upper bounds are decided, not minimized: ``gamma_r_at_most`` and
 ``gamma_r_nerd_at_most`` settle ``gamma_r <= 2n/5`` and its ``extremal:``
@@ -28,10 +30,11 @@ from __future__ import annotations
 
 import os
 import time
+from collections import Counter
 from dataclasses import dataclass, field
 from functools import partial
 from itertools import combinations
-from typing import Iterable, Sequence
+from typing import Iterable, NamedTuple, Sequence
 
 from rdom.construct import Lemma1Trace, lemma1_construct
 from rdom.enumeration import connected_classes, sweep_roots
@@ -94,6 +97,15 @@ class VerificationReport:
     def summary(self) -> str:
         state = "pass" if self.passed else f"FAIL ({len(self.violations)} violations)"
         return f"{self.claim_id}: {state}  [checked {self.checked}, {self.elapsed:.2f}s]"
+
+
+class Finding(NamedTuple):
+    """One report's outcome on one graph: the details of each violation, a
+    note naming the graph's graph6 line, and a tag that ``_fold`` counts."""
+
+    violations: tuple[str, ...] = ()
+    note: str | None = None
+    tag: str = ""
 
 
 def _check_forcing(g: Graph, force_in: int, force_out: int) -> None:
@@ -165,6 +177,23 @@ def _timed(reports: list[VerificationReport], t0: float) -> list[VerificationRep
     for report in reports:
         report.elapsed = elapsed
     return reports
+
+
+def _fold(reports: list[VerificationReport], rows: Iterable[tuple[str, tuple]]) -> Counter[str]:
+    """Add the ``(graph6, findings)`` rows of a sweep to its reports in
+    graph6 order, the i-th finding of a row to the i-th report, unless it is
+    None: it counts as checked, and its violations, each with the row's
+    graph6 line, and its note are appended. Returns the count of each tag."""
+    tags: Counter[str] = Counter()
+    for g6, findings in sorted(rows, key=lambda row: row[0]):
+        for report, found in zip(reports, findings, strict=True):
+            if found is not None:
+                report.checked += 1
+                report.violations.extend((g6, detail) for detail in found.violations)
+                if found.note is not None:
+                    report.notes.append(found.note)
+                tags[found.tag] += 1
+    return tags
 
 
 # ---------------------------------------------------------------------------
@@ -323,9 +352,9 @@ def verify_observations_2_to_6() -> list[VerificationReport]:
             witness_bound = gr if (m.id, (x, y)) in _SUBDIV1_WITNESS_EXCEPTIONS else gr1
             if gr1 > gr:
                 reports["obs2"].add_violation(g1, f"{m.id} edge ({x},{y}): gamma_r grew to {gr1}")
-            elif exists_set_up_to(
-                g1, witness_bound, force_in=1 << n, force_out=1 << x | 1 << y
-            ) is None:
+            # no restrained dominating set of G_1 is smaller than gr1
+            elif all(exists_set_of_size(g1, size, force_in=1 << n, force_out=1 << x | 1 << y) is None
+                     for size in range(gr1, witness_bound + 1)):
                 reports["obs2"].add_violation(
                     g1, f"{m.id} edge ({x},{y}): no witness with the new vertex, avoiding both ends"
                 )
@@ -429,27 +458,29 @@ def verify_observations_2_to_6() -> list[VerificationReport]:
 # ---------------------------------------------------------------------------
 
 
-def _key_theorem_worker(g: Graph) -> tuple[str | None, int | None]:
-    """Returns (violation, weight of a tight non-member)."""
+def _key_theorem_worker(g: Graph) -> tuple[Finding]:
+    """The key theorem's finding on g; its note names a tight non-member."""
     rep = weight(g)
     member = rep.members[0] if rep.members else None  # g is connected
     plain = 5 * rep.n2 + 4 * rep.n3
     if member is None and gamma_r_at_most(g, plain // 10).within:
         # 10*gamma_r <= plain <= w, so it passes; tight iff gamma_r = w/10
         tight = rep.w % 10 == 0 and not gamma_r_at_most(g, rep.w // 10 - 1).within
-        return None, rep.w if tight else None
-    # members, and non-members about to fail, report the exact value
-    gr = gamma_r_exact(g).size
-    if 10 * gr > rep.w:
-        return f"10*gamma_r = {10 * gr} exceeds weight {rep.w}", None
-    # catalog membership is equivalent to violating the penalty-free form,
-    # and members meet the weight bound with equality
-    if (10 * gr > plain) != (member is not None):
-        tag = member or "non-member"
-        return f"catalog completeness: 10*gamma_r={10 * gr}, 5n2+4n3={plain}, {tag}", None
-    if member is not None and 10 * gr != rep.w:
-        return f"{member} misses equality: 10*gamma_r={10 * gr}, weight={rep.w}", None
-    return None, rep.w if member is None and 10 * gr == rep.w else None
+    else:
+        # members, and non-members about to fail, report the exact value
+        gr = gamma_r_exact(g).size
+        if 10 * gr > rep.w:
+            return (Finding((f"10*gamma_r = {10 * gr} exceeds weight {rep.w}",)),)
+        # catalog membership is equivalent to violating the penalty-free
+        # form, and members meet the weight bound with equality
+        if (10 * gr > plain) != (member is not None):
+            tag = member or "non-member"
+            return (Finding((f"catalog completeness: 10*gamma_r={10 * gr}, 5n2+4n3={plain}, {tag}",)),)
+        if member is not None and 10 * gr != rep.w:
+            return (Finding((f"{member} misses equality: 10*gamma_r={10 * gr}, weight={rep.w}",)),)
+        tight = member is None and 10 * gr == rep.w
+    note = f"tight non-member: {write_graph6(g)} (10*gamma_r = weight = {rep.w})" if tight else None
+    return (Finding(note=note),)
 
 
 def verify_key_theorem(max_n: int, jobs: int = 1) -> list[VerificationReport]:
@@ -462,29 +493,23 @@ def verify_key_theorem(max_n: int, jobs: int = 1) -> list[VerificationReport]:
     report = VerificationReport(
         "thm-key", f"connected special subcubic graphs, 3 <= n <= {max_n}"
     )
-    for g6, (fail, tight) in _check_classes(_key_theorem_worker, "special-subcubic", max_n, jobs):
-        report.checked += 1
-        if fail is not None:
-            report.violations.append((g6, fail))
-        if tight is not None:
-            report.notes.append(f"tight non-member: {g6} (10*gamma_r = weight = {tight})")
-    report.violations.sort()
+    _fold([report], _check_classes(_key_theorem_worker, "special-subcubic", max_n, jobs))
     return _timed([report], t0)
 
 
-def _cubic_worker(g: Graph) -> tuple[str | None, bool]:
-    """Returns (violation, whether gamma_r = floor(2n/5))."""
+def _cubic_worker(g: Graph) -> tuple[Finding]:
+    """The bound's finding on g; its note names g when gamma_r = floor(2n/5)."""
     n = g.n
     bound = 2 * n // 5
     extremal = not gamma_r_at_most(g, bound - 1).within
     if extremal and not gamma_r_at_most(g, bound).within:
-        return f"gamma_r = {gamma_r_exact(g).size} exceeds 2n/5 = {2 * n / 5}", False
+        return (Finding((f"gamma_r = {gamma_r_exact(g).size} exceeds 2n/5 = {2 * n / 5}",)),)
     # cross-check against the weight route: cubic graphs weigh 4n and are
     # never catalog members, so the two bounds must coincide
     rep = weight(g)
     if rep.w != 4 * n or rep.omega != 0:
-        return f"weight route disagrees: w={rep.w}, omega={rep.omega}", False
-    return None, extremal
+        return (Finding((f"weight route disagrees: w={rep.w}, omega={rep.omega}",)),)
+    return (Finding(note=f"extremal: {write_graph6(g)}" if extremal else None),)
 
 
 def verify_cubic_bound(
@@ -500,7 +525,7 @@ def verify_cubic_bound(
         raise ValueError("need max_n or an explicit corpus, not both")
     if graphs is None:
         scope = f"connected cubic graphs, 4 <= n <= {max_n}"
-        results = _check_classes(_cubic_worker, "cubic", max_n, jobs)
+        rows = _check_classes(_cubic_worker, "cubic", max_n, jobs)
     else:
         check_jobs(jobs)
         if not graphs:
@@ -509,47 +534,38 @@ def verify_cubic_bound(
         for i, g in enumerate(graphs):
             if not is_cubic(g):
                 raise ValueError(f"input graph {i + 1} is not cubic")
-        results = zip(map(write_graph6, graphs), _run_sweep(_cubic_worker, graphs, jobs))
+        rows = zip(map(write_graph6, graphs), _run_sweep(_cubic_worker, graphs, jobs))
     report = VerificationReport("thm-cubic-2over5", scope)
-    extremal = []
-    for g6, (fail, tight) in results:
-        report.checked += 1
-        if fail is not None:
-            report.violations.append((g6, fail))
-        elif tight:
-            extremal.append(g6)
-    report.violations.sort()
-    for g6 in sorted(extremal):
-        report.notes.append(f"extremal: {g6}")
+    _fold([report], rows)
     return _timed([report], t0)
 
 
-def _known_bounds_worker(g: Graph) -> tuple[str | None, str | None, str]:
-    """Returns (violation-a, violation-b, tag) where tag is one of "star",
-    "C5", "deg2" (eligible for the half-order bound), or ""."""
+def _known_bounds_worker(g: Graph) -> tuple[Finding, Finding | None]:
+    """The findings of known-a, tagged "star", "C5" or "", and of known-b,
+    None unless g has minimum degree 2 and is not C5."""
     n = g.n
     degs = sorted(g.degree(v) for v in range(n))
-    is_star = n >= 2 and degs == [1] * (n - 1) + [n - 1]
-    fail_a = fail_b = None
+    fail_a = ()
+    found_b = None
     tag = ""
     if degs and degs[0] >= 2:
         # connected with minimum degree 2: five edges on five vertices is C5
         if n == 5 and g.edge_count() == 5:
             tag = "C5"
+        elif gamma_r_at_most(g, n // 2).within:
+            found_b = Finding()
         else:
-            tag = "deg2"
-            if not gamma_r_at_most(g, n // 2).within:
-                fail_b = f"gamma_r = {gamma_r_exact(g).size} exceeds n/2 = {n / 2}"
-    if is_star:
+            found_b = Finding((f"gamma_r = {gamma_r_exact(g).size} exceeds n/2 = {n / 2}",))
+    if n >= 2 and degs == [1] * (n - 1) + [n - 1]:
         tag = "star"
         gr = gamma_r_exact(g).size
         if gr != n:
-            fail_a = f"star K_1,{n - 1} has gamma_r = {gr}, expected {n}"
+            fail_a = (f"star K_1,{n - 1} has gamma_r = {gr}, expected {n}",)
     # minimum degree 2 means n >= 3, where n // 2 <= n - 2: a pass of
     # known-b settles known-a
-    elif (tag != "deg2" or fail_b) and not gamma_r_at_most(g, n - 2).within:
-        fail_a = f"gamma_r = {gamma_r_exact(g).size} exceeds n - 2 = {n - 2}"
-    return fail_a, fail_b, tag
+    elif (found_b is None or found_b.violations) and not gamma_r_at_most(g, n - 2).within:
+        fail_a = (f"gamma_r = {gamma_r_exact(g).size} exceeds n - 2 = {n - 2}",)
+    return Finding(fail_a, tag=tag), found_b
 
 
 def verify_known_bounds(max_n: int, jobs: int = 1) -> list[VerificationReport]:
@@ -561,31 +577,18 @@ def verify_known_bounds(max_n: int, jobs: int = 1) -> list[VerificationReport]:
     rep_b = VerificationReport(
         "known-b", f"connected graphs with min degree >= 2, n <= {max_n}, except C5"
     )
-    stars = c5 = 0
-    for g6, (fail_a, fail_b, tag) in _check_classes(_known_bounds_worker, "all", max_n, jobs, min_n=2):
-        rep_a.checked += 1
-        if fail_a:
-            rep_a.violations.append((g6, fail_a))
-        if tag == "star":
-            stars += 1
-        elif tag == "C5":
-            c5 += 1
-        elif tag == "deg2":
-            rep_b.checked += 1
-            if fail_b:
-                rep_b.violations.append((g6, fail_b))
-    rep_a.notes.append(f"{stars} stars matched gamma_r = n exactly")
-    rep_b.notes.append(f"C5 exception hit {c5} time(s)")
-    rep_a.violations.sort()
-    rep_b.violations.sort()
+    tags = _fold([rep_a, rep_b], _check_classes(_known_bounds_worker, "all", max_n, jobs, min_n=2))
+    rep_a.notes.append(f"{tags['star']} stars matched gamma_r = n exactly")
+    rep_b.notes.append(f"C5 exception hit {tags['C5']} time(s)")
     return _timed([rep_a, rep_b], t0)
 
 
-def _lemma1_worker(g: Graph) -> tuple[list[str], str]:
+def _lemma1_worker(g: Graph) -> tuple[Finding]:
+    """The construction's problems on g; its note gives |D| and |L|."""
     d, trace = lemma1_construct(g)
-    problems = _construction_problems(g, d, trace)
     ell = large_vertices(g).bit_count()
-    return problems, f"|D| = {d.bit_count()}, |L| = {ell}, gap {ell - d.bit_count()}"
+    note = f"{write_graph6(g)}: |D| = {d.bit_count()}, |L| = {ell}, gap {ell - d.bit_count()}"
+    return (Finding(tuple(_construction_problems(g, d, trace)), note),)
 
 
 def verify_lemma1(max_n: int, jobs: int = 1) -> list[VerificationReport]:
@@ -595,10 +598,7 @@ def verify_lemma1(max_n: int, jobs: int = 1) -> list[VerificationReport]:
     report = VerificationReport(
         "lem1", f"connected degree-bipartite special subcubic graphs, n <= {max_n}"
     )
-    for g6, (problems, sizes) in _check_classes(_lemma1_worker, "degree-bipartite", max_n, jobs):
-        report.checked += 1
-        report.violations.extend((g6, problem) for problem in problems)
-        report.notes.append(f"{g6}: {sizes}")
+    _fold([report], _check_classes(_lemma1_worker, "degree-bipartite", max_n, jobs))
     return _timed([report], t0)
 
 
@@ -651,23 +651,22 @@ def check_jobs(jobs: int) -> int:
     return jobs
 
 
-def _check_subtree(check, item) -> list[tuple[int, str, object]]:
+def _check_subtree(check, item) -> list[tuple[str, tuple]]:
     """Enumerate the classes of one ``sweep_roots`` item and run check on
-    each; ``(order, graph6, result)`` per class. This runs in the worker,
+    each: a ``(graph6, findings)`` row per class. This runs in the worker,
     so a pool splits the enumeration as well as the checks."""
-    return [(g.n, write_graph6(g), check(g)) for g in connected_classes(*item)]
+    return [(write_graph6(g), check(g)) for g in connected_classes(*item)]
 
 
-def _check_classes(check, cls: str, max_n: int, jobs: int, min_n: int = 1) -> list[tuple[str, object]]:
-    """check's result on every connected class of cls from min_n to max_n,
-    as ``(graph6, result)`` by order and then certificate, whatever the
-    number of jobs. jobs and the range are checked before anything is
-    enumerated; the parent enumerates only the subtree roots."""
+def _check_classes(check, cls: str, max_n: int, jobs: int, min_n: int = 1) -> list[tuple[str, tuple]]:
+    """The ``(graph6, findings)`` rows of check on every connected class of
+    cls from min_n to max_n, unsorted. ``_fold`` sorts them by graph6 line,
+    hence by order and then certificate: the line is the class's certificate
+    and its first byte encodes the order. jobs and the range are checked
+    before anything is enumerated; the parent enumerates only the roots."""
     check_jobs(jobs)
     items = sweep_roots(cls, max_n, min_n)
-    done = [row for part in _run_sweep(partial(_check_subtree, check), items, jobs) for row in part]
-    done.sort(key=lambda row: row[:2])
-    return [(g6, result) for _, g6, result in done]
+    return [row for part in _run_sweep(partial(_check_subtree, check), items, jobs) for row in part]
 
 
 def _run_sweep(worker, items: Iterable, jobs: int):

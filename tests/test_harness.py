@@ -11,11 +11,12 @@ from rdom import family, harness
 from rdom.enumeration import connected_classes
 from rdom.family import classify_brdom, weight
 from rdom.graph import (
-    Graph, bits_of, complete_graph, cycle_graph, petersen_graph, small_vertices, star_graph, subdivide,
+    Graph, bits_of, complete_graph, cycle_graph, large_vertices, petersen_graph, small_vertices, star_graph,
+    subdivide,
 )
 from rdom.graph6 import parse_graph6, write_graph6
 from rdom.iso import are_isomorphic
-from rdom.solvers import gamma_r_exact, is_restrained_dominating
+from rdom.solvers import SolveOutcome, gamma_r_exact, is_restrained_dominating
 
 from oracles import naive_is_restrained, naive_min_nerd, naive_min_rd, naive_minimum, plain_exists_set_of_size
 
@@ -333,6 +334,54 @@ class TestTheoremSweeps:
         monkeypatch.setattr(harness, "_check_classes", spy)
         sweep(**kwargs)
         assert calls == [cls]
+
+
+class TestViolationPaths:
+    """The sweeps with ``gamma_r_at_most`` patched to answer "exceeds", so
+    that every decided bound fails and the reports must list the graphs."""
+
+    @pytest.fixture
+    def nothing_within(self, monkeypatch):
+        monkeypatch.setattr(harness, "gamma_r_at_most", lambda *args, **kwargs: SolveOutcome("exceeds"))
+
+    @pytest.mark.parametrize("sweep, max_n, cls, want", [
+        pytest.param(harness.verify_cubic_bound, 10, "cubic", [
+            (27, 27, lambda g: f"exceeds 2n/5 = {2 * g.n / 5}")], id="cubic"),
+        pytest.param(harness.verify_known_bounds, 6, "all", [
+            (137, 142, lambda g: f"exceeds n - 2 = {g.n - 2}"),
+            (75, 75, lambda g: f"exceeds n/2 = {g.n / 2}")], id="known-bounds"),
+        pytest.param(harness.verify_lemma1, 10, "degree-bipartite", [
+            (3, 3, lambda g: f"exceeds |L| = {large_vertices(g).bit_count()}")], id="lemma1"),
+    ])
+    def test_every_enumerated_sweep_reports_its_violations(self, sweep, max_n, cls, want, nothing_within):
+        classes = {write_graph6(g) for n in range(2, max_n + 1) for g in connected_classes(n, cls)}
+        reports = sweep(max_n)
+        assert len(reports) == len(want)
+        for rep, (violations, checked, bound) in zip(reports, want):
+            assert (len(rep.violations), rep.checked) == (violations, checked)
+            # one violation per graph, in graph6 order, each naming the
+            # bound of the graph whose line it carries
+            lines = [g6 for g6, _ in rep.violations]
+            assert lines == sorted(set(lines)) and set(lines) <= classes
+            for g6, details in rep.violations:
+                assert details.endswith(bound(parse_graph6(g6))), (g6, details)
+
+    @pytest.mark.parametrize("patched", [False, True], ids=["as-is", "nothing-within"])
+    def test_corpus_report_does_not_depend_on_input_order(self, patched, request):
+        if patched:
+            request.getfixturevalue("nothing_within")
+        corpus = [g for n in range(4, 11) for g in connected_classes(n, "cubic")]
+        shuffled = corpus[:]
+        random.Random(16).shuffle(shuffled)
+        assert shuffled != corpus
+        reports = [harness.verify_cubic_bound(graphs=graphs)[0].to_dict() for graphs in (corpus, shuffled)]
+        for r in reports:
+            r.pop("elapsed_s")
+        assert reports[0] == reports[1]
+        (enumerated,) = harness.verify_cubic_bound(10)
+        assert reports[0]["checked"] == enumerated.checked == 27
+        assert reports[0]["notes"] == enumerated.notes
+        assert [(v["graph6"], v["details"]) for v in reports[0]["violations"]] == enumerated.violations
 
 
 class TestReportMechanics:

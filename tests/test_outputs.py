@@ -47,6 +47,12 @@ PINNED = {
         "e4b3b71b6c01c054ab71441e26edc28dd0ef7a1ad074b1bb324669f5963e2455"),
 }
 
+# a sweep prints the same report at any worker count
+PINNED.update({
+    f"{name} jobs 2": ([*PINNED[name][0], "--jobs", "2"], *PINNED[name][1:])
+    for name in ("verify cubic-bound 12", "verify key-theorem 9", "verify known-bounds 7", "verify lemma1")
+})
+
 ALL_7 = "4315b3e4690f9422bc9fd344170b37633ce3f054beea8b690166309878605a64"
 
 
