@@ -42,6 +42,29 @@ def _read_graph_lines(path: str | None):
         return fh.readlines()
 
 
+def _each_graph(path: str | None, step) -> int:
+    """Print step's JSON record of each graph of the input. An OSError is a
+    usage error; a bad graph6 line, or a ValueError from step, is that line's
+    error: "error: line N: ..." and exit status 2, and the loop goes on."""
+    try:
+        lines = _read_graph_lines(path)
+    except OSError as exc:
+        print(f"error: {exc}", file=sys.stderr)
+        return USAGE_ERROR
+    status = 0
+    for lineno, g, err in iter_graph6(lines):
+        try:
+            if err is not None:
+                raise ValueError(err)
+            record = step(g)
+        except ValueError as exc:
+            print(f"error: line {lineno}: {exc}", file=sys.stderr)
+            status = USAGE_ERROR
+        else:
+            print(json.dumps(record))
+    return status
+
+
 def _jobs(text: str) -> int:
     """``--jobs``: a worker count, held to ``harness.check_jobs``."""
     try:
@@ -81,34 +104,24 @@ def cmd_solve(args) -> int:
     if (args.x is None) != (args.nerd is None):
         print("error: --nerd and --x must be given together", file=sys.stderr)
         return USAGE_ERROR
-    try:
-        lines = _read_graph_lines(args.input)
-    except OSError as exc:
-        print(f"error: {exc}", file=sys.stderr)
-        return USAGE_ERROR
-    status = 0
-    for lineno, g, err in iter_graph6(lines):
-        if err is not None:
-            print(f"error: line {lineno}: {err}", file=sys.stderr)
-            status = USAGE_ERROR
-            continue
+
+    def solve(g):
         if args.nerd is None:
             out = gamma_r_exact(g)
+        elif any(not 0 <= v < g.n for v in args.x):
+            raise ValueError("--x vertex out of range")
         else:
-            if any(not 0 <= v < g.n for v in args.x):
-                print(f"error: line {lineno}: --x vertex out of range", file=sys.stderr)
-                status = USAGE_ERROR
-                continue
             out = gamma_r_nerd_exact(g, NerdQuery(mask_of(args.x), args.nerd))
-        print(json.dumps({
+        return {
             "n": g.n,
             "m": g.edge_count(),
             "status": out.status,
             "value": out.size,
             "witness": out.witness_ids(),
             "micros": out.micros,
-        }))
-    return status
+        }
+
+    return _each_graph(args.input, solve)
 
 
 def cmd_formulas(args) -> int:
@@ -122,24 +135,9 @@ def cmd_formulas(args) -> int:
 
 
 def cmd_lemma1(args) -> int:
-    try:
-        lines = _read_graph_lines(args.input)
-    except OSError as exc:
-        print(f"error: {exc}", file=sys.stderr)
-        return USAGE_ERROR
-    status = 0
-    for lineno, g, err in iter_graph6(lines):
-        if err is not None:
-            print(f"error: line {lineno}: {err}", file=sys.stderr)
-            status = USAGE_ERROR
-            continue
-        try:
-            d, trace = lemma1_construct(g)
-        except ValueError as exc:
-            print(f"error: line {lineno}: {exc}", file=sys.stderr)
-            status = USAGE_ERROR
-            continue
-        print(json.dumps({
+    def construct(g):
+        d, trace = lemma1_construct(g)  # ValueError outside the lemma's precondition
+        return {
             "graph6": write_graph6(g),
             "rd_set": list(bits_of(d)),
             "trace": {
@@ -150,8 +148,9 @@ def cmd_lemma1(args) -> int:
                 "s11": list(bits_of(trace.s11)),
                 "s12": list(bits_of(trace.s12)),
             },
-        }))
-    return status
+        }
+
+    return _each_graph(args.input, construct)
 
 
 def cmd_enumerate(args) -> int:

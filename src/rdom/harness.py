@@ -19,11 +19,14 @@ Upper bounds are decided, not minimized: ``gamma_r_at_most`` and
 ``gamma_r_nerd_at_most`` settle ``gamma_r <= 2n/5`` and its ``extremal:``
 notes, the key theorem for non-members with its tight non-member notes,
 ``known-a`` apart from stars, ``known-b``, the near-RD bounds of obs1d,
-obs1e, obs1f, obs4a and obs4b, and lemma1's solver check. The exact
-solvers run only where a report prints the value or compares it for
-equality: on any violation, on catalog members in the key theorem, on
-stars, in obs1a, obs2 and obs3, on the open-twin notes of obs1e, the
-frozen pairs of obs1f and the R2/R10 relaxations of obs4a.
+obs1e, obs1f and obs4b, those of obs4a apart from the type-2 relaxation
+of R2 and R10, and lemma1's solver check. The catalog's near-RD bounds
+are decided by ``_nerd_exceeds``, which solves exactly only when a bound
+fails. The exact solvers run only where a report prints the value or
+compares it for equality: on any violation, on catalog members in the key
+theorem, on stars, in obs1a, obs2 and obs3, on the open-twin notes of
+obs1e, the frozen pairs of obs1f, and the type-2 relaxation of R2 and R10
+in obs4a, whose notes print the edges where it needs gamma_r + 1.
 """
 
 from __future__ import annotations
@@ -55,6 +58,7 @@ from rdom.solvers import (
     NERD_TYPE1,
     NERD_TYPE2,
     NerdQuery,
+    SolveOutcome,
     gamma_r_at_most,
     gamma_r_exact,
     gamma_r_nerd_at_most,
@@ -203,10 +207,12 @@ def _fold(reports: list[VerificationReport], rows: Iterable[tuple[str, tuple]]) 
 # Machine-certified exceptions. A handful of literal catalog claims fail on
 # degenerate pairs, always by exactly one unit, and the exceptions below are
 # frozen so the sweeps stay falsifiable: a new exception, or an old one with
-# a different value, is reported as a violation. Independent brute-force
-# subset enumeration confirms every entry, in the gate
-# (tests/test_harness.py::TestFrozenExceptions); an entry may be added only
-# with such a certificate.
+# a different value, is reported as a violation. The gate
+# (tests/test_harness.py::TestFrozenExceptions) recomputes by brute-force
+# subset enumeration every entry of the pair and one-subdivision tables, and
+# for each member-level relaxation below, including obs6b's R2 open-twin
+# edges, an edge that needs it; an entry may be added only with such a
+# certificate.
 #
 # Type-2 relaxation for a PAIR of degree-2 vertices: the generic guarantee
 # is gamma_r - 1; for the pairs below the true value is exactly gamma_r,
@@ -227,11 +233,39 @@ _PAIR_RELAXATION_EXCEPTIONS: dict[str, frozenset[tuple[int, int]]] = {
 # graph's own minimum.
 _SUBDIV1_WITNESS_EXCEPTIONS = {("R2", (3, 4)), ("R10", (1, 3)), ("R10", (3, 5))}
 
-# Members whose type-2 relaxation at an end vertex of a three-subdivision
-# path, and whose second-path-vertex witness after four subdivisions, need
-# gamma_r + 1 rather than gamma_r on some edges.
+# Members that need gamma_r + 1 rather than gamma_r on some edges: for the
+# type-2 relaxation at an end vertex of a three-subdivision path (obs4a,
+# first table), and for the witness through a second path vertex after four
+# subdivisions (obs6a, second table). R2's witness needs it only on the
+# edges at its open twins, which obs6b checks apart.
 _SUBDIV_BOUND_RELAXED_MEMBERS = ("R2", "R10")
 _SUBDIV4_RELAXED_MEMBERS = ("R10",)
+
+# The members of the narrower claims: the type-2 relaxation at the middle
+# vertex of a three-subdivision path (obs4b), and the four-subdivision
+# witness on the path's ends within gamma_r, not gamma_r + 1 (obs5b).
+_SUBDIV3_MIDDLE_MEMBERS = ("R4", "R5", "R9")
+_SUBDIV4_ENDS_TIGHT_MEMBERS = ("R4", "R5")
+
+
+def _nerd_exceeds(g: Graph, q: NerdQuery, k: int) -> SolveOutcome | None:
+    """None when a near-RD set of size at most k exists for q; otherwise the
+    exact outcome, whose value the violation prints."""
+    return None if gamma_r_nerd_at_most(g, q, k).within else gamma_r_nerd_exact(g, q)
+
+
+def _free_orientation(report: VerificationReport, g: Graph, edge: str, hits: list, missing: str) -> bool:
+    """Read a claim on a path end with the free edge orientation, given the
+    witness found under the forward and the reversed labeling of the edge,
+    or None: a violation naming what is missing when both are None, a note
+    when one is. Returns whether either labeling admits a witness."""
+    if hits == [None, None]:
+        report.add_violation(g, f"{edge}: {missing}")
+        return False
+    if None in hits:
+        which = "reversed" if hits[0] is None else "forward"
+        report.notes.append(f"{edge}: only the {which} orientation works")
+    return True
 
 
 def verify_observation_1() -> list[VerificationReport]:
@@ -241,7 +275,6 @@ def verify_observation_1() -> list[VerificationReport]:
     open-twin vertices of R2 under the type-2 variant, plus the frozen
     pair exceptions above)."""
     t0 = time.perf_counter()
-    members = all_family_members()
     reports = {
         key: VerificationReport(f"obs1{key}", scope)
         for key, scope in [
@@ -253,14 +286,13 @@ def verify_observation_1() -> list[VerificationReport]:
             ("f", "type-2 near-RD bound, pairs of degree-2 vertices"),
         ]
     }
-    for m in members:
+    for m in all_family_members():
         g = m.graph
         gr = gamma_r_exact(g).size
         reports["a"].checked += 1
         if gr != m.gamma_r:
             reports["a"].add_violation(g, f"{m.id}: solver found {gr}, table says {m.gamma_r}")
-        twins = open_twins(g) if m.id == "R2" else []
-        twin_mask = mask_of(v for pair in twins for v in pair)
+        twin_mask = mask_of(v for pair in open_twins(g) for v in pair) if m.id == "R2" else 0
         smalls = list(bits_of(small_vertices(g)))
         for v in smalls:
             reports["b"].checked += 1
@@ -269,22 +301,18 @@ def verify_observation_1() -> list[VerificationReport]:
             reports["c"].checked += 1
             if exists_set_of_size(g, gr, force_out=1 << v) is None:
                 reports["c"].add_violation(g, f"{m.id}: no gamma_r-set avoids vertex {v}")
-            reports["d"].checked += 1
-            q = NerdQuery(1 << v, NERD_TYPE1)
-            if not gamma_r_nerd_at_most(g, q, gr - 1).within:
-                out = gamma_r_nerd_exact(g, q)
-                reports["d"].add_violation(g, f"{m.id}: ndom relaxation at vertex {v} gives {out.size}")
-            q = NerdQuery(1 << v, NERD_TYPE2)
-            if twin_mask >> v & 1:
-                out = gamma_r_nerd_exact(g, q)
-                reports["e"].notes.append(
-                    f"{m.id}: open twin {v} exempted; dom relaxation gives {out.size}"
-                )
-            else:
-                reports["e"].checked += 1
-                if not gamma_r_nerd_at_most(g, q, gr - 1).within:
+            # obs1d and obs1e: one bound for the two variants, R2's open twins exempted from type 2
+            for key, kind in (("d", NERD_TYPE1), ("e", NERD_TYPE2)):
+                q = NerdQuery(1 << v, kind)
+                if kind == NERD_TYPE2 and twin_mask >> v & 1:
                     out = gamma_r_nerd_exact(g, q)
-                    reports["e"].add_violation(g, f"{m.id}: dom relaxation at vertex {v} gives {out.size}")
+                    reports["e"].notes.append(
+                        f"{m.id}: open twin {v} exempted; dom relaxation gives {out.size}"
+                    )
+                    continue
+                reports[key].checked += 1
+                if (out := _nerd_exceeds(g, q, gr - 1)) is not None:
+                    reports[key].add_violation(g, f"{m.id}: {kind} relaxation at vertex {v} gives {out.size}")
         exceptions = _PAIR_RELAXATION_EXCEPTIONS.get(m.id, frozenset())
         for u, v in combinations(smalls, 2):
             reports["f"].checked += 1
@@ -302,8 +330,7 @@ def verify_observation_1() -> list[VerificationReport]:
                     reports["f"].notes.append(
                         f"{m.id}: pair {{{u},{v}}} exceeds the generic bound, value {out.size}"
                     )
-            elif not gamma_r_nerd_at_most(g, q, gr - 1).within:
-                out = gamma_r_nerd_exact(g, q)
+            elif (out := _nerd_exceeds(g, q, gr - 1)) is not None:
                 reports["f"].add_violation(
                     g, f"{m.id}: dom relaxation at pair {{{u},{v}}} gives {out.size}"
                 )
@@ -341,115 +368,80 @@ def verify_observations_2_to_6() -> list[VerificationReport]:
     }
     for m in all_family_members():
         g = m.graph
+        n = g.n
         gr = m.gamma_r
         twin_mask = mask_of(v for pair in open_twins(g) for v in pair) if m.id == "R2" else 0
+        key5, bound5 = ("obs5b", gr) if m.id in _SUBDIV4_ENDS_TIGHT_MEMBERS else ("obs5a", gr + 1)
         for x, y in g.edges():
-            n = g.n
+            edge = f"{m.id} edge ({x},{y})"
             # t = 1 -------------------------------------------------------
             g1 = subdivide(g, (x, y), 1)
             reports["obs2"].checked += 1
             gr1 = gamma_r_exact(g1).size
             witness_bound = gr if (m.id, (x, y)) in _SUBDIV1_WITNESS_EXCEPTIONS else gr1
             if gr1 > gr:
-                reports["obs2"].add_violation(g1, f"{m.id} edge ({x},{y}): gamma_r grew to {gr1}")
+                reports["obs2"].add_violation(g1, f"{edge}: gamma_r grew to {gr1}")
             # no restrained dominating set of G_1 is smaller than gr1
             elif all(exists_set_of_size(g1, size, force_in=1 << n, force_out=1 << x | 1 << y) is None
                      for size in range(gr1, witness_bound + 1)):
                 reports["obs2"].add_violation(
-                    g1, f"{m.id} edge ({x},{y}): no witness with the new vertex, avoiding both ends"
+                    g1, f"{edge}: no witness with the new vertex, avoiding both ends"
                 )
             elif witness_bound != gr1:
-                reports["obs2"].notes.append(
-                    f"{m.id} edge ({x},{y}): witness needs size {gr} (minimum dropped to {gr1})"
-                )
+                reports["obs2"].notes.append(f"{edge}: witness needs size {gr} (minimum dropped to {gr1})")
             # t = 2 -------------------------------------------------------
             g2 = subdivide(g, (x, y), 2)
             reports["obs3"].checked += 1
             gr2 = gamma_r_exact(g2).size
             if gr2 > gr:
-                reports["obs3"].add_violation(g2, f"{m.id} edge ({x},{y}): gamma_r grew to {gr2}")
+                reports["obs3"].add_violation(g2, f"{edge}: gamma_r grew to {gr2}")
             else:
-                hit_a = exists_set_of_size(g2, gr2, force_in=1 << n, force_out=1 << (n + 1))
-                hit_b = exists_set_of_size(g2, gr2, force_in=1 << (n + 1), force_out=1 << n)
-                if hit_a is None and hit_b is None:
-                    reports["obs3"].add_violation(
-                        g2, f"{m.id} edge ({x},{y}): neither orientation admits the witness"
-                    )
-                elif hit_a is None or hit_b is None:
-                    which = "reversed" if hit_a is None else "forward"
-                    reports["obs3"].notes.append(
-                        f"{m.id} edge ({x},{y}): only the {which} orientation works"
-                    )
+                hits = [exists_set_of_size(g2, gr2, force_in=1 << a, force_out=1 << b)
+                        for a, b in ((n, n + 1), (n + 1, n))]
+                _free_orientation(reports["obs3"], g2, edge, hits, "neither orientation admits the witness")
             # t = 3 -------------------------------------------------------
             g3 = subdivide(g, (x, y), 3)
-            dom_bound = gr + 1 if m.id in _SUBDIV_BOUND_RELAXED_MEMBERS else gr
             for end in (n, n + 2):
                 reports["obs4a"].checked += 1
                 dom_q = NerdQuery(1 << end, NERD_TYPE2)
                 ndom_q = NerdQuery(1 << end, NERD_TYPE1)
-                if dom_bound > gr:
+                if m.id in _SUBDIV_BOUND_RELAXED_MEMBERS:
                     # R2 and R10 may need gamma_r + 1, which the note prints
                     dom = gamma_r_nerd_exact(g3, dom_q)
-                    dom_ok = dom.optimal and dom.size <= dom_bound
+                    dom_fails = not dom.optimal or dom.size > gr + 1
                 else:
-                    dom = None
-                    dom_ok = gamma_r_nerd_at_most(g3, dom_q, gr).within
-                if not dom_ok or not gamma_r_nerd_at_most(g3, ndom_q, gr).within:
-                    if dom is None:
-                        dom = gamma_r_nerd_exact(g3, dom_q)
-                    ndom = gamma_r_nerd_exact(g3, ndom_q)
+                    dom = _nerd_exceeds(g3, dom_q, gr)
+                    dom_fails = dom is not None
+                ndom = _nerd_exceeds(g3, ndom_q, gr)
+                if dom_fails or ndom is not None:
+                    dom = dom or gamma_r_nerd_exact(g3, dom_q)
+                    ndom = ndom or gamma_r_nerd_exact(g3, ndom_q)
                     reports["obs4a"].add_violation(
-                        g3,
-                        f"{m.id} edge ({x},{y}) path vertex {end}: "
-                        f"dom={dom.size} ndom={ndom.size} vs gamma_r={gr}",
+                        g3, f"{edge} path vertex {end}: dom={dom.size} ndom={ndom.size} vs gamma_r={gr}"
                     )
                 elif dom is not None and dom.size > gr:
-                    reports["obs4a"].notes.append(
-                        f"{m.id} edge ({x},{y}) path vertex {end}: dom needs {dom.size}"
-                    )
-            if m.id in ("R4", "R5", "R9"):
+                    reports["obs4a"].notes.append(f"{edge} path vertex {end}: dom needs {dom.size}")
+            if m.id in _SUBDIV3_MIDDLE_MEMBERS:
                 reports["obs4b"].checked += 1
-                q = NerdQuery(1 << (n + 1), NERD_TYPE2)
-                if not gamma_r_nerd_at_most(g3, q, gr).within:
-                    dom = gamma_r_nerd_exact(g3, q)
+                if (dom := _nerd_exceeds(g3, NerdQuery(1 << (n + 1), NERD_TYPE2), gr)) is not None:
                     reports["obs4b"].add_violation(
-                        g3, f"{m.id} edge ({x},{y}) middle vertex: dom={dom.size} vs gamma_r={gr}"
+                        g3, f"{edge} middle vertex: dom={dom.size} vs gamma_r={gr}"
                     )
             # t = 4 -------------------------------------------------------
             g4 = subdivide(g, (x, y), 4)
-            key5 = "obs5b" if m.id in ("R4", "R5") else "obs5a"
-            bound5 = gr if m.id in ("R4", "R5") else gr + 1
             reports[key5].checked += 1
             if exists_set_up_to(
-                g4,
-                bound5,
-                force_in=1 << n | 1 << (n + 3),
-                force_out=1 << (n + 1) | 1 << (n + 2),
+                g4, bound5, force_in=1 << n | 1 << (n + 3), force_out=1 << (n + 1) | 1 << (n + 2)
             ) is None:
-                reports[key5].add_violation(
-                    g4, f"{m.id} edge ({x},{y}): no witness meeting the path in exactly its ends"
-                )
-            twin_edge = m.id == "R2" and bool(twin_mask & (1 << x | 1 << y))
-            key6 = "obs6b" if twin_edge else "obs6a"
-            bound6 = gr + 1 if twin_edge or m.id in _SUBDIV4_RELAXED_MEMBERS else gr
+                reports[key5].add_violation(g4, f"{edge}: no witness meeting the path in exactly its ends")
+            key6 = "obs6b" if twin_mask & (1 << x | 1 << y) else "obs6a"
+            bound6 = gr + 1 if key6 == "obs6b" or m.id in _SUBDIV4_RELAXED_MEMBERS else gr
             reports[key6].checked += 1
-            hit_a = exists_set_up_to(g4, bound6, force_in=1 << (n + 1))
-            hit_b = exists_set_up_to(g4, bound6, force_in=1 << (n + 2))
-            if hit_a is None and hit_b is None:
-                reports[key6].add_violation(
-                    g4, f"{m.id} edge ({x},{y}): no witness through a second path vertex"
-                )
-            else:
-                if hit_a is None or hit_b is None:
-                    which = "reversed" if hit_a is None else "forward"
-                    reports[key6].notes.append(
-                        f"{m.id} edge ({x},{y}): only the {which} orientation works"
-                    )
+            hits = [exists_set_up_to(g4, bound6, force_in=1 << v) for v in (n + 1, n + 2)]
+            if _free_orientation(reports[key6], g4, edge, hits, "no witness through a second path vertex"):
                 # exists_set_up_to returns smallest witnesses: is there none of size <= gr?
-                if min(hit.bit_count() for hit in (hit_a, hit_b) if hit is not None) > gr:
-                    reports[key6].notes.append(
-                        f"{m.id} edge ({x},{y}): witness needs size {bound6}"
-                    )
+                if min(hit.bit_count() for hit in hits if hit is not None) > gr:
+                    reports[key6].notes.append(f"{edge}: witness needs size {bound6}")
     return _timed(list(reports.values()), t0)
 
 

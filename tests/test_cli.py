@@ -90,6 +90,12 @@ def test_solve_x_out_of_range_is_a_line_error(capsys, tmp_path):
     assert json.loads(out)["n"] == 5
 
 
+@pytest.mark.parametrize("command", ["solve", "lemma1"])
+def test_unreadable_input_is_a_usage_error(capsys, tmp_path, command):
+    code, out, err = run_cli(capsys, command, str(tmp_path / "missing.g6"))
+    assert code == 2 and out == "" and err.startswith("error: ") and "error: line" not in err
+
+
 def test_solve_non_ascii_line_is_a_line_error(capsys, tmp_path):
     path = tmp_path / "in.g6"
     path.write_bytes(b"C~\nC\xff~\n" + write_graph6(petersen_graph()).encode() + b"\n")

@@ -1,22 +1,27 @@
 from __future__ import annotations
 
 import concurrent.futures
+import hashlib
+import json
 import os
 import random
 import time
+from collections import Counter
 
 import pytest
 
-from rdom import family, harness
+from rdom import family, harness, kernels
 from rdom.enumeration import connected_classes
 from rdom.family import classify_brdom, weight
 from rdom.graph import (
-    Graph, bits_of, complete_graph, cycle_graph, large_vertices, petersen_graph, small_vertices, star_graph,
-    subdivide,
+    Graph, bits_of, complete_graph, cycle_graph, large_vertices, open_twins, petersen_graph, small_vertices,
+    star_graph, subdivide,
 )
 from rdom.graph6 import parse_graph6, write_graph6
 from rdom.iso import are_isomorphic
-from rdom.solvers import SolveOutcome, gamma_r_exact, is_restrained_dominating
+from rdom.solvers import (
+    NERD_TYPE2, SolveOutcome, gamma_r_exact, gamma_r_nerd_at_most, is_restrained_dominating,
+)
 
 from oracles import naive_is_restrained, naive_min_nerd, naive_min_rd, naive_minimum, plain_exists_set_of_size
 
@@ -156,6 +161,30 @@ class TestFrozenExceptions:
 
             # the smallest witness has size gamma_r(G), above gamma_r(G_1)
             assert naive_minimum(g1, witness)[0] == naive_min_rd(g)[0] > naive_min_rd(g1)[0]
+
+    def test_member_relaxations_are_needed_by_subset_enumeration(self):
+        # each member whose bound the harness relaxes to gamma_r + 1 has an
+        # edge that needs it, recomputed without the solver or the certifier
+        members = {m.id: m.graph for m in family.all_family_members()}
+        # an end of the three-subdivision path where the type-2 relaxation
+        # needs gamma_r + 1 (obs4a)
+        ends = {"R2": ((0, 1), 6), "R10": ((0, 1), 7)}
+        assert tuple(ends) == harness._SUBDIV_BOUND_RELAXED_MEMBERS
+        for member_id, (edge, end) in ends.items():
+            g = members[member_id]
+            assert naive_min_nerd(subdivide(g, edge, 3), (end,), "dom")[0] == naive_min_rd(g)[0] + 1
+        # after four subdivisions, no gamma_r-set passes through a second
+        # path vertex: R10's edge (0,1) (obs6a) and R2's edge (0,1), which
+        # meets the open twin 1 (obs6b)
+        assert harness._SUBDIV4_RELAXED_MEMBERS == ("R10",)
+        assert 1 in {v for pair in open_twins(members["R2"]) for v in pair}
+        for member_id in ("R10", "R2"):
+            g = members[member_id]
+
+            def through_second(h, c, n=g.n):
+                return (n + 1 in c or n + 2 in c) and naive_is_restrained(h, c)
+
+            assert naive_minimum(subdivide(g, (0, 1), 4), through_second)[0] == naive_min_rd(g)[0] + 1
 
 
 class TestObservationReports:
@@ -336,13 +365,29 @@ class TestTheoremSweeps:
         assert calls == [cls]
 
 
+def _exceeds(*args, **kwargs):
+    return SolveOutcome("exceeds")
+
+
+def _no_witness(*args, **kwargs):
+    return None
+
+
+def _one_too_many(g, *args):
+    return SolveOutcome("optimal", gamma_r_exact(g, *args).size + 1)
+
+
+def _dom_exceeds(g, q, k):
+    return SolveOutcome("exceeds") if q.variant == NERD_TYPE2 else gamma_r_nerd_at_most(g, q, k)
+
+
 class TestViolationPaths:
     """The sweeps with ``gamma_r_at_most`` patched to answer "exceeds", so
     that every decided bound fails and the reports must list the graphs."""
 
     @pytest.fixture
     def nothing_within(self, monkeypatch):
-        monkeypatch.setattr(harness, "gamma_r_at_most", lambda *args, **kwargs: SolveOutcome("exceeds"))
+        monkeypatch.setattr(harness, "gamma_r_at_most", _exceeds)
 
     @pytest.mark.parametrize("sweep, max_n, cls, want", [
         pytest.param(harness.verify_cubic_bound, 10, "cubic", [
@@ -382,6 +427,80 @@ class TestViolationPaths:
         assert reports[0]["checked"] == enumerated.checked == 27
         assert reports[0]["notes"] == enumerated.notes
         assert [(v["graph6"], v["details"]) for v in reports[0]["violations"]] == enumerated.violations
+
+
+class TestCatalogViolationPaths:
+    """The catalog sweeps with the near-RD decisions answering "exceeds" (all
+    of them, or those of type 2 only), the certifier finding no witness, or
+    both, and with ``gamma_r_exact`` answering one too many: each report's
+    violation branches are reached, and what they print is pinned."""
+
+    @pytest.mark.parametrize("patches, want, digest", [
+        pytest.param({"gamma_r_nerd_at_most": _exceeds}, [
+            (10, 0, 0), (42, 0, 0), (42, 0, 0), (42, 42, 0), (40, 40, 2), (76, 50, 26),
+            (108, 0, 3), (108, 0, 0), (216, 216, 0), (35, 35, 0), (88, 0, 0), (20, 0, 0), (104, 0, 10), (4, 0, 4),
+        ], "f86e831dd3f0c9bb7d6c209cdc838dabfabbe523689cb9bfd836458fce5cdf03", id="nerd"),
+        pytest.param({"gamma_r_nerd_at_most": _dom_exceeds}, [
+            (10, 0, 0), (42, 0, 0), (42, 0, 0), (42, 0, 0), (40, 40, 2), (76, 50, 26),
+            (108, 0, 3), (108, 0, 0), (216, 182, 28), (35, 35, 0), (88, 0, 0), (20, 0, 0), (104, 0, 10), (4, 0, 4),
+        ], "68a8122d6065d7a11ed99c05c605e2bdf18a0f2f731c32c9e1772568d72dddcc", id="nerd-type-2"),
+        pytest.param({"exists_set_of_size": _no_witness}, [
+            (10, 0, 0), (42, 42, 0), (42, 42, 0), (42, 0, 0), (40, 0, 2), (76, 0, 26),
+            (108, 108, 0), (108, 108, 0), (216, 0, 28), (35, 0, 0), (88, 88, 0), (20, 20, 0), (104, 104, 0),
+            (4, 4, 0),
+        ], "8c031fd6f3cfef9152d4088263f50baa0d4eaaac48b69303050494f3d15a6449", id="certifier"),
+        pytest.param({"gamma_r_nerd_at_most": _exceeds, "exists_set_of_size": _no_witness}, [
+            (10, 0, 0), (42, 42, 0), (42, 42, 0), (42, 42, 0), (40, 40, 2), (76, 50, 26),
+            (108, 108, 0), (108, 108, 0), (216, 216, 0), (35, 35, 0), (88, 88, 0), (20, 20, 0), (104, 104, 0),
+            (4, 4, 0),
+        ], "1001276192be94821fe693c4dd811100471b1c12c2e0afae036afa9ccb93f2ef", id="both"),
+        pytest.param({"gamma_r_exact": _one_too_many}, [
+            (10, 10, 0), (42, 5, 0), (42, 7, 0), (42, 0, 0), (40, 0, 2), (76, 26, 0),
+            (108, 17, 0), (108, 108, 0), (216, 0, 28), (35, 0, 0), (88, 0, 0), (20, 0, 0), (104, 0, 10), (4, 0, 4),
+        ], "de85e75f7ebda7c2753e2490c3e81197df0331016caa84678cbd2fcd4b8561a6", id="exact"),
+    ])
+    def test_reports_list_every_violation(self, patches, want, digest, monkeypatch):
+        for name, fake in patches.items():
+            monkeypatch.setattr(harness, name, fake)
+        reports = harness.verify_observation_1() + harness.verify_observations_2_to_6()
+        assert [(r.checked, len(r.violations), len(r.notes)) for r in reports] == want
+        dicts = [r.to_dict() for r in reports]
+        for d in dicts:
+            d.pop("elapsed_s")
+        assert hashlib.sha256(json.dumps(dicts).encode()).hexdigest() == digest
+        if "gamma_r_exact" in patches:
+            grew = [d for r in reports[6:8] for _, d in r.violations if "gamma_r grew" in d]
+            assert len(grew) == 12 + 108
+
+    def test_solver_and_certifier_calls_per_pass(self, monkeypatch):
+        # a passing pass decides every near-RD bound, each at the size its
+        # claim states, and solves exactly only where a report prints the
+        # value or compares it for equality
+        calls = Counter()
+        asked = []
+        solve_min, certify = kernels.solve_min, harness.exists_set_of_size
+
+        def counted_solve(*args):
+            calls["decided" if args[-1] is not None else "exact"] += 1
+            return solve_min(*args)
+
+        def counted_certify(*args, **kwargs):
+            calls["certified"] += 1
+            return certify(*args, **kwargs)
+
+        def recorded_decision(g, q, k):
+            asked.append((write_graph6(g), q.x, q.variant, k))
+            return gamma_r_nerd_at_most(g, q, k)
+
+        monkeypatch.setattr(kernels, "solve_min", counted_solve)
+        monkeypatch.setattr(harness, "exists_set_of_size", counted_certify)
+        monkeypatch.setattr(harness, "gamma_r_nerd_at_most", recorded_decision)
+        reports = harness.verify_observation_1() + harness.verify_observations_2_to_6()
+        assert all(r.passed for r in reports)
+        assert calls == {"decided": 565, "exact": 288, "certified": 1745}
+        assert len(asked) == 565
+        assert hashlib.sha256(json.dumps(asked).encode()).hexdigest() == (
+            "38a635afe3bc83d232ce352a63487f4e18a7e2b9e247c5d92e5d90c48eca581c")
 
 
 class TestReportMechanics:
