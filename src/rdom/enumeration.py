@@ -9,7 +9,11 @@ discards partial graphs that can no longer reach the target class. A
 child is labeled only when no vertex whose deletion leaves it connected
 ranks above the new vertex by degree and then vertex invariants, which
 turns most children away before labeling. For the classes whose
-attachments are capped at 3 vertices, a child below the leaf level is
+attachments are capped at 3 vertices, a 3-vertex attachment is made only
+when the child's free capacity, the sum of 3 - deg over its vertices,
+is exactly (cubic) or at least (special-subcubic) 3 per vertex still to
+add: below such a child every later vertex arrives with 3 neighbours
+(``_attachments``). A child below the leaf level is
 labeled only when it can have a child of its own: some attachment to it
 passes the same checks. It is kept only when the new vertex is in the
 orbit of its canonical deletion vertex. That one test decides exactly,
@@ -72,9 +76,10 @@ def _check_cap(n: int, cls: str) -> None:
 
 def _feasible_cubic(degs: list[int], r: int) -> bool:
     """Whether a graph with these degrees can still become cubic with r
-    more vertices. ``_attachments`` checks it in two parts: the
+    more vertices. ``_attachments`` checks it in three parts: the
     per-vertex needs through its forced vertices, the total per
-    attachment size through ``_cubic_total_ok``."""
+    attachment size through ``_cubic_total_ok``, and for 3-vertex
+    attachments the arrival count, which implies the total check."""
     total = 0
     for d in degs:
         need = 3 - d
@@ -247,7 +252,30 @@ def _attachments(n, cls, rows, autos):
     """The ways to attach a new vertex to the node rows of the tree for
     order n that pass the class's feasibility checks and ``_rank_ties``, one
     per orbit of the group generated by ``autos`` (every one for
-    ``autos=()``), lazily. Each comes as ``(new rows, ties)``."""
+    ``autos=()``), lazily. Each comes as ``(new rows, ties)``.
+
+    For cubic and special-subcubic a 3-vertex attachment is also held to
+    the arrival count. Let a node P have a non-cut vertex u of degree 3,
+    and r more vertices to add.
+
+    * P takes only 3-vertex attachments (u outranks a smaller one), and
+      never one to a degree-3 vertex. After one, u is still non-cut, as
+      P - u is connected and the new vertex v has a neighbour besides u,
+      and u still has degree 3. So the same holds at every node below P:
+      each later vertex arrives with 3 neighbours and never gets another
+      edge.
+    * A leaf below P is therefore P plus r pairwise non-adjacent vertices,
+      each with 3 neighbours in P. They take 3r of P's free capacity, the
+      sum of 3 - deg over P. A cubic leaf has every degree 3, so the
+      capacity must be exactly 3r; a special-subcubic leaf needs at
+      least 3r.
+    * Every 3-vertex attachment makes such a node: v has degree 3 and
+      P + v - v = P is connected. The child's capacity is that of the
+      parent less 3, so the count depends on the size alone and cuts
+      whole Aut(P)-orbits. For cubic, equality implies
+      ``_cubic_total_ok``, which the 3-vertex case therefore skips.
+
+    A child that fails the count has no leaf below it."""
     size = len(rows)
     r_after = n - size - 1
     parent_degs = [row.bit_count() for row in rows]
@@ -263,15 +291,22 @@ def _attachments(n, cls, rows, autos):
         floor = 3 if cls == "cubic" else 2
         forced = tuple(v for v in range(size) if floor - parent_degs[v] > r_after)
         free = [v for v in range(size) if parent_degs[v] < 3 and v not in forced]
-        total = sum(3 - d for d in parent_degs)  # the total need, for cubic
+        total = sum(3 - d for d in parent_degs)  # the free capacity of P
         # A degree-3 vertex u is never attached. If P - u is connected, so
         # is P + v - u, and u outranks a new vertex v of degree 1 or 2.
         outranked = any(d == 3 and not _is_cut(rows, u) for u, d in enumerate(parent_degs))
         min_sz, max_sz = (3 if outranked else 1), 3
     for sz in range(max(min_sz, len(forced)), min(max_sz, len(forced) + len(free)) + 1):
-        if cls == "cubic" and (3 - sz > r_after or not _cubic_total_ok(total + 3 - 2 * sz, r_after)):
+        if sz == 3 and cls != "all":
+            # the arrival count: each of the r_after vertices still to come
+            # takes 3 of the child's free capacity total - 3, and for cubic
+            # nothing may be left over
+            left = total - 3 - 3 * r_after
+            if left < 0 or cls == "cubic" and left:
+                continue
+        elif cls == "cubic" and (3 - sz > r_after or not _cubic_total_ok(total + 3 - 2 * sz, r_after)):
             continue
-        if cls == "special-subcubic" and 2 - sz > r_after:
+        elif cls == "special-subcubic" and 2 - sz > r_after:
             continue
         combos = combinations(free, sz - len(forced))
         if forced:
@@ -377,6 +412,11 @@ def _augment_classes(n, cls, root=_TOP):
       deletion test would reject too; it matters when the orbit pruning is
       off, as some tests switch it. Being per parent, it holds one set per
       node of the current path, never a level.
+    * Arrival count: a 3-vertex attachment whose child fails the count of
+      ``_attachments`` has no leaf below it, as its docstring shows. So
+      skipping it, or a node whose every attachment fails the count,
+      loses no leaf, and the deletion test of every other child is
+      unchanged.
     * At the leaf level no vertex is left to add: the feasibility checks
       then demand degree 3 everywhere for cubic and at least 2 for
       special-subcubic, and attachments never raise a degree above 3, so

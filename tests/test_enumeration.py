@@ -283,13 +283,62 @@ class TestStreamProperties:
         enumeration._augment_classes(7, "special-subcubic")
         assert set(looked) == {"cubic", "special-subcubic"}
 
-    def test_labeling_calls_for_cubic_12(self, monkeypatch):
-        # the lookahead labels only the nodes that can have children
+    def test_later_vertices_arrive_full(self):
+        # the lemma behind the arrival count, shown on each class's
+        # canonical deletion chain without _attachments: from the first
+        # chain node with a non-cut vertex of degree 3 on, the vertices not
+        # yet added are pairwise non-adjacent and each has exactly 3
+        # neighbours in the node, so the node's free capacity sum(3 - d) is
+        # 3r for cubic and at least 3r for special-subcubic
+        full = 0
+        for cls, orders in (("cubic", range(4, 13, 2)), ("special-subcubic", range(3, 11))):
+            for n in orders:
+                for g in connected_classes(n, cls):
+                    kept = list(range(n))  # the vertices of g in the chain node
+                    chain = []
+                    while kept:
+                        rows = [sum(1 << i for i, w in enumerate(kept) if g.adj[v] >> w & 1) for v in kept]
+                        degs = [row.bit_count() for row in rows]
+                        chain.append((list(kept), rows, degs))
+                        non_cut = [u for u in range(len(kept)) if not enumeration._is_cut(rows, u)]
+                        rank = {u: (degs[u], enumeration._invariant(rows, degs, u),
+                                    enumeration._far_invariant(rows, degs, u)) for u in non_cut}
+                        top = max(rank.values())
+                        _, perm = kernels.canonical_form(len(kept), rows)
+                        del kept[next(c for c in perm if rank.get(c) == top)]
+                    arrived = False
+                    for node, rows, degs in reversed(chain):
+                        arrived = arrived or any(degs[u] == 3 and not enumeration._is_cut(rows, u)
+                                                 for u in range(len(node)))
+                        if not arrived:
+                            continue
+                        later = [v for v in range(n) if v not in node]
+                        assert all(g.adj[v] & mask_of(later) == 0 for v in later), (write_graph6(g), node)
+                        assert all((g.adj[v] & mask_of(node)).bit_count() == 3 for v in later), (write_graph6(g), node)
+                        spare = sum(3 - d for d in degs) - 3 * len(later)
+                        assert spare == 0 if cls == "cubic" else spare >= 0, (write_graph6(g), node)
+                        full += len(later) > 0
+        assert full > 500
+
+    @staticmethod
+    def labeling_calls(monkeypatch, n, cls):
         calls = []
         labeler = kernels.canonical_form
         monkeypatch.setattr(kernels, "canonical_form", lambda n, adj, autos=None: calls.append(n) or labeler(n, adj, autos))
-        assert len(enumeration._augment_classes(12, "cubic")) == 85
-        assert len(calls) <= 1000
+        classes = enumeration._augment_classes(n, cls)
+        return len(classes), len(calls)
+
+    def test_labeling_calls_for_cubic_12(self, monkeypatch):
+        # the lookahead labels only the nodes that can have children, and
+        # the arrival count drops the 3-vertex children with no leaf below
+        classes, calls = self.labeling_calls(monkeypatch, 12, "cubic")
+        assert classes == 85
+        assert calls <= 540
+
+    def test_labeling_calls_for_special_subcubic_10(self, monkeypatch):
+        classes, calls = self.labeling_calls(monkeypatch, 10, "special-subcubic")
+        assert classes == 458
+        assert calls <= 760
 
     def test_deletion_stays_in_the_previous_level(self):
         # the lemma behind the deletion rule: deleting a non-cut vertex keeps
@@ -315,9 +364,11 @@ class TestStreamProperties:
 
     def test_attachments_apply_exactly_the_feasibility_checks(self):
         # _attachments checks feasibility in pieces (forced vertices, the
-        # cubic total per size); together they keep exactly the subsets of
-        # 1 to 3 vertices of degree < 3 whose child is feasible and passes
-        # the rank test
+        # cubic total per size, the arrival count); together they keep
+        # exactly the subsets of 1 to 3 vertices of degree < 3 whose child
+        # is feasible and passes the rank test and, for 3 vertices, has a
+        # free capacity sum(3 - d) of exactly 3r (cubic) or at least 3r
+        # (special-subcubic): each of the r later vertices takes 3 of it
         cases = 0
         for n in range(1, 8):
             for g in connected_classes(n, "all"):
@@ -335,6 +386,9 @@ class TestStreamProperties:
                                 new_degs = [d + (u in combo) for u, d in enumerate(degs)] + [sz]
                                 new_rows = [row | (1 << n if u in combo else 0) for u, row in enumerate(rows)]
                                 new_rows.append(mask_of(combo))
+                                spare = sum(3 - d for d in new_degs) - 3 * r
+                                if sz == 3 and (spare < 0 or cls == "cubic" and spare > 0):
+                                    continue
                                 if feasible(new_degs, r) and enumeration._rank_ties(new_rows, new_degs, n) is not None:
                                     want.append(mask_of(combo))
                         assert sorted(got) == sorted(want), (write_graph6(g), cls, r)
