@@ -152,9 +152,12 @@ def _is_cut(rows, u):
 
 def _invariant(rows, degs, u):
     """The sum of u's neighbour degrees, twice the edges among its
-    neighbours and the size of its second neighbourhood, one byte each (all
-    below 256 for n <= 16) so that integer order is tuple order. After the
-    degree it ranks the candidates for deletion."""
+    neighbours and the size of its second neighbourhood, one byte each so
+    that integer order is tuple order. A field must stay below 256: with
+    maximum degree at most 3 the fields here and in ``_far_invariant`` are
+    at most 9, 6, 6, 18 and 12 at any n, and on at most 16 vertices every
+    field stays below 256 whatever the degrees. After the degree it ranks
+    the candidates for deletion."""
     row = rows[u]
     s1 = tri = 0
     reach = row | 1 << u

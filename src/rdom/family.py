@@ -17,40 +17,33 @@ from __future__ import annotations
 from dataclasses import dataclass
 from functools import cache
 
-from rdom.graph import DegreeProfile, Graph, components, is_special_subcubic
-from rdom.iso import are_isomorphic
+from rdom.graph import DegreeProfile, Graph, components
+from rdom.iso import canonical_certificate
 
-# id -> (order, edges); labels follow the reference drawings, zero-based
-_MEMBER_EDGES: dict[str, tuple[int, list[tuple[int, int]]]] = {
+# id -> (order, edges, omega class, gamma_r); zero-based labels follow the reference drawings
+_CATALOG: dict[str, tuple[int, list[tuple[int, int]], int, int]] = {
     # 5-cycle
-    "R1": (5, [(0, 1), (1, 2), (2, 3), (3, 4), (4, 0)]),
+    "R1": (5, [(0, 1), (1, 2), (2, 3), (3, 4), (4, 0)], 5, 3),
     # 5-cycle 0..4 plus vertex 5 adjacent to 0 and 2
-    "R2": (6, [(0, 1), (1, 2), (2, 3), (3, 4), (4, 0), (5, 0), (5, 2)]),
+    "R2": (6, [(0, 1), (1, 2), (2, 3), (3, 4), (4, 0), (5, 0), (5, 2)], 2, 3),
     # 8-cycle plus one long chord
-    "R3": (8, [(0, 1), (1, 2), (2, 3), (3, 4), (4, 5), (5, 6), (6, 7), (7, 0), (0, 4)]),
+    "R3": (8, [(0, 1), (1, 2), (2, 3), (3, 4), (4, 5), (5, 6), (6, 7), (7, 0), (0, 4)], 2, 4),
     # 8-cycle plus two crossing long chords
-    "R4": (8, [(0, 1), (1, 2), (2, 3), (3, 4), (4, 5), (5, 6), (6, 7), (7, 0), (0, 4), (2, 6)]),
+    "R4": (8, [(0, 1), (1, 2), (2, 3), (3, 4), (4, 5), (5, 6), (6, 7), (7, 0), (0, 4), (2, 6)], 4, 4),
     # 8-cycle plus two parallel long chords
-    "R5": (8, [(0, 1), (1, 2), (2, 3), (3, 4), (4, 5), (5, 6), (6, 7), (7, 0), (0, 4), (1, 5)]),
+    "R5": (8, [(0, 1), (1, 2), (2, 3), (3, 4), (4, 5), (5, 6), (6, 7), (7, 0), (0, 4), (1, 5)], 4, 4),
     "R6": (11, [(0, 1), (2, 3), (3, 4), (6, 7), (7, 8), (9, 10), (0, 2), (2, 6), (6, 9),
-                (1, 4), (4, 8), (8, 10), (3, 5), (5, 7)]),
+                (1, 4), (4, 8), (8, 10), (3, 5), (5, 7)], 1, 5),
     "R7": (11, [(0, 1), (2, 3), (3, 4), (6, 10), (10, 7), (7, 8), (0, 2), (2, 6), (6, 9),
-                (1, 4), (8, 9), (4, 5), (5, 8), (3, 7)]),
+                (1, 4), (8, 9), (4, 5), (5, 8), (3, 7)], 1, 5),
     "R8": (11, [(0, 1), (2, 5), (3, 4), (6, 7), (0, 2), (2, 4), (4, 6), (6, 8), (8, 10),
-                (1, 3), (3, 5), (5, 7), (7, 9), (9, 10)]),
+                (1, 3), (3, 5), (5, 7), (7, 9), (9, 10)], 1, 5),
     "R9": (11, [(2, 3), (3, 4), (6, 10), (10, 7), (7, 8), (0, 2), (2, 6), (6, 9),
-                (4, 5), (5, 8), (8, 9), (3, 7), (0, 1), (0, 5), (1, 9)]),
-    "R10": (7, [(0, 1), (1, 2), (4, 5), (5, 6), (0, 4), (2, 6), (1, 3), (3, 5),
-                (2, 4), (0, 6)]),
+                (4, 5), (5, 8), (8, 9), (3, 7), (0, 1), (0, 5), (1, 9)], 3, 5),
+    "R10": (7, [(0, 1), (1, 2), (4, 5), (5, 6), (0, 4), (2, 6), (1, 3), (3, 5), (2, 4), (0, 6)], 1, 3),
 }
 
-# class i of the weight penalty, and the known minimum RD-set sizes
-_OMEGA_CLASS = {"R1": 5, "R2": 2, "R3": 2, "R4": 4, "R5": 4,
-                "R6": 1, "R7": 1, "R8": 1, "R9": 3, "R10": 1}
-_GAMMA_R = {"R1": 3, "R2": 3, "R3": 4, "R4": 4, "R5": 4,
-            "R6": 5, "R7": 5, "R8": 5, "R9": 5, "R10": 3}
-
-MEMBER_IDS = tuple(f"R{i}" for i in range(1, 11))
+MEMBER_IDS = tuple(_CATALOG)
 
 
 @dataclass(frozen=True)
@@ -63,37 +56,39 @@ class FamilyMember:
 
 
 def family_member(member_id: str) -> FamilyMember:
-    if member_id not in _MEMBER_EDGES:
+    if member_id not in _CATALOG:
         raise ValueError(f"unknown member {member_id!r}")
-    n, edges = _MEMBER_EDGES[member_id]
+    n, edges, omega_class, gamma_r = _CATALOG[member_id]
     g = Graph.from_edges(n, edges)
-    return FamilyMember(member_id, g, _OMEGA_CLASS[member_id], _GAMMA_R[member_id],
-                        g.degree_profile())
+    return FamilyMember(member_id, g, omega_class, gamma_r, g.degree_profile())
 
 
 @cache
+def _members_by_certificate() -> dict[str, FamilyMember]:
+    """R1..R10 in id order, keyed by canonical certificate: built and
+    labeled together on the first call, so a process that holds the
+    catalog holds its certificates too."""
+    return {canonical_certificate(m.graph): m for m in map(family_member, MEMBER_IDS)}
+
+
 def all_family_members() -> tuple[FamilyMember, ...]:
     """R1..R10, built on the first call and shared by every later one."""
-    return tuple(family_member(mid) for mid in MEMBER_IDS)
+    return tuple(_members_by_certificate().values())
 
 
 def classify_brdom(g: Graph) -> tuple[str, int] | None:
     """Match a graph against the catalog, returning (id, omega class) or None.
 
-    Order plus degree-2 count rule out everything except the {R4, R5} and
-    {R6, R7, R8} signature collisions, which fall through to the full
-    isomorphism test.
+    Order plus degree-2 count rule out every graph whose pair no member
+    shares; the rest are labeled once and looked up by certificate, which
+    also tells apart the {R4, R5} and {R6, R7, R8} signature collisions.
     """
     profile = g.degree_profile()
-    if profile.other:
-        return None
     signature = (g.n, profile.n2)
-    for member in all_family_members():
-        if (member.graph.n, member.profile.n2) != signature:
-            continue
-        if are_isomorphic(g, member.graph):
-            return member.id, member.omega_class
-    return None
+    if profile.other or all((m.graph.n, m.profile.n2) != signature for m in all_family_members()):
+        return None
+    member = _members_by_certificate().get(canonical_certificate(g))
+    return None if member is None else (member.id, member.omega_class)
 
 
 @dataclass(frozen=True)
@@ -108,17 +103,13 @@ class WeightReport:
 
 def weight(g: Graph) -> WeightReport:
     """Weight report for a special subcubic graph (omega summed over
-    components). Raises on any vertex of degree other than 2 or 3."""
-    f = [0, 0, 0, 0, 0]
-    members = []
-    for comp, vmap in components(g):
-        if not is_special_subcubic(comp):
-            raise ValueError("weight is defined for special subcubic graphs only")
-        hit = classify_brdom(comp)
-        if hit is not None:
-            f[hit[1] - 1] += 1
-            members.append(hit[0])
+    components). Raises on any vertex of degree other than 2 or 3; without
+    one, every component is special subcubic."""
     profile = g.degree_profile()
-    omega = sum((i + 1) * f[i] for i in range(5))
-    return WeightReport(profile.n2, profile.n3, tuple(f), omega,
-                        5 * profile.n2 + 4 * profile.n3 + omega, tuple(members))
+    if profile.other:
+        raise ValueError("weight is defined for special subcubic graphs only")
+    hits = [hit for comp, _ in components(g) if (hit := classify_brdom(comp)) is not None]
+    f = tuple(sum(cls == i for _, cls in hits) for i in range(1, 6))
+    omega = sum(cls for _, cls in hits)
+    return WeightReport(profile.n2, profile.n3, f, omega,
+                        5 * profile.n2 + 4 * profile.n3 + omega, tuple(mid for mid, _ in hits))

@@ -1,4 +1,5 @@
-"""Isomorphism testing and canonical certificates for graphs on <= 16 vertices.
+"""Isomorphism testing and canonical certificates for graphs on at most
+``kernels.CERT_MAX_N`` vertices.
 
 The canonical labeling (degree partition, refinement, branching over color
 classes) lives in the kernels; this module wraps it with Graph-level

@@ -237,6 +237,11 @@ def test_jobs_outside_the_cpu_range_is_a_usage_error(capsys, monkeypatch, comman
     assert code == 2 and out == "" and "--jobs" in err
 
 
+def test_jobs_that_is_not_a_number_is_a_usage_error(capsys):
+    code, out, err = run_cli(capsys, "verify", "cubic-bound", "--jobs", "abc")
+    assert code == 2 and out == "" and "not an integer" in err
+
+
 @pytest.mark.parametrize("argv", [
     ["verify", "lemma1", "--max-n", "15"],
     ["verify", "cubic-bound", "--max-n", "-3"],

@@ -7,6 +7,7 @@ import pytest
 from rdom.enumeration import connected_classes
 from rdom.family import MEMBER_IDS, all_family_members, classify_brdom, family_member, weight
 from rdom.graph import Graph, bits_of, cycle_graph, disjoint_union, is_connected, is_special_subcubic, petersen_graph, star_graph
+from rdom.iso import are_isomorphic, canonical_certificate
 from rdom.solvers import gamma_r_exact
 
 EXPECTED_ORDERS = {"R1": 5, "R2": 6, "R3": 8, "R4": 8, "R5": 8,
@@ -87,6 +88,25 @@ class TestClassify:
     def test_non_subcubic_rejected_fast(self):
         assert classify_brdom(star_graph(4)) is None
 
+    def test_certificate_lookup_answers_as_pairwise_isomorphism(self):
+        # the first member isomorphic to g names it, on every connected
+        # special subcubic graph of orders 3..10 and on relabeled members
+        graphs = [g for n in range(3, 11) for g in connected_classes(n, "special-subcubic")]
+        assert len(graphs) == 706
+        rng = random.Random(19)
+        for m in all_family_members():
+            for _ in range(20):
+                perm = list(range(m.graph.n))
+                rng.shuffle(perm)
+                graphs.append(relabel(m.graph, perm))
+        for g in graphs:
+            want = next(((m.id, m.omega_class) for m in all_family_members() if are_isomorphic(g, m.graph)), None)
+            assert classify_brdom(g) == want
+
+    def test_member_certificates_are_distinct(self):
+        certs = {canonical_certificate(m.graph) for m in all_family_members()}
+        assert len(certs) == len(MEMBER_IDS) == 10
+
 
 class TestWeight:
     def test_petersen(self):
@@ -127,8 +147,6 @@ class TestFamilyCompleteness:
         of those orders."""
         violators = []
         member_certs = set()
-        from rdom.iso import canonical_certificate
-
         for m in all_family_members():
             if m.graph.n <= 8:
                 member_certs.add(canonical_certificate(m.graph))

@@ -2,6 +2,7 @@ from __future__ import annotations
 
 import pickle
 import random
+import re
 
 import pytest
 
@@ -26,6 +27,7 @@ from rdom.graph import (
 )
 from rdom.family import family_member
 from rdom.iso import canonical_certificate, are_isomorphic
+from rdom.solvers import NerdQuery
 
 
 def relabel(g: Graph, perm: list[int]) -> Graph:
@@ -190,6 +192,29 @@ class TestRelabelInvariance:
                 assert sorted(g.degree(v) for v in range(g.n)) == sorted(
                     h.degree(v) for v in range(h.n))
                 assert canonical_certificate(g) == canonical_certificate(h)
+
+
+@pytest.mark.parametrize("call, error", [
+    # Graph.from_edges catches these before the constructor sees them
+    pytest.param(lambda: Graph(2, [0]), "expected 2 adjacency rows, got 1", id="row-count"),
+    pytest.param(lambda: Graph(2, [0b100, 0]), "row 0 references vertices >= 2", id="bit-beyond-n"),
+    pytest.param(lambda: Graph(1, [1]), "loop at vertex 0", id="loop-row"),
+    pytest.param(lambda: NerdQuery(0, "x"), "variant must be", id="nerd-variant"),
+    pytest.param(lambda: subdivide(cycle_graph(3), (0, 1), 0), "must be in 1..4, got 0", id="subdivide-0"),
+    pytest.param(lambda: subdivide(cycle_graph(3), (0, 1), 5), "must be in 1..4, got 5", id="subdivide-5"),
+    pytest.param(lambda: cycle_graph(2), "at least 3 vertices", id="cycle-2"),
+    pytest.param(lambda: disjoint_union([complete_graph(40), complete_graph(25)]), "exceeds the 64-vertex cap",
+                 id="union-past-64"),
+    # the guards that answer False instead of raising
+    pytest.param(lambda: is_connected(Graph(0, [])), None, id="empty-not-connected"),
+    pytest.param(lambda: is_degree_bipartite(star_graph(3)), None, id="star-not-degree-bipartite"),
+])
+def test_input_guards(call, error):
+    if error is None:
+        assert call() is False
+        return
+    with pytest.raises(ValueError, match=re.escape(error)):
+        call()
 
 
 def test_mask_helpers():

@@ -7,6 +7,7 @@ import os
 import random
 import time
 from collections import Counter
+from dataclasses import replace
 
 import pytest
 
@@ -18,7 +19,7 @@ from rdom.graph import (
     star_graph, subdivide,
 )
 from rdom.graph6 import parse_graph6, write_graph6
-from rdom.iso import are_isomorphic
+from rdom.iso import are_isomorphic, canonical_certificate
 from rdom.solvers import (
     NERD_TYPE2, SolveOutcome, gamma_r_exact, gamma_r_nerd_at_most, is_restrained_dominating,
 )
@@ -323,6 +324,24 @@ class TestTheoremSweeps:
         (rep,) = harness.verify_key_theorem(8)
         assert rep.passed and len(classified) == rep.checked
 
+    def test_key_theorem_labels_each_member_candidate_once(self, monkeypatch):
+        # a graph that shares a member's order and degree-2 count is labeled
+        # once and looked up by certificate; the bound allows for the ten
+        # member labelings, cached or not (1,315 calls with two labelings
+        # per pairwise isomorphism test)
+        calls = []
+        label = kernels.canonical_form
+
+        def counted(*args):
+            calls.append(args[0])
+            return label(*args)
+
+        monkeypatch.setattr(kernels, "canonical_form", counted)
+        connected_classes.cache_clear()
+        (rep,) = harness.verify_key_theorem(10)
+        assert rep.checked == 706
+        assert len(calls) <= 1240
+
     @pytest.mark.parametrize("sweep, kwargs", [
         pytest.param(harness.verify_cubic_bound, {"max_n": -3}, id="cubic-negative"),
         pytest.param(harness.verify_cubic_bound, {"graphs": []}, id="cubic-empty-corpus"),
@@ -381,9 +400,42 @@ def _dom_exceeds(g, q, k):
     return SolveOutcome("exceeds") if q.variant == NERD_TYPE2 else gamma_r_nerd_at_most(g, q, k)
 
 
+def _one_too_few(g, *args):
+    return SolveOutcome("optimal", gamma_r_exact(g, *args).size - 1)
+
+
+def _low(mask):
+    return mask & -mask
+
+
+# tampered constructions, each breaking one fact of the Lemma 1 audit:
+# (graph6, tamper of (g, d, trace), the audit's problems)
+_LEMMA1_TAMPERS = {
+    "not-rd": ("DFw", lambda g, d, t: (0, t), ["output is not a restrained dominating set"]),
+    "too-large": ("DFw", lambda g, d, t: (g.vertex_mask(), t), ["|D| = 5 exceeds |L| = 2"]),
+    "s1": ("DFw", lambda g, d, t: (d, replace(t, s1=t.s1 | t.l1)),
+           ["s1 vertex 3 does not have exactly one l1 neighbor"]),
+    "l1": ("DFw", lambda g, d, t: (d, replace(t, s1=t.s1 & ~_low(t.s1))),
+           ["l1 vertex 3 is not the center of a K_1,3 inside l1+s1"]),
+    "s2": ("I???zIgs?", lambda g, d, t: (d, replace(t, l2_by_degree=(
+        t.l2_by_degree[0] & ~_low(t.l2_by_degree[0]) | t.l1, *t.l2_by_degree[1:]))),
+           [f"s2 vertex {v} has a neighbor outside the lightly-saturated classes" for v in (1, 2)]),
+    "edge-count": ("I???zIgs?", lambda g, d, t: (d, replace(t, l2_by_degree=(
+        t.l2_by_degree[0], t.l2_by_degree[1] | t.l1, t.l2_by_degree[2]))),
+           ["edge count between s2 and its classes is off"]),
+    "designated": ("DFw", lambda g, d, t: (d, replace(t, l2_by_degree=(
+        *t.l2_by_degree[:2], t.l2_by_degree[2] | t.l1))),
+                   ["designated-neighbor set size mismatch"]),
+    "output": ("DFw", lambda g, d, t: (d, replace(t, d=t.d ^ t.l1)), ["output set is not l1 | s11 | s2"]),
+}
+
+
 class TestViolationPaths:
-    """The sweeps with ``gamma_r_at_most`` patched to answer "exceeds", so
-    that every decided bound fails and the reports must list the graphs."""
+    """The theorem sweeps with ``gamma_r_at_most`` patched to answer
+    "exceeds", so that every decided bound fails and the reports must list
+    the graphs; and with ``gamma_r_exact``, ``weight`` or the Lemma 1
+    construction patched to answer wrongly, so that each of their fault
+    branches is reached and its message pinned."""
 
     @pytest.fixture
     def nothing_within(self, monkeypatch):
@@ -410,6 +462,62 @@ class TestViolationPaths:
             assert lines == sorted(set(lines)) and set(lines) <= classes
             for g6, details in rep.violations:
                 assert details.endswith(bound(parse_graph6(g6))), (g6, details)
+
+    @staticmethod
+    def _members_up_to(max_n):
+        members = [m for m in family.all_family_members() if m.graph.n <= max_n]
+        return sorted((canonical_certificate(m.graph), m) for m in members)
+
+    @pytest.mark.parametrize("exact, details", [
+        pytest.param(_one_too_many, lambda m: (
+            f"10*gamma_r = {10 * m.gamma_r + 10} exceeds weight {10 * m.gamma_r}"), id="exceeds-weight"),
+        pytest.param(_one_too_few, lambda m: (
+            f"catalog completeness: 10*gamma_r={10 * m.gamma_r - 10}, "
+            f"5n2+4n3={10 * m.gamma_r - m.omega_class}, {m.id}"), id="completeness"),
+    ])
+    def test_key_theorem_reports_each_member_off_its_exact_value(self, exact, details, monkeypatch):
+        # only the members reach the exact solver up to order 8
+        monkeypatch.setattr(harness, "gamma_r_exact", exact)
+        (rep,) = harness.verify_key_theorem(8)
+        assert rep.violations == [(cert, details(m)) for cert, m in self._members_up_to(8)]
+        assert len(rep.violations) == 6
+
+    def test_key_theorem_reports_a_member_off_its_weight(self, monkeypatch):
+        real = harness.weight
+
+        def member_weighs_one_more(g):
+            rep = real(g)
+            return replace(rep, w=rep.w + 1) if rep.members else rep
+
+        monkeypatch.setattr(harness, "weight", member_weighs_one_more)
+        (rep,) = harness.verify_key_theorem(8)
+        assert rep.violations == [
+            (cert, f"{m.id} misses equality: 10*gamma_r={10 * m.gamma_r}, weight={10 * m.gamma_r + 1}")
+            for cert, m in self._members_up_to(8)]
+        assert len(rep.violations) == 6
+
+    def test_cubic_bound_reports_a_disagreeing_weight(self, monkeypatch):
+        real = harness.weight
+        monkeypatch.setattr(harness, "weight", lambda g: replace(real(g), omega=1))
+        (rep,) = harness.verify_cubic_bound(8)
+        assert rep.checked == len(rep.violations) == 8
+        for g6, details in rep.violations:
+            assert details == f"weight route disagrees: w={4 * parse_graph6(g6).n}, omega=1"
+
+    def test_known_bounds_reports_each_star_off_n(self, monkeypatch):
+        monkeypatch.setattr(harness, "gamma_r_exact", _one_too_many)
+        rep_a, rep_b = harness.verify_known_bounds(6)
+        assert rep_a.violations == [
+            (canonical_certificate(star_graph(n - 1)), f"star K_1,{n - 1} has gamma_r = {n + 1}, expected {n}")
+            for n in range(2, 7)]
+        assert rep_b.passed
+
+    @pytest.mark.parametrize("name", list(_LEMMA1_TAMPERS))
+    def test_lemma1_audit_reports_each_tampered_fact(self, name, monkeypatch):
+        g6, tamper, problems = _LEMMA1_TAMPERS[name]
+        construct = harness.lemma1_construct
+        monkeypatch.setattr(harness, "lemma1_construct", lambda g: tamper(g, *construct(g)))
+        assert harness.audit_lemma1(parse_graph6(g6)) == problems
 
     @pytest.mark.parametrize("patched", [False, True], ids=["as-is", "nothing-within"])
     def test_corpus_report_does_not_depend_on_input_order(self, patched, request):

@@ -45,6 +45,9 @@ PINNED = {
     "verify observations": (
         ["verify", "observations", "--json"], 0,
         "e4b3b71b6c01c054ab71441e26edc28dd0ef7a1ad074b1bb324669f5963e2455"),
+    "family": (
+        ["family"], 0,
+        "39be27f62164a0c81827550bc9da202f626815679a1d6acc7c3443595755b0f2"),
 }
 
 # a sweep prints the same report at any worker count
