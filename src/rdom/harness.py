@@ -22,11 +22,15 @@ notes, the key theorem for non-members with its tight non-member notes,
 obs1e, obs1f and obs4b, those of obs4a apart from the type-2 relaxation
 of R2 and R10, and lemma1's solver check. The catalog's near-RD bounds
 are decided by ``_nerd_exceeds``, which solves exactly only when a bound
-fails. The exact solvers run only where a report prints the value or
-compares it for equality: on any violation, on catalog members in the key
-theorem, on stars, in obs1a, obs2 and obs3, on the open-twin notes of
-obs1e, the frozen pairs of obs1f, and the type-2 relaxation of R2 and R10
-in obs4a, whose notes print the edges where it needs gamma_r + 1.
+fails. The catalog's gamma_r values, obs1a's table value and gamma_r of
+the one- and two-fold subdivisions in obs2 and obs3, are found by
+``_gamma_r_value``: decisions at one below each witness size found,
+until one exceeds; it solves exactly only when the value exceeds the
+stated bound. The exact solvers run only where a report prints the value
+or compares it for equality: on any violation, on catalog members in the
+key theorem, on stars, on the open-twin notes of obs1e, the frozen pairs
+of obs1f, and the type-2 relaxation of R2 and R10 in obs4a, whose notes
+print the edges where it needs gamma_r + 1.
 """
 
 from __future__ import annotations
@@ -132,10 +136,14 @@ def exists_set_of_size(g: Graph, size: int, force_in: int = 0, force_out: int = 
     cover[i]``, where ``cover[i]`` is the union of the closed neighborhoods
     of ``free[i:]``. When that misses a vertex, none of those sets
     dominates, and since ``cover`` shrinks as i grows, neither does any set
-    below a later choice at this depth: the walk backs up. A full-size set
-    that dominates is accepted only by ``is_restrained_dominating``. Only
-    sets that do not dominate, hence are not restrained dominating, are
-    skipped, so the walk returns exactly what testing every subset in
+    below a later choice at this depth: the walk backs up. It also backs up
+    when the vertices outside ``dom`` outnumber ``left`` times ``reach``,
+    the size of the largest closed neighborhood of a free vertex: the
+    ``left`` vertices still to be chosen add at most ``reach`` vertices each
+    to ``dom``, so no set below this node dominates. A full-size set that
+    dominates is accepted only by ``is_restrained_dominating``. Only sets
+    that do not dominate, hence are not restrained dominating, are skipped,
+    so the walk returns exactly what testing every subset in
     ``combinations`` order would return."""
     _check_forcing(g, force_in, force_out)
     if force_in & force_out or force_in.bit_count() > size:
@@ -143,6 +151,7 @@ def exists_set_of_size(g: Graph, size: int, force_in: int = 0, force_out: int = 
     full = g.vertex_mask()
     free = [v for v in range(g.n) if not ((force_in | force_out) >> v & 1)]
     closed = [g.adj[v] | 1 << v for v in free]
+    reach = max((c.bit_count() for c in closed), default=0)
     cover = [0] * (len(free) + 1)
     for i in range(len(free) - 1, -1, -1):
         cover[i] = cover[i + 1] | closed[i]
@@ -150,6 +159,8 @@ def exists_set_of_size(g: Graph, size: int, force_in: int = 0, force_out: int = 
     def walk(start: int, dom: int, mask: int, left: int) -> int | None:
         if not left:
             return mask if dom == full and is_restrained_dominating(g, mask) else None
+        if (full & ~dom).bit_count() > left * reach:
+            return None
         for i in range(start, len(free) - left + 1):
             if full & ~(dom | cover[i]):
                 break
@@ -254,6 +265,19 @@ def _nerd_exceeds(g: Graph, q: NerdQuery, k: int) -> SolveOutcome | None:
     return None if gamma_r_nerd_at_most(g, q, k).within else gamma_r_nerd_exact(g, q)
 
 
+def _gamma_r_value(g: Graph, k: int) -> int | None:
+    """gamma_r(g) when it is at most k, otherwise None, by decisions alone:
+    decide at k, then at one below the size of each witness found. The first
+    decision that exceeds proves the last witness size minimum. Unlike the
+    exact search, a decision does not explore the ties of a size for the
+    lex-least witness: it stops at its first accepted set."""
+    value = None
+    while k >= 0 and (out := gamma_r_at_most(g, k)).within:
+        value = out.size
+        k = value - 1
+    return value
+
+
 def _free_orientation(report: VerificationReport, g: Graph, edge: str, hits: list, missing: str) -> bool:
     """Read a claim on a path end with the free edge orientation, given the
     witness found under the forward and the reversed labeling of the edge,
@@ -288,7 +312,8 @@ def verify_observation_1() -> list[VerificationReport]:
     }
     for m in all_family_members():
         g = m.graph
-        gr = gamma_r_exact(g).size
+        # a value above the table's is solved exactly, for the violation to print
+        gr = _gamma_r_value(g, m.gamma_r) or gamma_r_exact(g).size
         reports["a"].checked += 1
         if gr != m.gamma_r:
             reports["a"].add_violation(g, f"{m.id}: solver found {gr}, table says {m.gamma_r}")
@@ -377,7 +402,7 @@ def verify_observations_2_to_6() -> list[VerificationReport]:
             # t = 1 -------------------------------------------------------
             g1 = subdivide(g, (x, y), 1)
             reports["obs2"].checked += 1
-            gr1 = gamma_r_exact(g1).size
+            gr1 = _gamma_r_value(g1, gr) or gamma_r_exact(g1).size
             witness_bound = gr if (m.id, (x, y)) in _SUBDIV1_WITNESS_EXCEPTIONS else gr1
             if gr1 > gr:
                 reports["obs2"].add_violation(g1, f"{edge}: gamma_r grew to {gr1}")
@@ -392,7 +417,7 @@ def verify_observations_2_to_6() -> list[VerificationReport]:
             # t = 2 -------------------------------------------------------
             g2 = subdivide(g, (x, y), 2)
             reports["obs3"].checked += 1
-            gr2 = gamma_r_exact(g2).size
+            gr2 = _gamma_r_value(g2, gr) or gamma_r_exact(g2).size
             if gr2 > gr:
                 reports["obs3"].add_violation(g2, f"{edge}: gamma_r grew to {gr2}")
             else:
@@ -533,8 +558,9 @@ def verify_cubic_bound(
 
 
 def _known_bounds_worker(g: Graph) -> tuple[Finding, Finding | None]:
-    """The findings of known-a, tagged "star", "C5" or "", and of known-b,
-    None unless g has minimum degree 2 and is not C5."""
+    """The findings of known-a, tagged "star" for a star with gamma_r = n,
+    "C5" or "", and of known-b, None unless g has minimum degree 2 and is
+    not C5."""
     n = g.n
     degs = sorted(g.degree(v) for v in range(n))
     fail_a = ()
@@ -549,9 +575,10 @@ def _known_bounds_worker(g: Graph) -> tuple[Finding, Finding | None]:
         else:
             found_b = Finding((f"gamma_r = {gamma_r_exact(g).size} exceeds n/2 = {n / 2}",))
     if n >= 2 and degs == [1] * (n - 1) + [n - 1]:
-        tag = "star"
         gr = gamma_r_exact(g).size
-        if gr != n:
+        if gr == n:
+            tag = "star"
+        else:
             fail_a = (f"star K_1,{n - 1} has gamma_r = {gr}, expected {n}",)
     # minimum degree 2 means n >= 3, where n // 2 <= n - 2: a pass of
     # known-b settles known-a

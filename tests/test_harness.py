@@ -73,6 +73,22 @@ def catalog_forced_instances():
                     yield h, force_in, force_out, m.gamma_r
 
 
+class TestGammaRValue:
+    @staticmethod
+    def _check(g):
+        gr = gamma_r_exact(g).size
+        for k in (gr - 1, gr, gr + 1):
+            assert harness._gamma_r_value(g, k) == (gr if gr <= k else None), (write_graph6(g), k)
+
+    def test_matches_the_exact_solver_on_random_graphs(self):
+        for g, _, _ in random_forced_instances(400, 12, seed=2020):
+            self._check(g)
+
+    def test_matches_the_exact_solver_on_the_catalog(self):
+        for m in family.all_family_members():
+            self._check(m.graph)
+
+
 class TestExistenceSearch:
     def test_exact_size_and_forcing(self):
         g = petersen_graph()
@@ -89,6 +105,11 @@ class TestExistenceSearch:
     def test_none_when_impossible(self):
         g = star_graph(4)
         assert harness.exists_set_of_size(g, 4) is None
+
+    def test_counting_prune_keeps_the_equality_case(self):
+        # one vertex of K_4 dominates all four: the undominated count equals
+        # left * reach, which must not prune
+        assert harness.exists_set_of_size(complete_graph(4), 1) == 1
 
     def test_up_to_finds_smallest_band(self):
         g = complete_graph(4)
@@ -510,6 +531,7 @@ class TestViolationPaths:
         assert rep_a.violations == [
             (canonical_certificate(star_graph(n - 1)), f"star K_1,{n - 1} has gamma_r = {n + 1}, expected {n}")
             for n in range(2, 7)]
+        assert rep_a.notes == ["0 stars matched gamma_r = n exactly"]
         assert rep_b.passed
 
     @pytest.mark.parametrize("name", list(_LEMMA1_TAMPERS))
@@ -537,13 +559,27 @@ class TestViolationPaths:
         assert [(v["graph6"], v["details"]) for v in reports[0]["violations"]] == enumerated.violations
 
 
+# (checked, violations, notes) of each catalog report, and the digest of the
+# reports, on a passing pass
+_PASSING = [
+    (10, 0, 0), (42, 0, 0), (42, 0, 0), (42, 0, 0), (40, 0, 2), (76, 0, 26),
+    (108, 0, 3), (108, 0, 0), (216, 0, 28), (35, 0, 0), (88, 0, 0), (20, 0, 0), (104, 0, 10), (4, 0, 4),
+]
+_PASSING_DIGEST = "b605a45f65ecc692b1d619ce8aaea92419c3227cbda3a28e7c85aa63a94550db"
+
+
 class TestCatalogViolationPaths:
     """The catalog sweeps with the near-RD decisions answering "exceeds" (all
     of them, or those of type 2 only), the certifier finding no witness, or
-    both, and with ``gamma_r_exact`` answering one too many: each report's
-    violation branches are reached, and what they print is pinned."""
+    both, and with the gamma_r decisions answering "exceeds" and
+    ``gamma_r_exact`` one too many: each report's violation branches are
+    reached, and what they print is pinned. With the gamma_r decisions
+    alone answering "exceeds", the reports are those of a passing pass."""
 
     @pytest.mark.parametrize("patches, want, digest", [
+        pytest.param({}, _PASSING, _PASSING_DIGEST, id="as-is"),
+        # the exact solves supply the gamma_r values, and the reports stay the same
+        pytest.param({"gamma_r_at_most": _exceeds}, _PASSING, _PASSING_DIGEST, id="exact-fallback"),
         pytest.param({"gamma_r_nerd_at_most": _exceeds}, [
             (10, 0, 0), (42, 0, 0), (42, 0, 0), (42, 42, 0), (40, 40, 2), (76, 50, 26),
             (108, 0, 3), (108, 0, 0), (216, 216, 0), (35, 35, 0), (88, 0, 0), (20, 0, 0), (104, 0, 10), (4, 0, 4),
@@ -562,7 +598,7 @@ class TestCatalogViolationPaths:
             (108, 108, 0), (108, 108, 0), (216, 216, 0), (35, 35, 0), (88, 88, 0), (20, 20, 0), (104, 104, 0),
             (4, 4, 0),
         ], "1001276192be94821fe693c4dd811100471b1c12c2e0afae036afa9ccb93f2ef", id="both"),
-        pytest.param({"gamma_r_exact": _one_too_many}, [
+        pytest.param({"gamma_r_exact": _one_too_many, "gamma_r_at_most": _exceeds}, [
             (10, 10, 0), (42, 5, 0), (42, 7, 0), (42, 0, 0), (40, 0, 2), (76, 26, 0),
             (108, 17, 0), (108, 108, 0), (216, 0, 28), (35, 0, 0), (88, 0, 0), (20, 0, 0), (104, 0, 10), (4, 0, 4),
         ], "de85e75f7ebda7c2753e2490c3e81197df0331016caa84678cbd2fcd4b8561a6", id="exact"),
@@ -605,7 +641,7 @@ class TestCatalogViolationPaths:
         monkeypatch.setattr(harness, "gamma_r_nerd_at_most", recorded_decision)
         reports = harness.verify_observation_1() + harness.verify_observations_2_to_6()
         assert all(r.passed for r in reports)
-        assert calls == {"decided": 565, "exact": 288, "certified": 1745}
+        assert calls == {"decided": 1102, "exact": 62, "certified": 1745}
         assert len(asked) == 565
         assert hashlib.sha256(json.dumps(asked).encode()).hexdigest() == (
             "38a635afe3bc83d232ce352a63487f4e18a7e2b9e247c5d92e5d90c48eca581c")
