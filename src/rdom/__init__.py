@@ -18,22 +18,18 @@ from rdom.graph import (
     is_special_subcubic,
     mask_of,
     open_twins,
-    petersen_graph,
     subdivide,
 )
 from rdom.graph6 import Graph6Error, parse_graph6, write_graph6
-from rdom.iso import are_isomorphic, canonical_certificate, isomorphism
+from rdom.iso import are_isomorphic, canonical_certificate
 from rdom.family import FamilyMember, WeightReport, all_family_members, classify_brdom, family_member, weight
 from rdom.solvers import (
     NERD_TYPE1,
     NERD_TYPE2,
     NerdQuery,
     SolveOutcome,
-    gamma_exact,
     gamma_r_exact,
     gamma_r_nerd_exact,
-    is_dominating,
-    is_nerd,
     is_restrained_dominating,
 )
 

@@ -243,40 +243,6 @@ def open_twins(g: Graph) -> list[tuple[int, int]]:
     return out
 
 
-# -- named constructors ---------------------------------------------------
-
-
-def path_graph(n: int) -> Graph:
-    return Graph.from_edges(n, [(i, i + 1) for i in range(n - 1)])
-
-
-def cycle_graph(n: int) -> Graph:
-    if n < 3:
-        raise ValueError("cycles need at least 3 vertices")
-    return Graph.from_edges(n, [(i, (i + 1) % n) for i in range(n)])
-
-
-def complete_graph(n: int) -> Graph:
-    return Graph.from_edges(n, list(combinations(range(n), 2)))
-
-
-def star_graph(leaves: int) -> Graph:
-    return Graph.from_edges(leaves + 1, [(0, i) for i in range(1, leaves + 1)])
-
-
-def complete_bipartite(a: int, b: int) -> Graph:
-    return Graph.from_edges(a + b, [(i, a + j) for i in range(a) for j in range(b)])
-
-
-def petersen_graph() -> Graph:
-    """Outer 5-cycle 0..4, inner 5-cycle 5..9 joined as a pentagram, spokes
-    i -- i+5."""
-    edges = [(i, (i + 1) % 5) for i in range(5)]
-    edges += [(5 + i, 5 + (i + 2) % 5) for i in range(5)]
-    edges += [(i, i + 5) for i in range(5)]
-    return Graph.from_edges(10, edges)
-
-
 def disjoint_union(graphs: Iterable[Graph]) -> Graph:
     rows: list[int] = []
     for g in graphs:

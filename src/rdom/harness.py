@@ -63,6 +63,7 @@ from rdom.solvers import (
     NERD_TYPE2,
     NerdQuery,
     SolveOutcome,
+    _check_subset,
     gamma_r_at_most,
     gamma_r_exact,
     gamma_r_nerd_at_most,
@@ -116,11 +117,6 @@ class Finding(NamedTuple):
     tag: str = ""
 
 
-def _check_forcing(g: Graph, force_in: int, force_out: int) -> None:
-    if (force_in | force_out) & ~g.vertex_mask():
-        raise ValueError("forcing set is not a subset of the vertex set")
-
-
 def exists_set_of_size(g: Graph, size: int, force_in: int = 0, force_out: int = 0) -> int | None:
     """The first restrained dominating set of the exact size, containing
     force_in and avoiding force_out, in ``itertools.combinations`` order over
@@ -145,7 +141,7 @@ def exists_set_of_size(g: Graph, size: int, force_in: int = 0, force_out: int = 
     that do not dominate, hence are not restrained dominating, are skipped,
     so the walk returns exactly what testing every subset in
     ``combinations`` order would return."""
-    _check_forcing(g, force_in, force_out)
+    _check_subset(g, force_in | force_out, "forcing set")
     if force_in & force_out or force_in.bit_count() > size:
         return None
     full = g.vertex_mask()
@@ -178,7 +174,7 @@ def exists_set_of_size(g: Graph, size: int, force_in: int = 0, force_out: int = 
 def exists_set_up_to(g: Graph, max_size: int, force_in: int = 0, force_out: int = 0) -> int | None:
     """``exists_set_of_size`` for each size from |force_in| up to max_size
     in turn: returns a smallest witness of size at most max_size, or None."""
-    _check_forcing(g, force_in, force_out)
+    _check_subset(g, force_in | force_out, "forcing set")
     for size in range(force_in.bit_count(), max_size + 1):
         mask = exists_set_of_size(g, size, force_in, force_out)
         if mask is not None:

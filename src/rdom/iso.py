@@ -1,4 +1,4 @@
-"""Isomorphism testing and canonical certificates for graphs on at most
+"""Canonical certificates and isomorphism tests for graphs on at most
 ``kernels.CERT_MAX_N`` vertices.
 
 The canonical labeling (degree partition, refinement, branching over color
@@ -23,29 +23,18 @@ def canonical_certificate(g: Graph) -> str:
     return cert
 
 
+# no rdom module calls canonical_graph or are_isomorphic; they stay because
+# the benchmark's tracer patches both by name (perfbench/tracer.py, TARGETS)
 def canonical_graph(g: Graph) -> Graph:
     """The canonically labeled copy of g (same certificate, fixed labels)."""
     return parse_graph6(canonical_certificate(g))
 
 
-def isomorphism(g1: Graph, g2: Graph) -> list[int] | None:
-    """An adjacency-preserving bijection g1 -> g2, or None.
-
-    Returned as a list ``phi`` with ``phi[v]`` the image of v.
-    """
-    if g1.n != g2.n or g1.edge_count() != g2.edge_count():
-        return None
-    if sorted(r.bit_count() for r in g1.adj) != sorted(r.bit_count() for r in g2.adj):
-        return None
-    cert1, perm1 = kernels.canonical_form(g1.n, g1.adj)
-    cert2, perm2 = kernels.canonical_form(g2.n, g2.adj)
-    if cert1 != cert2:
-        return None
-    phi = [0] * g1.n
-    for pos in range(g1.n):
-        phi[perm1[pos]] = perm2[pos]
-    return phi
-
-
 def are_isomorphic(g1: Graph, g2: Graph) -> bool:
-    return isomorphism(g1, g2) is not None
+    """Whether g1 and g2 share a certificate. Graphs that differ in order,
+    edge count or degree multiset answer False without being labeled."""
+    if g1.n != g2.n or g1.edge_count() != g2.edge_count():
+        return False
+    if sorted(r.bit_count() for r in g1.adj) != sorted(r.bit_count() for r in g2.adj):
+        return False
+    return canonical_certificate(g1) == canonical_certificate(g2)

@@ -1,4 +1,4 @@
-"""Exact solvers and decision checkers for restrained domination.
+"""Exact solvers, decisions and the set predicate for restrained domination.
 
 All solvers reduce to one parametric minimization (see rdom.kernels): choose
 which vertices must be dominated, which vertices outside the solution must
@@ -6,7 +6,6 @@ keep a neighbor outside it, and which vertices are forced in or out.
 
 Variants:
   * ``gamma_r_exact``       restrained domination number
-  * ``gamma_exact``         plain domination number
   * ``gamma_r_nerd_exact``  near-RD relaxations, type 1 ("ndom": the exempt
     set need not be dominated) and type 2 ("dom": the exempt set is forced
     outside the solution, dominated, but excused from the outside-neighbor
@@ -67,15 +66,6 @@ def _check_subset(g: Graph, s: VertexSet, name: str = "set") -> None:
         raise ValueError(f"{name} is not a subset of the vertex set")
 
 
-def is_dominating(g: Graph, s: VertexSet) -> bool:
-    """True iff every vertex outside s has a neighbor in s."""
-    _check_subset(g, s)
-    for v in bits_of(g.vertex_mask() & ~s):
-        if not g.adj[v] & s:
-            return False
-    return True
-
-
 def is_restrained_dominating(g: Graph, s: VertexSet) -> bool:
     """True iff s dominates g and every vertex outside s also has a neighbor
     outside s (the complement induces no isolated vertex)."""
@@ -85,29 +75,6 @@ def is_restrained_dominating(g: Graph, s: VertexSet) -> bool:
         if not g.adj[v] & s:
             return False
         if not g.adj[v] & outside:
-            return False
-    return True
-
-
-def is_nerd(g: Graph, s: VertexSet, q: NerdQuery) -> bool:
-    """Near-RD predicate for either variant; with an empty exempt set both
-    variants coincide with is_restrained_dominating."""
-    _check_subset(g, s)
-    _check_subset(g, q.x, "exempt set")
-    outside = g.vertex_mask() & ~s
-    if q.variant == NERD_TYPE1:
-        for v in bits_of(outside):
-            if not (q.x >> v & 1) and not g.adj[v] & s:
-                return False
-            if not g.adj[v] & outside:
-                return False
-        return True
-    if q.x & s:
-        return False
-    for v in bits_of(outside):
-        if not g.adj[v] & s:
-            return False
-        if not (q.x >> v & 1) and not g.adj[v] & outside:
             return False
     return True
 
@@ -143,11 +110,6 @@ def gamma_r_at_most(
     _check_subset(g, force_in | force_out, "forcing set")
     full = g.vertex_mask()
     return _solve(g, full, full, force_in, force_out, k)
-
-
-def gamma_exact(g: Graph) -> SolveOutcome:
-    """Minimum dominating set (no restraint condition)."""
-    return _solve(g, g.vertex_mask(), 0)
 
 
 def gamma_r_nerd_exact(g: Graph, q: NerdQuery) -> SolveOutcome:

@@ -31,12 +31,6 @@ def neighbor_lists(g: Graph) -> list[list[int]]:
     return [sorted(bits_of(g.adj[v])) for v in range(g.n)]
 
 
-def naive_is_dominating(g: Graph, s_ids) -> bool:
-    s = set(s_ids)
-    nbrs = neighbor_lists(g)
-    return all(v in s or any(u in s for u in nbrs[v]) for v in range(g.n))
-
-
 def naive_is_restrained(g: Graph, s_ids) -> bool:
     s = set(s_ids)
     nbrs = neighbor_lists(g)
@@ -85,10 +79,6 @@ def naive_minimum(g: Graph, predicate) -> tuple[int, list[frozenset[int]]] | Non
 
 def naive_min_rd(g: Graph):
     return naive_minimum(g, naive_is_restrained)
-
-
-def naive_min_dom(g: Graph):
-    return naive_minimum(g, naive_is_dominating)
 
 
 def naive_min_nerd(g: Graph, x_ids, variant):

@@ -16,9 +16,9 @@ import pytest
 import rdom
 from rdom import harness
 from rdom.cli import BROKEN_PIPE, build_parser, main
-from rdom.graph import complete_bipartite, cycle_graph, petersen_graph
 from rdom.graph6 import parse_graph6, write_graph6
 from rdom.iso import are_isomorphic
+from named_graphs import complete_bipartite, cycle_graph, petersen_graph
 
 
 def run_cli(capsys, *argv):

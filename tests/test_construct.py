@@ -4,20 +4,11 @@ import pytest
 
 from rdom.construct import Lemma1Trace, gamma_r_cycle, gamma_r_path, lemma1_construct
 from rdom.enumeration import connected_classes
-from rdom.graph import (
-    bits_of,
-    complete_bipartite,
-    complete_graph,
-    cycle_graph,
-    is_degree_bipartite,
-    large_vertices,
-    path_graph,
-    petersen_graph,
-    subdivide,
-)
+from rdom.graph import is_degree_bipartite, large_vertices, subdivide
 from rdom.graph6 import parse_graph6
 from rdom.harness import audit_lemma1
 from rdom.solvers import gamma_r_exact, is_restrained_dominating
+from named_graphs import complete_bipartite, complete_graph, cycle_graph, path_graph, petersen_graph
 
 
 class TestClosedFormulas:

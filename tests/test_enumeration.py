@@ -13,11 +13,12 @@ from rdom.enumeration import (
     enumerate_graphs,
 )
 from rdom.graph import (
-    Graph, complete_bipartite, complete_graph, is_connected, is_cubic, is_degree_bipartite, is_special_subcubic, mask_of,
+    Graph, is_connected, is_cubic, is_degree_bipartite, is_special_subcubic, mask_of,
 )
 from rdom.graph6 import write_graph6
 from rdom.graph6 import parse_graph6
 from rdom.iso import are_isomorphic, canonical_certificate
+from named_graphs import complete_bipartite, complete_graph
 from oracles import _connected, brute_automorphisms, dedupe_augment_classes, labeled_cubic_classes, mask_connected_classes
 
 # the corpora on which the generator is held to the dedupe generator

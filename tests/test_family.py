@@ -6,9 +6,10 @@ import pytest
 
 from rdom.enumeration import connected_classes
 from rdom.family import MEMBER_IDS, all_family_members, classify_brdom, family_member, weight
-from rdom.graph import Graph, bits_of, cycle_graph, disjoint_union, is_connected, is_special_subcubic, petersen_graph, star_graph
+from rdom.graph import Graph, disjoint_union, is_connected, is_special_subcubic
 from rdom.iso import are_isomorphic, canonical_certificate
 from rdom.solvers import gamma_r_exact
+from named_graphs import cycle_graph, petersen_graph, relabel, star_graph
 
 EXPECTED_ORDERS = {"R1": 5, "R2": 6, "R3": 8, "R4": 8, "R5": 8,
                    "R6": 11, "R7": 11, "R8": 11, "R9": 11, "R10": 7}
@@ -18,14 +19,6 @@ EXPECTED_GAMMA_R = {"R1": 3, "R2": 3, "R3": 4, "R4": 4, "R5": 4,
                     "R6": 5, "R7": 5, "R8": 5, "R9": 5, "R10": 3}
 EXPECTED_PROFILE = {"R1": (5, 0), "R2": (4, 2), "R3": (6, 2), "R4": (4, 4), "R5": (4, 4),
                     "R6": (5, 6), "R7": (5, 6), "R8": (5, 6), "R9": (3, 8), "R10": (1, 6)}
-
-
-def relabel(g: Graph, perm) -> Graph:
-    rows = [0] * g.n
-    for v in range(g.n):
-        for u in bits_of(g.adj[v]):
-            rows[perm[v]] |= 1 << perm[u]
-    return Graph(g.n, rows)
 
 
 class TestCatalogInvariants:

@@ -3,9 +3,9 @@ from __future__ import annotations
 import pytest
 
 from rdom.enumeration import enumerate_graphs
-from rdom.graph import complete_graph, cycle_graph, path_graph
 from rdom.graph6 import Graph6Error, iter_graph6, parse_graph6, write_graph6
 from rdom.iso import are_isomorphic
+from named_graphs import complete_graph, cycle_graph, path_graph
 from oracles import encode_graph6_oracle
 
 

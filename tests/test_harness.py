@@ -14,16 +14,14 @@ import pytest
 from rdom import family, harness, kernels
 from rdom.enumeration import connected_classes
 from rdom.family import classify_brdom, weight
-from rdom.graph import (
-    Graph, bits_of, complete_graph, cycle_graph, large_vertices, open_twins, petersen_graph, small_vertices,
-    star_graph, subdivide,
-)
+from rdom.graph import Graph, bits_of, large_vertices, open_twins, small_vertices, subdivide
 from rdom.graph6 import parse_graph6, write_graph6
 from rdom.iso import are_isomorphic, canonical_certificate
 from rdom.solvers import (
     NERD_TYPE2, SolveOutcome, gamma_r_exact, gamma_r_nerd_at_most, is_restrained_dominating,
 )
 
+from named_graphs import complete_graph, cycle_graph, petersen_graph, star_graph
 from oracles import naive_is_restrained, naive_min_nerd, naive_min_rd, naive_minimum, plain_exists_set_of_size
 
 

@@ -7,9 +7,10 @@ import pytest
 from rdom import enumeration, kernels
 from rdom.construct import gamma_r_cycle
 from rdom.family import all_family_members
-from rdom.graph import Graph, complete_graph, cycle_graph, petersen_graph
+from rdom.graph import Graph
 from rdom.graph6 import parse_graph6
 from rdom.iso import canonical_graph
+from named_graphs import complete_graph, cycle_graph, petersen_graph
 
 from oracles import (
     brute_automorphisms, brute_orbits, encode_graph6_oracle, naive_meets, seed_canonical_form, seed_solve_min,
