@@ -15,8 +15,6 @@ import os
 import sys
 
 from rdom import __version__
-from rdom.construct import gamma_r_cycle, gamma_r_path, lemma1_construct
-from rdom.enumeration import enumerate_graphs
 from rdom.family import all_family_members
 from rdom.graph import bits_of, is_cubic, mask_of
 from rdom.graph6 import iter_graph6, write_graph6
@@ -27,7 +25,9 @@ from rdom.solvers import (
     gamma_r_exact,
     gamma_r_nerd_exact,
 )
-from rdom import harness
+
+# harness, enumeration and construct are imported by the subcommands that use
+# them, so that "rdom solve" and "rdom family" do not load the sweeps
 
 USAGE_ERROR = 2
 BROKEN_PIPE = 141  # 128 + SIGPIPE, what a shell reports for a killed writer
@@ -67,6 +67,8 @@ def _each_graph(path: str | None, step) -> int:
 
 def _jobs(text: str) -> int:
     """``--jobs``: a worker count, held to ``harness.check_jobs``."""
+    from rdom import harness
+
     try:
         jobs = int(text)
     except ValueError:
@@ -125,6 +127,8 @@ def cmd_solve(args) -> int:
 
 
 def cmd_formulas(args) -> int:
+    from rdom.construct import gamma_r_cycle, gamma_r_path
+
     try:
         value = gamma_r_path(args.n) if args.shape == "path" else gamma_r_cycle(args.n)
     except ValueError as exc:
@@ -135,6 +139,8 @@ def cmd_formulas(args) -> int:
 
 
 def cmd_lemma1(args) -> int:
+    from rdom.construct import lemma1_construct
+
     def construct(g):
         d, trace = lemma1_construct(g)  # ValueError outside the lemma's precondition
         return {
@@ -154,6 +160,8 @@ def cmd_lemma1(args) -> int:
 
 
 def cmd_enumerate(args) -> int:
+    from rdom.enumeration import enumerate_graphs
+
     try:
         graphs = enumerate_graphs(args.n, args.graph_class, connected_only=args.connected)
     except ValueError as exc:
@@ -178,13 +186,15 @@ def _cubic_corpus(path: str) -> list:
 def cmd_verify(args) -> int:
     """Run one sweep and print its reports; a ValueError or OSError is a
     usage or input error."""
+    from rdom import harness
+
     try:
         if args.what == "observations":
             reports = harness.verify_observation_1() + harness.verify_observations_2_to_6()
         elif args.what == "cubic-bound" and args.input is not None:
             reports = harness.verify_cubic_bound(graphs=_cubic_corpus(args.input), jobs=args.jobs)
         else:
-            reports = args.sweep(args.max_n, jobs=args.jobs)
+            reports = getattr(harness, args.sweep)(args.max_n, jobs=args.jobs)
     except (ValueError, OSError) as exc:
         print(f"error: {exc}", file=sys.stderr)
         return USAGE_ERROR
@@ -228,10 +238,10 @@ def build_parser() -> argparse.ArgumentParser:
     p.set_defaults(func=cmd_verify)
     scopes = p.add_subparsers(dest="what", required=True)
     scopes.add_parser("observations").add_argument("--json", action="store_true")
-    for what, sweep, max_n in (("key-theorem", harness.verify_key_theorem, 9),
-                               ("cubic-bound", harness.verify_cubic_bound, 12),
-                               ("known-bounds", harness.verify_known_bounds, 9),
-                               ("lemma1", harness.verify_lemma1, 12)):
+    for what, sweep, max_n in (("key-theorem", "verify_key_theorem", 9),
+                               ("cubic-bound", "verify_cubic_bound", 12),
+                               ("known-bounds", "verify_known_bounds", 9),
+                               ("lemma1", "verify_lemma1", 12)):
         s = scopes.add_parser(what)
         corpus = s.add_mutually_exclusive_group() if what == "cubic-bound" else s
         corpus.add_argument("--max-n", type=int, default=max_n)

@@ -4,13 +4,13 @@ special subcubic graphs.
 ``lemma1_construct`` realizes, step by step, the constructive argument that
 a special subcubic graph whose degree-2 and degree-3 vertices form the two
 sides of a bipartition has a restrained dominating set no larger than its
-set of degree-3 vertices. The intermediate sets are returned in a trace so
-callers can audit every step.
+set of degree-3 vertices. The intermediate sets are returned in a trace, a
+``Lemma1Trace`` NamedTuple, so callers can audit every step.
 """
 
 from __future__ import annotations
 
-from dataclasses import dataclass
+from typing import NamedTuple
 
 from rdom.graph import Graph, VertexSet, bits_of, is_degree_bipartite, small_vertices
 
@@ -29,8 +29,7 @@ def gamma_r_cycle(n: int) -> int:
     return n - 2 * (n // 3)
 
 
-@dataclass(frozen=True)
-class Lemma1Trace:
+class Lemma1Trace(NamedTuple):
     """Intermediate sets of the construction, all bitmasks over V(g).
 
     l1: greedy maximal independent set in the auxiliary graph on the

@@ -10,12 +10,14 @@ inequality by charging each component its catalog class:
 Reference edge lists below are fixed constants; the test suite gates the
 transcription through the identity 10 * gamma_r(M) = w(M), the degree
 profiles, and a full small-order sweep, so a mistranscription cannot pass.
+A member is a ``FamilyMember`` and a weight a ``WeightReport``, both
+NamedTuples, which pool workers pickle with their findings.
 """
 
 from __future__ import annotations
 
-from dataclasses import dataclass
 from functools import cache
+from typing import NamedTuple
 
 from rdom.graph import DegreeProfile, Graph, components
 from rdom.iso import canonical_certificate
@@ -46,8 +48,7 @@ _CATALOG: dict[str, tuple[int, list[tuple[int, int]], int, int]] = {
 MEMBER_IDS = tuple(_CATALOG)
 
 
-@dataclass(frozen=True)
-class FamilyMember:
+class FamilyMember(NamedTuple):
     id: str
     graph: Graph
     omega_class: int
@@ -91,8 +92,7 @@ def classify_brdom(g: Graph) -> tuple[str, int] | None:
     return None if member is None else (member.id, member.omega_class)
 
 
-@dataclass(frozen=True)
-class WeightReport:
+class WeightReport(NamedTuple):
     n2: int
     n3: int
     f: tuple[int, int, int, int, int]  # component counts per catalog class

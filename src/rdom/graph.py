@@ -9,9 +9,8 @@ a handful of bitwise operations.
 
 from __future__ import annotations
 
-from dataclasses import dataclass
 from itertools import combinations
-from typing import Iterable, Iterator
+from typing import Iterable, Iterator, NamedTuple
 
 MAX_N = 64
 
@@ -33,8 +32,7 @@ def mask_of(vertices: Iterable[int]) -> VertexSet:
     return m
 
 
-@dataclass(frozen=True)
-class DegreeProfile:
+class DegreeProfile(NamedTuple):
     """Counts of degree-2, degree-3, and all other vertices."""
 
     n2: int
@@ -189,13 +187,17 @@ def components(g: Graph) -> list[tuple[Graph, list[int]]]:
 
     Returns a list of ``(component, vmap)`` pairs ordered by least original
     vertex id; ``vmap[i]`` is the original id of component vertex ``i`` and
-    the map is ascending.
+    the map is ascending. A connected g is its own single component, with
+    the identity map.
     """
+    full = g.vertex_mask()
     out = []
-    remaining = g.vertex_mask()
+    remaining = full
     while remaining:
         start = (remaining & -remaining).bit_length() - 1
         comp = reachable_from(g, start)
+        if comp == full:
+            return [(g, list(range(g.n)))]
         vmap = list(bits_of(comp))
         index = {orig: i for i, orig in enumerate(vmap)}
         rows = []

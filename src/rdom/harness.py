@@ -1,13 +1,15 @@
 """Machine checks for every claim the library can verify exhaustively.
 
 Each ``verify_*`` function sweeps an enumerated instance set and returns
-:class:`VerificationReport` objects whose violation entries carry the
-offending graph as graph6, so any reported failure can be re-checked from
-the report alone. Every enumerated sweep goes through ``_check_classes``,
-whose workers enumerate the items of ``sweep_roots`` and give each graph
-one :class:`Finding` per report, or None where the report's scope leaves
-it out; ``_fold`` adds them to the reports in graph6 order. The cubic
+:class:`VerificationReport` objects, each with its own violation and note
+lists. A violation entry carries the offending graph as graph6, so any
+reported failure can be re-checked from the report alone. Every
+enumerated sweep goes through ``_check_classes``, whose workers enumerate
+the items of ``sweep_roots`` and give each graph one :class:`Finding`
+(a NamedTuple) per report, or None where the report's scope leaves it
+out; ``_fold`` adds them to the reports in graph6 order. The cubic
 sweep's ``extremal:`` notes list the graphs with gamma_r = floor(2n/5).
+Only the lemma1 checks import ``rdom.construct``, where they run.
 Existence claims (a witness set of a stated size and shape exists) are
 certified by ``exists_set_of_size``, independently of the branch-and-bound
 solver: it enumerates the subsets of the exact cardinality in
@@ -38,12 +40,10 @@ from __future__ import annotations
 import os
 import time
 from collections import Counter
-from dataclasses import dataclass, field
 from functools import partial
 from itertools import combinations
-from typing import Iterable, NamedTuple, Sequence
+from typing import TYPE_CHECKING, Iterable, NamedTuple, Sequence
 
-from rdom.construct import Lemma1Trace, lemma1_construct
 from rdom.enumeration import connected_classes, sweep_roots
 from rdom.family import all_family_members, weight
 from rdom.graph import (
@@ -71,19 +71,30 @@ from rdom.solvers import (
     is_restrained_dominating,
 )
 
+if TYPE_CHECKING:
+    from rdom.construct import Lemma1Trace
 
-@dataclass
+
 class VerificationReport:
     """One claim checked over one scope. ``elapsed`` is the wall time of the
     sweep call that produced the report: the reports of one call share it,
     as their claims are checked in one pass over the corpus."""
 
-    claim_id: str
-    scope: str
-    checked: int = 0
-    violations: list[tuple[str, str]] = field(default_factory=list)
-    elapsed: float = 0.0
-    notes: list[str] = field(default_factory=list)
+    def __init__(
+        self,
+        claim_id: str,
+        scope: str,
+        checked: int = 0,
+        violations: list[tuple[str, str]] | None = None,
+        elapsed: float = 0.0,
+        notes: list[str] | None = None,
+    ):
+        self.claim_id = claim_id
+        self.scope = scope
+        self.checked = checked
+        self.violations = [] if violations is None else violations
+        self.elapsed = elapsed
+        self.notes = [] if notes is None else notes
 
     @property
     def passed(self) -> bool:
@@ -600,6 +611,9 @@ def verify_known_bounds(max_n: int, jobs: int = 1) -> list[VerificationReport]:
 
 def _lemma1_worker(g: Graph) -> tuple[Finding]:
     """The construction's problems on g; its note gives |D| and |L|."""
+    # imported here, as in audit_lemma1: no other check needs the builder
+    from rdom.construct import lemma1_construct
+
     d, trace = lemma1_construct(g)
     ell = large_vertices(g).bit_count()
     note = f"{write_graph6(g)}: |D| = {d.bit_count()}, |L| = {ell}, gap {ell - d.bit_count()}"
@@ -620,6 +634,8 @@ def verify_lemma1(max_n: int, jobs: int = 1) -> list[VerificationReport]:
 def audit_lemma1(g: Graph) -> list[str]:
     """All constructive-step facts violated by the builder on g (empty list
     when everything checks out)."""
+    from rdom.construct import lemma1_construct
+
     if not is_degree_bipartite(g):
         return ["precondition does not hold"]
     return _construction_problems(g, *lemma1_construct(g))

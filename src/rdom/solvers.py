@@ -16,12 +16,16 @@ set of size at most k exists, through the same search with its ``limit``
 set. Their outcome is "within", carrying the first witness the search
 accepts (not necessarily a minimum one), or "exceeds"; never "optimal", so
 a decision cannot be read as a value.
+
+Every solver and decision returns a ``SolveOutcome``. It and ``NerdQuery``
+are NamedTuples; ``NerdQuery`` checks its variant however it is built,
+``._replace`` included.
 """
 
 from __future__ import annotations
 
 import time
-from dataclasses import dataclass
+from typing import NamedTuple
 
 from rdom import kernels
 from rdom.graph import Graph, VertexSet, bits_of
@@ -30,20 +34,28 @@ NERD_TYPE1 = "ndom"
 NERD_TYPE2 = "dom"
 
 
-@dataclass(frozen=True)
-class NerdQuery:
-    """Exempt set plus variant tag for near-RD solves."""
-
+class _NerdFields(NamedTuple):
     x: VertexSet
     variant: str
 
-    def __post_init__(self):
-        if self.variant not in (NERD_TYPE1, NERD_TYPE2):
+
+class NerdQuery(_NerdFields):
+    """Exempt set plus variant tag for near-RD solves."""
+
+    __slots__ = ()
+
+    def __new__(cls, x: VertexSet, variant: str):
+        if variant not in (NERD_TYPE1, NERD_TYPE2):
             raise ValueError(f"variant must be {NERD_TYPE1!r} or {NERD_TYPE2!r}")
+        return super().__new__(cls, x, variant)
+
+    @classmethod
+    def _make(cls, iterable):
+        # ``_replace`` builds through here: keep it behind the variant check
+        return cls(*iterable)
 
 
-@dataclass(frozen=True)
-class SolveOutcome:
+class SolveOutcome(NamedTuple):
     status: str  # "optimal" | "infeasible", or a decision's "within" | "exceeds"
     size: int | None = None
     witness: VertexSet | None = None

@@ -50,6 +50,21 @@ def test_solve_stream(capsys, tmp_path):
     assert rows[0]["micros"] >= 0
 
 
+def test_solve_loads_no_sweep_modules():
+    # a fresh interpreter, as every "rdom solve" is: the sweeps stay unloaded
+    probe = ("import sys\n"
+             "from rdom.cli import main\n"
+             "status = main(['solve'])\n"
+             "print(sorted({'rdom.harness', 'rdom.enumeration'} & set(sys.modules)), file=sys.stderr)\n"
+             "sys.exit(status)\n")
+    env = dict(os.environ, PYTHONPATH=str(Path(rdom.__file__).resolve().parents[1]))
+    done = subprocess.run([sys.executable, "-c", probe], input=write_graph6(petersen_graph()) + "\n",
+                          capture_output=True, text=True, env=env, timeout=60)
+    assert done.returncode == 0, done.stderr
+    assert json.loads(done.stdout)["value"] == 4
+    assert done.stderr == "[]\n"
+
+
 def test_solve_nerd(capsys, tmp_path):
     path = tmp_path / "in.g6"
     path.write_text("Dhc\n")

@@ -110,10 +110,17 @@ class TestComponents:
         assert all(is_connected(c) for c, _ in comps)
 
     def test_connected_identity(self):
-        g = petersen_graph()
+        # a connected graph is its own component: no copy, identity map
+        for g in (petersen_graph(), path_graph(1), star_graph(3)):
+            ((comp, vmap),) = components(g)
+            assert comp is g and vmap == list(range(g.n))
+
+    def test_interleaved_components(self):
+        # vertex ids alternate between the two components: 0-2-4 and 1-3
+        g = Graph.from_edges(5, [(0, 2), (2, 4), (1, 3)])
         comps = components(g)
-        assert len(comps) == 1
-        assert comps[0][0].adj == g.adj
+        assert [vmap for _, vmap in comps] == [[0, 2, 4], [1, 3]]
+        assert [c.adj for c, _ in comps] == [path_graph(3).adj, path_graph(2).adj]
 
     def test_empty(self):
         assert components(Graph(0, [])) == []

@@ -7,10 +7,10 @@ import os
 import random
 import time
 from collections import Counter
-from dataclasses import replace
 
 import pytest
 
+import rdom.construct
 from rdom import family, harness, kernels
 from rdom.enumeration import connected_classes
 from rdom.family import classify_brdom, weight
@@ -432,20 +432,20 @@ def _low(mask):
 _LEMMA1_TAMPERS = {
     "not-rd": ("DFw", lambda g, d, t: (0, t), ["output is not a restrained dominating set"]),
     "too-large": ("DFw", lambda g, d, t: (g.vertex_mask(), t), ["|D| = 5 exceeds |L| = 2"]),
-    "s1": ("DFw", lambda g, d, t: (d, replace(t, s1=t.s1 | t.l1)),
+    "s1": ("DFw", lambda g, d, t: (d, t._replace(s1=t.s1 | t.l1)),
            ["s1 vertex 3 does not have exactly one l1 neighbor"]),
-    "l1": ("DFw", lambda g, d, t: (d, replace(t, s1=t.s1 & ~_low(t.s1))),
+    "l1": ("DFw", lambda g, d, t: (d, t._replace(s1=t.s1 & ~_low(t.s1))),
            ["l1 vertex 3 is not the center of a K_1,3 inside l1+s1"]),
-    "s2": ("I???zIgs?", lambda g, d, t: (d, replace(t, l2_by_degree=(
+    "s2": ("I???zIgs?", lambda g, d, t: (d, t._replace(l2_by_degree=(
         t.l2_by_degree[0] & ~_low(t.l2_by_degree[0]) | t.l1, *t.l2_by_degree[1:]))),
            [f"s2 vertex {v} has a neighbor outside the lightly-saturated classes" for v in (1, 2)]),
-    "edge-count": ("I???zIgs?", lambda g, d, t: (d, replace(t, l2_by_degree=(
+    "edge-count": ("I???zIgs?", lambda g, d, t: (d, t._replace(l2_by_degree=(
         t.l2_by_degree[0], t.l2_by_degree[1] | t.l1, t.l2_by_degree[2]))),
            ["edge count between s2 and its classes is off"]),
-    "designated": ("DFw", lambda g, d, t: (d, replace(t, l2_by_degree=(
+    "designated": ("DFw", lambda g, d, t: (d, t._replace(l2_by_degree=(
         *t.l2_by_degree[:2], t.l2_by_degree[2] | t.l1))),
                    ["designated-neighbor set size mismatch"]),
-    "output": ("DFw", lambda g, d, t: (d, replace(t, d=t.d ^ t.l1)), ["output set is not l1 | s11 | s2"]),
+    "output": ("DFw", lambda g, d, t: (d, t._replace(d=t.d ^ t.l1)), ["output set is not l1 | s11 | s2"]),
 }
 
 
@@ -506,7 +506,7 @@ class TestViolationPaths:
 
         def member_weighs_one_more(g):
             rep = real(g)
-            return replace(rep, w=rep.w + 1) if rep.members else rep
+            return rep._replace(w=rep.w + 1) if rep.members else rep
 
         monkeypatch.setattr(harness, "weight", member_weighs_one_more)
         (rep,) = harness.verify_key_theorem(8)
@@ -517,7 +517,7 @@ class TestViolationPaths:
 
     def test_cubic_bound_reports_a_disagreeing_weight(self, monkeypatch):
         real = harness.weight
-        monkeypatch.setattr(harness, "weight", lambda g: replace(real(g), omega=1))
+        monkeypatch.setattr(harness, "weight", lambda g: real(g)._replace(omega=1))
         (rep,) = harness.verify_cubic_bound(8)
         assert rep.checked == len(rep.violations) == 8
         for g6, details in rep.violations:
@@ -535,8 +535,9 @@ class TestViolationPaths:
     @pytest.mark.parametrize("name", list(_LEMMA1_TAMPERS))
     def test_lemma1_audit_reports_each_tampered_fact(self, name, monkeypatch):
         g6, tamper, problems = _LEMMA1_TAMPERS[name]
-        construct = harness.lemma1_construct
-        monkeypatch.setattr(harness, "lemma1_construct", lambda g: tamper(g, *construct(g)))
+        # harness imports the builder where it runs it, so patch it at its source
+        construct = rdom.construct.lemma1_construct
+        monkeypatch.setattr(rdom.construct, "lemma1_construct", lambda g: tamper(g, *construct(g)))
         assert harness.audit_lemma1(parse_graph6(g6)) == problems
 
     @pytest.mark.parametrize("patched", [False, True], ids=["as-is", "nothing-within"])
