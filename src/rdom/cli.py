@@ -142,10 +142,10 @@ def cmd_lemma1(args) -> int:
     from rdom.construct import lemma1_construct
 
     def construct(g):
-        d, trace = lemma1_construct(g)  # ValueError outside the lemma's precondition
+        trace = lemma1_construct(g)  # ValueError outside the lemma's precondition
         return {
             "graph6": write_graph6(g),
-            "rd_set": list(bits_of(d)),
+            "rd_set": list(bits_of(trace.d)),
             "trace": {
                 "l1": list(bits_of(trace.l1)),
                 "s1": list(bits_of(trace.s1)),

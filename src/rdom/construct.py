@@ -4,8 +4,9 @@ special subcubic graphs.
 ``lemma1_construct`` realizes, step by step, the constructive argument that
 a special subcubic graph whose degree-2 and degree-3 vertices form the two
 sides of a bipartition has a restrained dominating set no larger than its
-set of degree-3 vertices. The intermediate sets are returned in a trace, a
-``Lemma1Trace`` NamedTuple, so callers can audit every step.
+set of degree-3 vertices. It returns the output set with the intermediate
+sets in one trace, a ``Lemma1Trace`` NamedTuple, so callers can audit every
+step.
 """
 
 from __future__ import annotations
@@ -52,8 +53,9 @@ class Lemma1Trace(NamedTuple):
     d: VertexSet
 
 
-def lemma1_construct(g: Graph) -> tuple[VertexSet, Lemma1Trace]:
-    """Build an RD-set of size at most the number of degree-3 vertices.
+def lemma1_construct(g: Graph) -> Lemma1Trace:
+    """Build an RD-set of size at most the number of degree-3 vertices: the
+    trace's ``d``.
 
     Deterministic choices: the maximal independent set is greedy by
     ascending vertex id, and the designated s1-neighbor of each fully
@@ -90,5 +92,4 @@ def lemma1_construct(g: Graph) -> tuple[VertexSet, Lemma1Trace]:
         choices = g.adj[v] & s1
         s11 |= choices & -choices  # lowest-id neighbor
     s12 = s1 & ~s11
-    d = l1 | s11 | s2
-    return d, Lemma1Trace(l1, s1, s2, tuple(l2_parts), s11, s12, d)
+    return Lemma1Trace(l1, s1, s2, tuple(l2_parts), s11, s12, l1 | s11 | s2)

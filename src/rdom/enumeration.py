@@ -352,14 +352,13 @@ def _canonical_children(n, cls, rows, autos):
     for new_rows, ties in _attachments(n, cls, rows, autos):
         if lookahead and not _can_grow(n, cls, new_rows):
             continue
-        found = []
-        child_cert, perm = kernels.canonical_form(size + 1, new_rows, found)
+        child_cert, perm, child_autos = kernels.canonical_form(size + 1, new_rows)
         if child_cert in siblings:
             continue
-        if ties and not _in_orbit(found, size, _deletion_vertex(new_rows, ties, perm)):
+        if ties and not _in_orbit(child_autos, size, _deletion_vertex(new_rows, ties, perm)):
             continue
         siblings.add(child_cert)
-        children.append((tuple(new_rows), tuple(found), child_cert))
+        children.append((tuple(new_rows), child_autos, child_cert))
     return children
 
 
@@ -554,7 +553,7 @@ def _sweep_orders(cls: str, max_n: int, min_n: int) -> list[int]:
     _check_cap(max_n, cls)
     orders = [n for n in range(min_n, max_n + 1) if _has_order(n, cls)]
     if not orders:
-        raise ValueError(f"no {cls} graph has an order from {min_n} to {max_n}")
+        raise ValueError(f"no graph of class {cls!r} has an order from {min_n} to {max_n}")
     return orders
 
 

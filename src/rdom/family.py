@@ -95,7 +95,6 @@ def classify_brdom(g: Graph) -> tuple[str, int] | None:
 class WeightReport(NamedTuple):
     n2: int
     n3: int
-    f: tuple[int, int, int, int, int]  # component counts per catalog class
     omega: int
     w: int
     members: tuple[str, ...]  # the catalog id of each member component
@@ -108,8 +107,7 @@ def weight(g: Graph) -> WeightReport:
     profile = g.degree_profile()
     if profile.other:
         raise ValueError("weight is defined for special subcubic graphs only")
-    hits = [hit for comp, _ in components(g) if (hit := classify_brdom(comp)) is not None]
-    f = tuple(sum(cls == i for _, cls in hits) for i in range(1, 6))
+    hits = [hit for comp in components(g) if (hit := classify_brdom(comp)) is not None]
     omega = sum(cls for _, cls in hits)
-    return WeightReport(profile.n2, profile.n3, f, omega,
+    return WeightReport(profile.n2, profile.n3, omega,
                         5 * profile.n2 + 4 * profile.n3 + omega, tuple(mid for mid, _ in hits))

@@ -182,13 +182,11 @@ def is_connected(g: Graph) -> bool:
     return reachable_from(g, 0) == g.vertex_mask()
 
 
-def components(g: Graph) -> list[tuple[Graph, list[int]]]:
-    """Connected components with index maps back to g.
-
-    Returns a list of ``(component, vmap)`` pairs ordered by least original
-    vertex id; ``vmap[i]`` is the original id of component vertex ``i`` and
-    the map is ascending. A connected g is its own single component, with
-    the identity map.
+def components(g: Graph) -> list[Graph]:
+    """The connected components of g, ordered by least vertex id. Each
+    keeps the order of g's vertex ids: component vertex ``i`` is the
+    ``i``-th least id of its component in g. A connected g is its own
+    single component.
     """
     full = g.vertex_mask()
     out = []
@@ -197,7 +195,7 @@ def components(g: Graph) -> list[tuple[Graph, list[int]]]:
         start = (remaining & -remaining).bit_length() - 1
         comp = reachable_from(g, start)
         if comp == full:
-            return [(g, list(range(g.n)))]
+            return [g]
         vmap = list(bits_of(comp))
         index = {orig: i for i, orig in enumerate(vmap)}
         rows = []
@@ -206,7 +204,7 @@ def components(g: Graph) -> list[tuple[Graph, list[int]]]:
             for u in bits_of(g.adj[orig] & comp):
                 row |= 1 << index[u]
             rows.append(row)
-        out.append((Graph(len(vmap), rows), vmap))
+        out.append(Graph(len(vmap), rows))
         remaining &= ~comp
     return out
 

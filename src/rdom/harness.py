@@ -80,21 +80,13 @@ class VerificationReport:
     sweep call that produced the report: the reports of one call share it,
     as their claims are checked in one pass over the corpus."""
 
-    def __init__(
-        self,
-        claim_id: str,
-        scope: str,
-        checked: int = 0,
-        violations: list[tuple[str, str]] | None = None,
-        elapsed: float = 0.0,
-        notes: list[str] | None = None,
-    ):
+    def __init__(self, claim_id: str, scope: str):
         self.claim_id = claim_id
         self.scope = scope
-        self.checked = checked
-        self.violations = [] if violations is None else violations
-        self.elapsed = elapsed
-        self.notes = [] if notes is None else notes
+        self.checked = 0
+        self.violations: list[tuple[str, str]] = []
+        self.elapsed = 0.0
+        self.notes: list[str] = []
 
     @property
     def passed(self) -> bool:
@@ -614,10 +606,11 @@ def _lemma1_worker(g: Graph) -> tuple[Finding]:
     # imported here, as in audit_lemma1: no other check needs the builder
     from rdom.construct import lemma1_construct
 
-    d, trace = lemma1_construct(g)
+    trace = lemma1_construct(g)
+    size = trace.d.bit_count()
     ell = large_vertices(g).bit_count()
-    note = f"{write_graph6(g)}: |D| = {d.bit_count()}, |L| = {ell}, gap {ell - d.bit_count()}"
-    return (Finding(tuple(_construction_problems(g, d, trace)), note),)
+    note = f"{write_graph6(g)}: |D| = {size}, |L| = {ell}, gap {ell - size}"
+    return (Finding(tuple(_construction_problems(g, trace)), note),)
 
 
 def verify_lemma1(max_n: int, jobs: int = 1) -> list[VerificationReport]:
@@ -638,12 +631,13 @@ def audit_lemma1(g: Graph) -> list[str]:
 
     if not is_degree_bipartite(g):
         return ["precondition does not hold"]
-    return _construction_problems(g, *lemma1_construct(g))
+    return _construction_problems(g, lemma1_construct(g))
 
 
-def _construction_problems(g: Graph, d: int, trace: Lemma1Trace) -> list[str]:
+def _construction_problems(g: Graph, trace: Lemma1Trace) -> list[str]:
     """The facts of ``audit_lemma1`` checked on a construction already built."""
     problems = []
+    d = trace.d
     ell = large_vertices(g).bit_count()
     if not is_restrained_dominating(g, d):
         problems.append("output is not a restrained dominating set")

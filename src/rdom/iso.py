@@ -19,8 +19,7 @@ from rdom.graph6 import parse_graph6
 
 
 def canonical_certificate(g: Graph) -> str:
-    cert, _ = kernels.canonical_form(g.n, g.adj)
-    return cert
+    return kernels.canonical_form(g.n, g.adj)[0]
 
 
 # no rdom module calls canonical_graph or are_isomorphic; they stay because

@@ -261,12 +261,13 @@ def _degree_cells(n, adj):
     return [by_degree[d] for d in sorted(by_degree)]
 
 
-def canonical_form(n, adj, autos=None):
+def canonical_form(n, adj):
     """Canonical labeling for graphs with at most CERT_MAX_N vertices.
 
-    Returns ``(cert, perm)``: ``cert`` is equal for two graphs iff they are
-    isomorphic, and ``perm[i]`` is the original id of the vertex occupying
-    position ``i`` in the canonical labeling. Vertices are first partitioned
+    Returns ``(cert, perm, autos)``: ``cert`` is equal for two graphs iff
+    they are isomorphic, ``perm[i]`` is the original id of the vertex
+    occupying position ``i`` in the canonical labeling, and ``autos`` holds
+    the automorphisms the search found. Vertices are first partitioned
     by degree, the partition is refined to stability (``_refine``), and
     every vertex of the first non-singleton cell is individualized in turn,
     depth first and in increasing id order. Each leaf is packed as the
@@ -285,14 +286,14 @@ def canonical_form(n, adj, autos=None):
     order. The first least leaf is never skipped, so ``(cert, perm)`` is
     what the unpruned search returns.
 
-    When ``autos`` is a list, the automorphisms found are appended to it as
-    tuples ``g`` with ``g[v]`` the image of ``v``. They generate all of
-    Aut(G), so their orbits are the orbits of Aut(G); the enumerator's
-    deletion test relies on this. Proof (as for nauty: McKay & Piperno,
-    *Practical graph isomorphism II*, JSC 60, 2014): refinement and the
-    choice of the target cell are label-invariant, so an automorphism that
-    fixes a node's individualized vertices pointwise maps the subtree of
-    each child onto the subtree of its image, leaf certificates included.
+    The automorphisms come as a tuple of tuples ``g``, ``g[v]`` the image
+    of ``v``. They generate all of Aut(G), so their orbits are the orbits
+    of Aut(G); the enumerator's deletion test relies on this. Proof (as for
+    nauty: McKay & Piperno, *Practical graph isomorphism II*, JSC 60,
+    2014): refinement and the choice of the target cell are
+    label-invariant, so an automorphism that fixes a node's individualized
+    vertices pointwise maps the subtree of each child onto the subtree of
+    its image, leaf certificates included.
     Let ``b`` be the first least leaf, on the path ``m_0 (the root), m_1,
     ..., m_k = b``, and ``S_i`` the automorphisms that fix the
     individualized vertices of ``m_i`` pointwise.
@@ -375,9 +376,7 @@ def canonical_form(n, adj, autos=None):
 
     # the degree cells agree on their totals over the whole vertex set
     descend(cells, cells[:-1], 0)
-    if autos is not None:
-        autos.extend(g for g, _ in found)
-    return best_cert, best_perm
+    return best_cert, best_perm, tuple(g for g, _ in found)
 
 
 def _root(parent, u):

@@ -3,6 +3,8 @@
 All solvers reduce to one parametric minimization (see rdom.kernels): choose
 which vertices must be dominated, which vertices outside the solution must
 keep a neighbor outside it, and which vertices are forced in or out.
+``_solve`` turns each variant into those masks; the four public functions
+below call it and take no forcing sets of their own.
 
 Variants:
   * ``gamma_r_exact``       restrained domination number
@@ -91,12 +93,22 @@ def is_restrained_dominating(g: Graph, s: VertexSet) -> bool:
     return True
 
 
-def _solve(
-    g: Graph, dom_req: int, res_req: int, force_in: int = 0, force_out: int = 0,
-    limit: int | None = None,
-) -> SolveOutcome:
+def _solve(g: Graph, q: NerdQuery | None = None, limit: int | None = None) -> SolveOutcome:
+    """Restrained domination, or the near-RD relaxation q, minimized or,
+    given a limit, decided: the one place a query becomes the kernel's
+    masks."""
+    full = g.vertex_mask()
+    dom_req = res_req = full
+    force_out = 0
+    if q is not None:
+        _check_subset(g, q.x, "exempt set")
+        if q.variant == NERD_TYPE1:
+            dom_req = full & ~q.x
+        else:
+            res_req = full & ~q.x
+            force_out = q.x
     t0 = time.perf_counter()
-    res = kernels.solve_min(g.n, g.adj, dom_req, res_req, force_in, force_out, limit)
+    res = kernels.solve_min(g.n, g.adj, dom_req, res_req, 0, force_out, limit)
     micros = int((time.perf_counter() - t0) * 1e6)
     if res is None:
         return SolveOutcome("infeasible" if limit is None else "exceeds", micros=micros)
@@ -104,41 +116,25 @@ def _solve(
     return SolveOutcome("optimal" if limit is None else "within", size, bits, micros)
 
 
-def gamma_r_exact(g: Graph, force_in: VertexSet = 0, force_out: VertexSet = 0) -> SolveOutcome:
-    """Minimum restrained dominating set; always feasible without forcing
-    since the whole vertex set qualifies. Witness is the smallest optimal
-    bitmask. Forcing arguments constrain membership and may make the
-    instance infeasible."""
-    _check_subset(g, force_in | force_out, "forcing set")
-    full = g.vertex_mask()
-    return _solve(g, full, full, force_in, force_out)
+def gamma_r_exact(g: Graph) -> SolveOutcome:
+    """Minimum restrained dominating set; always feasible, since the whole
+    vertex set qualifies. Witness is the smallest optimal bitmask."""
+    return _solve(g)
 
 
-def gamma_r_at_most(
-    g: Graph, k: int, force_in: VertexSet = 0, force_out: VertexSet = 0
-) -> SolveOutcome:
-    """Whether a restrained dominating set of size at most k honors the
-    forcing sets: "within" with such a set, or "exceeds"."""
-    _check_subset(g, force_in | force_out, "forcing set")
-    full = g.vertex_mask()
-    return _solve(g, full, full, force_in, force_out, k)
+def gamma_r_at_most(g: Graph, k: int) -> SolveOutcome:
+    """Whether a restrained dominating set of size at most k exists:
+    "within" with such a set, or "exceeds"."""
+    return _solve(g, limit=k)
 
 
 def gamma_r_nerd_exact(g: Graph, q: NerdQuery) -> SolveOutcome:
     """Minimum near-RD set for the query; type 2 with a nonempty exempt set
     can be infeasible (the exempt vertices are forced outside)."""
-    return _nerd(g, q)
+    return _solve(g, q)
 
 
 def gamma_r_nerd_at_most(g: Graph, q: NerdQuery, k: int) -> SolveOutcome:
     """Whether a near-RD set of size at most k exists for the query:
     "within" with such a set, or "exceeds"."""
-    return _nerd(g, q, k)
-
-
-def _nerd(g: Graph, q: NerdQuery, limit: int | None = None) -> SolveOutcome:
-    _check_subset(g, q.x, "exempt set")
-    full = g.vertex_mask()
-    if q.variant == NERD_TYPE1:
-        return _solve(g, full & ~q.x, full, limit=limit)
-    return _solve(g, full, full & ~q.x, 0, q.x, limit)
+    return _solve(g, q, k)

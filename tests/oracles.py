@@ -540,9 +540,7 @@ def dedupe_augment_classes(n: int, cls: str) -> list[Graph]:
                         degs = [row.bit_count() for row in new_rows]
                         if max(degs) > 3 or not _feasible_ss(degs, r_after):
                             continue
-                    # the last level is not extended, so its automorphisms are not kept
-                    found = [] if size + 1 < n else None
-                    cert, _ = kernels.canonical_form(size + 1, new_rows, found)
+                    cert, _, found = kernels.canonical_form(size + 1, new_rows)
                     if cert not in nxt:
                         nxt[cert] = (tuple(new_rows), found)
         level = nxt

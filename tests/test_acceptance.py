@@ -117,13 +117,13 @@ def test_criterion_07_lemma1_construction():
             checked += 1
             problems += [f"{write_graph6(g)}: {p}" for p in harness.audit_lemma1(g)]
     k23 = complete_bipartite(2, 3)
-    d23, _ = lemma1_construct(k23)
+    d23 = lemma1_construct(k23).d
     sk4 = complete_graph(4)
     from rdom.graph import subdivide
 
     for x, y in complete_graph(4).edges():
         sk4 = subdivide(sk4, (x, y), 1)
-    dk4, _ = lemma1_construct(sk4)
+    dk4 = lemma1_construct(sk4).d
     ok = (not problems and checked == 3 and d23.bit_count() == 2
           and dk4.bit_count() <= 4
           and is_restrained_dominating(k23, d23) and is_restrained_dominating(sk4, dk4))

@@ -275,6 +275,13 @@ def test_verify_scope_usage_errors(capsys, monkeypatch, tmp_path, argv):
     assert code == 2 and out == "" and "error" in err
 
 
+def test_verify_below_the_class_range_names_the_class(capsys, monkeypatch):
+    monkeypatch.setattr(harness, "_run_sweep", lambda *a: pytest.fail("checked graphs"))
+    code, out, err = run_cli(capsys, "verify", "known-bounds", "--max-n", "1")
+    assert code == 2 and out == ""
+    assert err == "error: no graph of class 'all' has an order from 2 to 1\n"
+
+
 def test_verify_cubic_bound_rejects_empty_input(capsys, tmp_path):
     path = tmp_path / "empty.g6"
     path.write_text("")

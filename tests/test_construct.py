@@ -45,7 +45,7 @@ def subdivided_k4():
 class TestLemma1:
     def test_k23(self):
         g = complete_bipartite(2, 3)
-        d, trace = lemma1_construct(g)
+        d = lemma1_construct(g).d
         assert d.bit_count() == 2
         assert is_restrained_dominating(g, d)
         assert gamma_r_exact(g).size == 2
@@ -53,7 +53,7 @@ class TestLemma1:
     def test_subdivided_k4(self):
         g = subdivided_k4()
         assert g.n == 10
-        d, trace = lemma1_construct(g)
+        d = lemma1_construct(g).d
         assert d.bit_count() <= 4
         assert is_restrained_dominating(g, d)
         assert gamma_r_exact(g).size <= 4
@@ -86,16 +86,16 @@ class TestLemma1:
 
     def test_trace_fields(self):
         g = complete_bipartite(2, 3)
-        d, trace = lemma1_construct(g)
+        trace = lemma1_construct(g)
         assert isinstance(trace, Lemma1Trace)
-        assert trace.d == d == trace.l1 | trace.s11 | trace.s2
+        assert trace.d == trace.l1 | trace.s11 | trace.s2
         assert trace.s11 | trace.s12 == trace.s1
         assert not trace.s11 & trace.s12
 
     def test_deterministic_choices(self):
         # greedy by ascending id: the first degree-3 vertex always enters l1
         g = complete_bipartite(2, 3)
-        _, trace = lemma1_construct(g)
+        trace = lemma1_construct(g)
         assert trace.l1 == 1 << 0
         assert trace.s11 == 1 << 2  # lowest-id choice for the saturated vertex
 
@@ -104,7 +104,7 @@ class TestLemma1:
         for n in range(3, 13):
             for g in connected_classes(n, "degree-bipartite"):
                 assert audit_lemma1(g) == []
-                d, _ = lemma1_construct(g)
+                d = lemma1_construct(g).d
                 ell = large_vertices(g).bit_count()
                 assert d.bit_count() <= ell
                 assert gamma_r_exact(g).size <= ell

@@ -109,14 +109,14 @@ class TestWeight:
     def test_r1(self):
         rep = weight(cycle_graph(5))
         assert rep.w == 30
-        assert rep.f == (0, 0, 0, 0, 1)
+        assert (rep.omega, rep.members) == (5, ("R1",))
 
     def test_union_r2_r9(self):
         g = disjoint_union([family_member("R2").graph, family_member("R9").graph])
         rep = weight(g)
         assert rep.omega == 2 + 3
         assert rep.w == 30 + 50
-        assert rep.f == (0, 1, 1, 0, 0)
+        assert rep.members == ("R2", "R9")
 
     def test_members_name_the_catalog_components(self):
         g = disjoint_union([family_member("R9").graph, cycle_graph(6), family_member("R2").graph])

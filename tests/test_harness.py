@@ -115,7 +115,6 @@ class TestExistenceSearch:
 
     def test_contradictory_forcing_has_no_witness(self):
         g = complete_graph(4)
-        assert gamma_r_exact(g, force_in=1, force_out=1).status == "infeasible"
         for size in range(5):
             assert harness.exists_set_of_size(g, size, force_in=1, force_out=1) is None
             assert harness.exists_set_up_to(g, size, force_in=1, force_out=1) is None
@@ -126,8 +125,6 @@ class TestExistenceSearch:
     ], ids=["in", "out", "in-beside-out"])
     def test_forcing_outside_the_vertex_set_is_an_error(self, forcing, size):
         g = complete_graph(4)
-        with pytest.raises(ValueError, match="forcing set is not a subset of the vertex set"):
-            gamma_r_exact(g, **forcing)
         with pytest.raises(ValueError, match="forcing set is not a subset of the vertex set"):
             harness.exists_set_of_size(g, size, **forcing)
         with pytest.raises(ValueError, match="forcing set is not a subset of the vertex set"):
@@ -411,16 +408,16 @@ def _no_witness(*args, **kwargs):
     return None
 
 
-def _one_too_many(g, *args):
-    return SolveOutcome("optimal", gamma_r_exact(g, *args).size + 1)
+def _one_too_many(g):
+    return SolveOutcome("optimal", gamma_r_exact(g).size + 1)
 
 
 def _dom_exceeds(g, q, k):
     return SolveOutcome("exceeds") if q.variant == NERD_TYPE2 else gamma_r_nerd_at_most(g, q, k)
 
 
-def _one_too_few(g, *args):
-    return SolveOutcome("optimal", gamma_r_exact(g, *args).size - 1)
+def _one_too_few(g):
+    return SolveOutcome("optimal", gamma_r_exact(g).size - 1)
 
 
 def _low(mask):
@@ -428,24 +425,27 @@ def _low(mask):
 
 
 # tampered constructions, each breaking one fact of the Lemma 1 audit:
-# (graph6, tamper of (g, d, trace), the audit's problems)
+# (graph6, tamper of (g, trace), the audit's problems). The audit reads the
+# output set from the trace, so a tampered output also breaks its last fact.
+_OFF_FORMULA = "output set is not l1 | s11 | s2"
 _LEMMA1_TAMPERS = {
-    "not-rd": ("DFw", lambda g, d, t: (0, t), ["output is not a restrained dominating set"]),
-    "too-large": ("DFw", lambda g, d, t: (g.vertex_mask(), t), ["|D| = 5 exceeds |L| = 2"]),
-    "s1": ("DFw", lambda g, d, t: (d, t._replace(s1=t.s1 | t.l1)),
+    "not-rd": ("DFw", lambda g, t: t._replace(d=0),
+               ["output is not a restrained dominating set", _OFF_FORMULA]),
+    "too-large": ("DFw", lambda g, t: t._replace(d=g.vertex_mask()), ["|D| = 5 exceeds |L| = 2", _OFF_FORMULA]),
+    "s1": ("DFw", lambda g, t: t._replace(s1=t.s1 | t.l1),
            ["s1 vertex 3 does not have exactly one l1 neighbor"]),
-    "l1": ("DFw", lambda g, d, t: (d, t._replace(s1=t.s1 & ~_low(t.s1))),
+    "l1": ("DFw", lambda g, t: t._replace(s1=t.s1 & ~_low(t.s1)),
            ["l1 vertex 3 is not the center of a K_1,3 inside l1+s1"]),
-    "s2": ("I???zIgs?", lambda g, d, t: (d, t._replace(l2_by_degree=(
-        t.l2_by_degree[0] & ~_low(t.l2_by_degree[0]) | t.l1, *t.l2_by_degree[1:]))),
+    "s2": ("I???zIgs?", lambda g, t: t._replace(l2_by_degree=(
+        t.l2_by_degree[0] & ~_low(t.l2_by_degree[0]) | t.l1, *t.l2_by_degree[1:])),
            [f"s2 vertex {v} has a neighbor outside the lightly-saturated classes" for v in (1, 2)]),
-    "edge-count": ("I???zIgs?", lambda g, d, t: (d, t._replace(l2_by_degree=(
-        t.l2_by_degree[0], t.l2_by_degree[1] | t.l1, t.l2_by_degree[2]))),
+    "edge-count": ("I???zIgs?", lambda g, t: t._replace(l2_by_degree=(
+        t.l2_by_degree[0], t.l2_by_degree[1] | t.l1, t.l2_by_degree[2])),
            ["edge count between s2 and its classes is off"]),
-    "designated": ("DFw", lambda g, d, t: (d, t._replace(l2_by_degree=(
-        *t.l2_by_degree[:2], t.l2_by_degree[2] | t.l1))),
+    "designated": ("DFw", lambda g, t: t._replace(l2_by_degree=(*t.l2_by_degree[:2], t.l2_by_degree[2] | t.l1)),
                    ["designated-neighbor set size mismatch"]),
-    "output": ("DFw", lambda g, d, t: (d, t._replace(d=t.d ^ t.l1)), ["output set is not l1 | s11 | s2"]),
+    # another s1 vertex in place of the designated one: still an RD-set of size 2
+    "output": ("DFw", lambda g, t: t._replace(d=t.d ^ t.s11 | _low(t.s12)), [_OFF_FORMULA]),
 }
 
 
@@ -537,7 +537,7 @@ class TestViolationPaths:
         g6, tamper, problems = _LEMMA1_TAMPERS[name]
         # harness imports the builder where it runs it, so patch it at its source
         construct = rdom.construct.lemma1_construct
-        monkeypatch.setattr(rdom.construct, "lemma1_construct", lambda g: tamper(g, *construct(g)))
+        monkeypatch.setattr(rdom.construct, "lemma1_construct", lambda g: tamper(g, construct(g)))
         assert harness.audit_lemma1(parse_graph6(g6)) == problems
 
     @pytest.mark.parametrize("patched", [False, True], ids=["as-is", "nothing-within"])

@@ -96,6 +96,13 @@ class TestSearchMatchesSeed:
         corpus = [random_cubic(n, rng) for n in (16, 18, 20) for _ in range(10)]
         assert self.check(corpus, seed=55) > 0
 
+    def test_contradictory_forcing_is_infeasible(self):
+        # a vertex forced both in and out admits no set, exact or bounded
+        g = complete_graph(4)
+        full = g.vertex_mask()
+        for limit in (None, 0, 1, 2, 3, 4):
+            assert kernels.solve_min(g.n, g.adj, full, full, 1, 1, limit) is None, limit
+
 
 class TestBoundedSearch:
     """``solve_min(..., limit=k)`` on the instances TestSearchMatchesSeed
@@ -154,8 +161,7 @@ class TestLabelingMatchesSeed:
     preserve adjacency."""
 
     def check(self, n, adj, label):
-        autos = []
-        cert, perm = label(n, adj, autos)
+        cert, perm, autos = label(n, adj)
         _, seed_perm = seed_canonical_form(n, adj)
         assert perm == seed_perm, adj
         pos = {v: i for i, v in enumerate(seed_perm)}
@@ -171,9 +177,9 @@ class TestLabelingMatchesSeed:
         # labeler it holds, not the name it replaced
         label = kernels.canonical_form
 
-        def checked(n, adj, autos=None):
+        def checked(n, adj):
             seen.append(self.check(n, adj, label))
-            return label(n, adj, autos)
+            return label(n, adj)
 
         monkeypatch.setattr(kernels, "canonical_form", checked)
         enumeration.connected_classes.cache_clear()
@@ -191,11 +197,10 @@ class TestLabelingMatchesSeed:
         corpus += random_graphs(600, 12, seed=61)
         assert sum(self.check(g.n, g.adj, kernels.canonical_form) for g in corpus) > 0
 
-    def test_selected_kernel_takes_autos(self):
+    def test_selected_kernel_returns_autos(self):
+        # the automorphisms come back beside the seed's (cert, perm)
         g = petersen_graph()
-        autos = []
-        assert kernels.canonical_form(g.n, g.adj, autos) == kernels.canonical_form(g.n, g.adj)
-        assert autos and all(is_automorphism(g.n, g.adj, a) for a in autos)
+        assert self.check(g.n, g.adj, kernels.canonical_form) > 0
 
 
 def _orbits(n, autos):
@@ -239,13 +244,11 @@ class TestAutomorphismContract:
                 bounded += enumeration.connected_classes(n, cls)
         symmetric = [complete_graph(16), Graph(16, [0] * 16), cycle_graph(16)]
         for g in bounded + symmetric + random_graphs(600, 12, seed=61):
-            autos = []
-            kernels.canonical_form(g.n, g.adj, autos)
+            autos = kernels.canonical_form(g.n, g.adj)[2]
             assert _orbits(g.n, autos) == brute_orbits(g.n, g.adj), g.adj
         # where Aut(G) is small enough to list, the groups are equal
         for g in bounded:
-            autos = []
-            kernels.canonical_form(g.n, g.adj, autos)
+            autos = kernels.canonical_form(g.n, g.adj)[2]
             assert _group_order(g.n, autos) == sum(1 for _ in brute_automorphisms(g.n, g.adj)), g.adj
         assert len(bounded) > 1800
 
@@ -266,7 +269,7 @@ class TestSymmetricLabeling:
     @pytest.mark.parametrize("g", [complete_graph(16), Graph(16, [0] * 16), cycle_graph(16)],
                              ids=["K16", "edgeless16", "C16"])
     def test_round_trip(self, g):
-        cert, perm = kernels.canonical_form(g.n, g.adj)
+        cert, perm, _ = kernels.canonical_form(g.n, g.adj)
         back = parse_graph6(cert)
         assert kernels.canonical_form(back.n, back.adj)[0] == cert
         assert sorted(perm) == list(range(g.n))
@@ -274,7 +277,7 @@ class TestSymmetricLabeling:
         assert canonical_graph(g).adj == back.adj
 
     def test_empty_graph(self):
-        assert kernels.canonical_form(0, []) == ("?", ())
+        assert kernels.canonical_form(0, []) == ("?", (), ())
 
 
 class TestSolveGuard:

@@ -31,7 +31,7 @@ def records():
         weight(r2.graph),
         NerdQuery(1, NERD_TYPE2),
         gamma_r_exact(petersen_graph()),
-        lemma1_construct(parse_graph6("DFw"))[1],
+        lemma1_construct(parse_graph6("DFw")),
         harness.Finding(("details",), "note", "tag"),
     ]
 

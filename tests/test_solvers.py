@@ -129,13 +129,6 @@ class TestDecisions:
                 checked += 1
         assert checked > 100
 
-    def test_gamma_r_honors_forcing(self):
-        g = petersen_graph()
-        out = gamma_r_at_most(g, 4, force_in=1 << 0, force_out=1 << 1)
-        assert out.within and out.witness & 1 and not out.witness & 2
-        assert is_restrained_dominating(g, out.witness)
-        assert gamma_r_at_most(g, 9, force_out=mask_of(range(9))).status == "exceeds"
-
     def test_nerd_on_catalog_and_subdivisions(self):
         # every degree-2 vertex and pair of a member; every path vertex of
         # its one- to four-fold edge subdivisions
@@ -195,18 +188,6 @@ class TestDeterminism:
         g = petersen_graph()
         outs = [gamma_r_exact(g) for _ in range(5)]
         assert len({(o.size, o.witness) for o in outs}) == 1
-
-    def test_forced_solves(self):
-        g = petersen_graph()
-        base = gamma_r_exact(g).size
-        forced = gamma_r_exact(g, force_in=1 << 0)
-        assert forced.size == base  # some minimum witness contains vertex 0
-        assert forced.witness >> 0 & 1
-        blocked = gamma_r_exact(g, force_out=mask_of(range(9)))
-        assert blocked.status == "infeasible"  # only vertex 9 may enter S
-        partial = gamma_r_exact(g, force_out=mask_of([0, 1]))
-        assert partial.optimal and partial.size >= base
-        assert not partial.witness & 0b11
 
     def test_outcome_helpers(self):
         out = SolveOutcome("optimal", 2, 0b101)

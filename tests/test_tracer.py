@@ -2,7 +2,8 @@
 renamed or moved, installing the tracer fails here rather than only when a
 traced benchmark run is asked for. Every other rdom name the benchmark
 reads is resolved here too, so a deleted name fails the gate rather than
-only the benchmark run that reads it."""
+only the benchmark run that reads it. Each workload runs one traced pass
+against its pins as well."""
 
 from __future__ import annotations
 
@@ -10,10 +11,13 @@ import ast
 import contextlib
 import importlib
 import importlib.util
+import json
 import subprocess
 import sys
 from pathlib import Path
 from types import ModuleType
+
+import pytest
 
 import rdom
 from rdom import graph, harness, iso, kernels, solvers
@@ -21,6 +25,7 @@ from named_graphs import petersen_graph
 
 ROOT = Path(__file__).resolve().parent.parent
 TRACER = ROOT / "perfbench" / "tracer.py"
+WORKLOADS = [w["name"] for w in json.loads((ROOT / "BENCHMARK.json").read_text())["workloads"]]
 
 
 def load_tracer():
@@ -101,3 +106,16 @@ def test_perfbench_selftest_passes():
     done = subprocess.run([sys.executable, "perfbench/selftest.py"], cwd=ROOT,
                           capture_output=True, text=True, timeout=600)
     assert done.returncode == 0, done.stderr[-3000:]
+
+
+@pytest.mark.parametrize("workload", WORKLOADS)
+def test_traced_workload_matches_its_pin(workload):
+    # one untraced and one traced pass, each checked against the pins of
+    # perfbench/reference.json: the tracer's wrappers must pass every
+    # result through unchanged
+    done = subprocess.run(
+        [sys.executable, "perfbench/run.py", "--workload", workload, "--seed", "1", "--seconds", "0",
+         "--trace", "1"], cwd=ROOT, capture_output=True, text=True, timeout=600)
+    assert done.returncode == 0, done.stderr[-3000:]
+    last = json.loads(done.stdout.splitlines()[-1])
+    assert last["correct"] and last["failed"] == 0 and last["attempted"] > 0, done.stdout[-3000:]
