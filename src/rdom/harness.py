@@ -10,29 +10,30 @@ the items of ``sweep_roots`` and give each graph one :class:`Finding`
 out; ``_fold`` adds them to the reports in graph6 order. The cubic
 sweep's ``extremal:`` notes list the graphs with gamma_r = floor(2n/5).
 Only the lemma1 checks import ``rdom.construct``, where they run.
-Existence claims (a witness set of a stated size and shape exists) are
-certified by ``exists_set_of_size``, independently of the branch-and-bound
-solver: it enumerates the subsets of the exact cardinality in
-lexicographic order, skips only those whose closed neighborhoods cannot
-cover the graph, and accepts a set only by the definition check
-``is_restrained_dominating``.
+Existence claims (a witness set of a stated size and shape exists) and the
+catalog's near-RD bounds, those of obs1d, obs1e, obs1f, obs4b, and obs4a
+apart from the type-2 relaxation of R2 and R10, are certified by
+``exists_set_of_size``, independently of the branch-and-bound solver: it
+enumerates the subsets of the exact cardinality in lexicographic order,
+skips only those whose closed neighborhoods cannot cover the vertices the
+claim requires dominated, and accepts a set only by the definition check
+``is_restrained_dominating`` or ``is_near_restrained_dominating``. The
+near-RD bounds go through ``_nerd_exceeds``, which solves exactly only
+when a bound fails.
 
-Upper bounds are decided, not minimized: ``gamma_r_at_most`` and
-``gamma_r_nerd_at_most`` settle ``gamma_r <= 2n/5`` and its ``extremal:``
-notes, the key theorem for non-members with its tight non-member notes,
-``known-a`` apart from stars, ``known-b``, the near-RD bounds of obs1d,
-obs1e, obs1f and obs4b, those of obs4a apart from the type-2 relaxation
-of R2 and R10, and lemma1's solver check. The catalog's near-RD bounds
-are decided by ``_nerd_exceeds``, which solves exactly only when a bound
-fails. The catalog's gamma_r values, obs1a's table value and gamma_r of
-the one- and two-fold subdivisions in obs2 and obs3, are found by
-``_gamma_r_value``: decisions at one below each witness size found,
-until one exceeds; it solves exactly only when the value exceeds the
-stated bound. The exact solvers run only where a report prints the value
-or compares it for equality: on any violation, on catalog members in the
-key theorem, on stars, on the open-twin notes of obs1e, the frozen pairs
-of obs1f, and the type-2 relaxation of R2 and R10 in obs4a, whose notes
-print the edges where it needs gamma_r + 1.
+Upper bounds on gamma_r are decided, not minimized: ``gamma_r_at_most``
+settles ``gamma_r <= 2n/5`` and its ``extremal:`` notes, the key theorem
+for non-members with its tight non-member notes, ``known-a`` apart from
+stars, ``known-b``, and lemma1's solver check. The catalog's gamma_r
+values, obs1a's table value and gamma_r of the one- and two-fold
+subdivisions in obs2 and obs3, are found by ``_gamma_r_value``: decisions
+at one below each witness size found, until one exceeds; it solves
+exactly only when the value exceeds the stated bound. The exact solvers
+run only where a report prints the value or compares it for equality: on
+any violation, on catalog members in the key theorem, on stars, on the
+open-twin notes of obs1e, the frozen pairs of obs1f, and the type-2
+relaxation of R2 and R10 in obs4a, whose notes print the edges where it
+needs gamma_r + 1.
 """
 
 from __future__ import annotations
@@ -66,8 +67,8 @@ from rdom.solvers import (
     _check_subset,
     gamma_r_at_most,
     gamma_r_exact,
-    gamma_r_nerd_at_most,
     gamma_r_nerd_exact,
+    is_near_restrained_dominating,
     is_restrained_dominating,
 )
 
@@ -120,58 +121,79 @@ class Finding(NamedTuple):
     tag: str = ""
 
 
-def exists_set_of_size(g: Graph, size: int, force_in: int = 0, force_out: int = 0) -> int | None:
-    """The first restrained dominating set of the exact size, containing
-    force_in and avoiding force_out, in ``itertools.combinations`` order over
-    the free vertices; its mask, or None if there is none (always when the
-    two forcing sets meet). This is the certification route for existence
-    claims: subset enumeration, no solver involved.
+def exists_set_of_size(
+    g: Graph, size: int, force_in: int = 0, force_out: int = 0, q: NerdQuery | None = None
+) -> int | None:
+    """The first restrained dominating set of the exact size, or with q the
+    first near-RD set for q, containing force_in and avoiding force_out, in
+    ``itertools.combinations`` order over the free vertices; its mask, or
+    None if there is none (always when the two forcing sets meet). Under
+    type 2 the exempt set joins force_out, so an exempt vertex forced in
+    leaves no witness. This is the certification route for existence claims
+    and the catalog's near-RD bounds: subset enumeration, no solver involved.
 
     The walk picks the free vertices depth first in index order, so it
     visits the subsets in ``combinations`` order, and carries ``dom``, the
-    union of the closed neighborhoods of the vertices chosen so far. Every
-    set below the choice of ``free[i]`` lies inside the chosen vertices and
-    ``free[i:]``, so its closed neighborhoods cover at most ``dom |
-    cover[i]``, where ``cover[i]`` is the union of the closed neighborhoods
-    of ``free[i:]``. When that misses a vertex, none of those sets
-    dominates, and since ``cover`` shrinks as i grows, neither does any set
+    union of the closed neighborhoods of the vertices chosen so far. Let
+    ``need`` be the vertices the set must dominate: every vertex, or with a
+    type-1 query every vertex outside the exempt set. Every set below the
+    choice of ``free[i]`` lies inside the chosen vertices and ``free[i:]``,
+    so its closed neighborhoods cover at most ``dom | cover[i]``, where
+    ``cover[i]`` is the union of the closed neighborhoods of ``free[i:]``.
+    When that misses a vertex of ``need``, none of those sets dominates
+    ``need``, and since ``cover`` shrinks as i grows, neither does any set
     below a later choice at this depth: the walk backs up. It also backs up
-    when the vertices outside ``dom`` outnumber ``left`` times ``reach``,
-    the size of the largest closed neighborhood of a free vertex: the
-    ``left`` vertices still to be chosen add at most ``reach`` vertices each
-    to ``dom``, so no set below this node dominates. A full-size set that
-    dominates is accepted only by ``is_restrained_dominating``. Only sets
-    that do not dominate, hence are not restrained dominating, are skipped,
-    so the walk returns exactly what testing every subset in
-    ``combinations`` order would return."""
+    when the vertices of ``need`` outside ``dom`` outnumber ``left`` times
+    ``reach``, the most vertices of ``need`` in the closed neighborhood of
+    a free vertex: the ``left`` vertices still to be chosen add at most
+    ``reach`` of them each to ``dom``, so no set below this node dominates
+    ``need``. A full-size set that dominates ``need`` is accepted only by
+    the definition check, ``is_restrained_dominating`` or
+    ``is_near_restrained_dominating``. Only sets that miss a vertex q
+    requires dominated are skipped, so the walk returns exactly what
+    testing every subset in ``combinations`` order would return."""
     _check_subset(g, force_in | force_out, "forcing set")
+    need = g.vertex_mask()
+    if q is not None:
+        _check_subset(g, q.x, "exempt set")
+        if q.variant == NERD_TYPE1:
+            need &= ~q.x
+        else:
+            force_out |= q.x
     if force_in & force_out or force_in.bit_count() > size:
         return None
-    full = g.vertex_mask()
     free = [v for v in range(g.n) if not ((force_in | force_out) >> v & 1)]
     closed = [g.adj[v] | 1 << v for v in free]
-    reach = max((c.bit_count() for c in closed), default=0)
+    reach = max(((c & need).bit_count() for c in closed), default=0)
     cover = [0] * (len(free) + 1)
     for i in range(len(free) - 1, -1, -1):
         cover[i] = cover[i + 1] | closed[i]
 
+    accepts = is_restrained_dominating if q is None else partial(is_near_restrained_dominating, q=q)
+
     def walk(start: int, dom: int, mask: int, left: int) -> int | None:
-        if not left:
-            return mask if dom == full and is_restrained_dominating(g, mask) else None
-        if (full & ~dom).bit_count() > left * reach:
+        if (need & ~dom).bit_count() > left * reach:
             return None
         for i in range(start, len(free) - left + 1):
-            if full & ~(dom | cover[i]):
+            if need & ~(dom | cover[i]):
                 break
-            hit = walk(i + 1, dom | closed[i], mask | 1 << free[i], left - 1)
-            if hit is not None:
-                return hit
+            pick = mask | 1 << free[i]
+            if left > 1:
+                hit = walk(i + 1, dom | closed[i], pick, left - 1)
+                if hit is not None:
+                    return hit
+            # the last choice completes a set: it is tested here, not a level down
+            elif not need & ~(dom | closed[i]) and accepts(g, pick):
+                return pick
         return None
 
     dom = 0
     for v in bits_of(force_in):
         dom |= g.adj[v] | 1 << v
-    return walk(0, dom, force_in, size - force_in.bit_count())
+    left = size - force_in.bit_count()
+    if left:
+        return walk(0, dom, force_in, left)
+    return force_in if not need & ~dom and accepts(g, force_in) else None
 
 
 def exists_set_up_to(g: Graph, max_size: int, force_in: int = 0, force_out: int = 0) -> int | None:
@@ -260,8 +282,13 @@ _SUBDIV4_ENDS_TIGHT_MEMBERS = ("R4", "R5")
 
 def _nerd_exceeds(g: Graph, q: NerdQuery, k: int) -> SolveOutcome | None:
     """None when a near-RD set of size at most k exists for q; otherwise the
-    exact outcome, whose value the violation prints."""
-    return None if gamma_r_nerd_at_most(g, q, k).within else gamma_r_nerd_exact(g, q)
+    exact outcome, whose value the violation prints. The certifier asks each
+    size from k down to 0, as a near-RD set need not stay one when a vertex
+    joins it; the catalog's witnesses all have size k, so a passing bound
+    takes one call. Only a failing bound reaches the solver."""
+    if any(exists_set_of_size(g, size, q=q) is not None for size in range(k, -1, -1)):
+        return None
+    return gamma_r_nerd_exact(g, q)
 
 
 def _gamma_r_value(g: Graph, k: int) -> int | None:

@@ -1,9 +1,9 @@
-"""Exact solvers, decisions and the set predicate for restrained domination.
+"""Exact solvers, a decision and the set predicates for restrained domination.
 
 All solvers reduce to one parametric minimization (see rdom.kernels): choose
 which vertices must be dominated, which vertices outside the solution must
 keep a neighbor outside it, and which vertices are forced in or out.
-``_solve`` turns each variant into those masks; the four public functions
+``_solve`` turns each variant into those masks; the three public functions
 below call it and take no forcing sets of their own.
 
 Variants:
@@ -13,13 +13,15 @@ Variants:
     outside the solution, dominated, but excused from the outside-neighbor
     requirement)
 
-Decisions: ``gamma_r_at_most`` and ``gamma_r_nerd_at_most`` ask whether a
-set of size at most k exists, through the same search with its ``limit``
-set. Their outcome is "within", carrying the first witness the search
-accepts (not necessarily a minimum one), or "exceeds"; never "optimal", so
-a decision cannot be read as a value.
+Decision: ``gamma_r_at_most`` asks whether a restrained dominating set of
+size at most k exists, through the same search with its ``limit`` set. Its
+outcome is "within", carrying the first witness the search accepts (not
+necessarily a minimum one), or "exceeds"; never "optimal", so a decision
+cannot be read as a value. Near-RD bounds are not decided here: the
+harness certifies them by subset enumeration against
+``is_near_restrained_dominating``, which reads the definition directly.
 
-Every solver and decision returns a ``SolveOutcome``. It and ``NerdQuery``
+Every solver and the decision return a ``SolveOutcome``. It and ``NerdQuery``
 are NamedTuples; ``NerdQuery`` checks its variant however it is built,
 ``._replace`` included.
 """
@@ -93,6 +95,26 @@ def is_restrained_dominating(g: Graph, s: VertexSet) -> bool:
     return True
 
 
+def is_near_restrained_dominating(g: Graph, s: VertexSet, q: NerdQuery) -> bool:
+    """True iff s is a near-RD set for q. Every vertex outside s must have a
+    neighbor in s, except the exempt vertices under type 1, and a neighbor
+    outside s, except the exempt vertices under type 2, which must also lie
+    outside s."""
+    _check_subset(g, s)
+    _check_subset(g, q.x, "exempt set")
+    type2 = q.variant == NERD_TYPE2
+    if type2 and s & q.x:
+        return False
+    outside = g.vertex_mask() & ~s
+    for v in bits_of(outside):
+        exempt = q.x >> v & 1
+        if not g.adj[v] & s and not (exempt and not type2):
+            return False
+        if not g.adj[v] & outside and not (exempt and type2):
+            return False
+    return True
+
+
 def _solve(g: Graph, q: NerdQuery | None = None, limit: int | None = None) -> SolveOutcome:
     """Restrained domination, or the near-RD relaxation q, minimized or,
     given a limit, decided: the one place a query becomes the kernel's
@@ -132,9 +154,3 @@ def gamma_r_nerd_exact(g: Graph, q: NerdQuery) -> SolveOutcome:
     """Minimum near-RD set for the query; type 2 with a nonempty exempt set
     can be infeasible (the exempt vertices are forced outside)."""
     return _solve(g, q)
-
-
-def gamma_r_nerd_at_most(g: Graph, q: NerdQuery, k: int) -> SolveOutcome:
-    """Whether a near-RD set of size at most k exists for the query:
-    "within" with such a set, or "exceeds"."""
-    return _solve(g, q, k)

@@ -5,8 +5,10 @@ import hashlib
 import json
 import os
 import random
+import sys
 import time
 from collections import Counter
+from itertools import combinations
 
 import pytest
 
@@ -18,11 +20,13 @@ from rdom.graph import Graph, bits_of, large_vertices, open_twins, small_vertice
 from rdom.graph6 import parse_graph6, write_graph6
 from rdom.iso import are_isomorphic, canonical_certificate
 from rdom.solvers import (
-    NERD_TYPE2, SolveOutcome, gamma_r_exact, gamma_r_nerd_at_most, is_restrained_dominating,
+    NERD_TYPE1, NERD_TYPE2, NerdQuery, SolveOutcome, gamma_r_exact, is_restrained_dominating,
 )
 
 from named_graphs import complete_graph, cycle_graph, petersen_graph, star_graph
-from oracles import naive_is_restrained, naive_min_nerd, naive_min_rd, naive_minimum, plain_exists_set_of_size
+from oracles import (
+    naive_is_nerd, naive_is_restrained, naive_min_nerd, naive_min_rd, naive_minimum, plain_exists_set_of_size,
+)
 
 
 def random_forced_instances(count, max_n, seed):
@@ -152,6 +156,84 @@ class TestExistenceSearch:
                     write_graph6(g), size, force_in, force_out)
                 checked += 1
         assert checked == 3 * (2 * 42 + 13 * 108)  # 42 degree-2 vertices, 108 edges
+
+    @staticmethod
+    def _check_query(g, q, size, force_in=0, force_out=0):
+        """The certifier's answer for q against every subset tested by the
+        definition, in ``combinations`` order; whether a set was found."""
+        x_ids = list(bits_of(q.x))
+
+        def nerd(h, mask):
+            return naive_is_nerd(h, bits_of(mask), x_ids, q.variant)
+
+        want = plain_exists_set_of_size(g, size, nerd, force_in, force_out)
+        assert harness.exists_set_of_size(g, size, force_in, force_out, q) == want, (
+            write_graph6(g), q, size, force_in, force_out)
+        return want is not None
+
+    def test_queries_match_plain_enumeration_on_the_catalog(self):
+        # every degree-2 vertex and pair of a member as the exempt set, both
+        # variants, every size up to gamma_r
+        checked = found = 0
+        for m in family.all_family_members():
+            g = m.graph
+            smalls = list(bits_of(small_vertices(g)))
+            exempt = [1 << v for v in smalls] + [1 << u | 1 << v for u, v in combinations(smalls, 2)]
+            for x in exempt:
+                for variant in (NERD_TYPE1, NERD_TYPE2):
+                    for size in range(m.gamma_r + 1):
+                        found += self._check_query(g, NerdQuery(x, variant), size)
+                        checked += 1
+        assert checked == 1230 and 0 < found < checked
+
+    def test_queries_match_plain_enumeration_on_random_graphs(self):
+        # random exempt sets of any degree, beside random forcing
+        rng = random.Random(2024)
+        found = missing = 0
+        for g, force_in, force_out in random_forced_instances(1500, 9, seed=97):
+            x = rng.randrange(1 << g.n)
+            for variant in (NERD_TYPE1, NERD_TYPE2):
+                for size in range(g.n + 1):
+                    hit = self._check_query(g, NerdQuery(x, variant), size, force_in, force_out)
+                    found += hit
+                    missing += not hit
+        assert found > 3000 and missing > 10_000
+
+    def test_counting_prune_counts_only_required_vertices(self):
+        # K_1,6 with its center exempt under type 1 and forced out: only the
+        # six leaves need domination, each leaf reaches one of them, so three
+        # choices cannot cover them and the walk backs up at its root
+        # (counting the center as well, each choice would seem to reach two)
+        g = star_graph(6)
+        nodes = []
+
+        def profile(frame, event, arg):
+            if event == "call" and frame.f_code.co_name == "walk":
+                nodes.append(frame.f_globals["__name__"])
+
+        sys.setprofile(profile)
+        try:
+            hit = harness.exists_set_of_size(g, 3, force_out=1, q=NerdQuery(1, NERD_TYPE1))
+        finally:
+            sys.setprofile(None)
+        assert hit is None
+        assert nodes == ["rdom.harness"]
+
+    @pytest.mark.parametrize("variant", [NERD_TYPE1, NERD_TYPE2])
+    def test_exempt_set_outside_the_vertex_set_is_an_error(self, variant):
+        g = complete_graph(4)
+        for size in (0, 1, 4):
+            with pytest.raises(ValueError, match="exempt set is not a subset of the vertex set"):
+                harness.exists_set_of_size(g, size, q=NerdQuery(1 << 4 | 1, variant))
+
+    def test_type_2_exempt_vertex_forced_in_has_no_witness(self):
+        # type 2 keeps its exempt set outside, so forcing one in leaves none
+        g = cycle_graph(5)
+        q = NerdQuery(0b1, NERD_TYPE2)
+        for size in range(6):
+            assert harness.exists_set_of_size(g, size, force_in=0b1, q=q) is None
+        # the same forcing under type 1 admits a witness
+        assert harness.exists_set_of_size(g, 5, force_in=0b1, q=q._replace(variant=NERD_TYPE1)) == 0b11111
 
 
 class TestFrozenExceptions:
@@ -302,8 +384,9 @@ class TestTheoremSweeps:
         # subtree roots are never cached, so a sweep that enumerates first
         # reaches the patch; so does one that starts working on its corpus
         monkeypatch.setattr(harness, "gamma_r_exact", lambda g: pytest.fail("solved"))
-        # the upper bounds are decided, so their entry points must fail too
-        for name in ("gamma_r_at_most", "gamma_r_nerd_at_most", "gamma_r_nerd_exact"):
+        # the upper bounds are decided or certified, so their entry points
+        # must fail too, the certifier's near-RD query path included
+        for name in ("gamma_r_at_most", "exists_set_of_size", "gamma_r_nerd_exact"):
             monkeypatch.setattr(harness, name, lambda *args, **kwargs: pytest.fail("solved"))
         with pytest.raises(ValueError, match="jobs"):
             sweep(**kwargs, jobs=0)
@@ -400,20 +483,35 @@ class TestTheoremSweeps:
         assert calls == [cls]
 
 
+_certify = harness.exists_set_of_size
+
+
 def _exceeds(*args, **kwargs):
     return SolveOutcome("exceeds")
 
 
-def _no_witness(*args, **kwargs):
+def _nothing_certified(*args, **kwargs):
     return None
+
+
+def _no_witness(g, size, force_in=0, force_out=0, q=None):
+    # the existence claims find nothing; the near-RD bounds are certified
+    return None if q is None else _certify(g, size, force_in, force_out, q)
+
+
+def _no_nerd_witness(g, size, force_in=0, force_out=0, q=None):
+    return None if q is not None else _certify(g, size, force_in, force_out, q)
 
 
 def _one_too_many(g):
     return SolveOutcome("optimal", gamma_r_exact(g).size + 1)
 
 
-def _dom_exceeds(g, q, k):
-    return SolveOutcome("exceeds") if q.variant == NERD_TYPE2 else gamma_r_nerd_at_most(g, q, k)
+def _no_dom_witness(g, size, force_in=0, force_out=0, q=None):
+    # no type-2 near-RD set is certified; everything else is
+    if q is not None and q.variant == NERD_TYPE2:
+        return None
+    return _certify(g, size, force_in, force_out, q)
 
 
 def _one_too_few(g):
@@ -568,22 +666,23 @@ _PASSING_DIGEST = "b605a45f65ecc692b1d619ce8aaea92419c3227cbda3a28e7c85aa63a9455
 
 
 class TestCatalogViolationPaths:
-    """The catalog sweeps with the near-RD decisions answering "exceeds" (all
-    of them, or those of type 2 only), the certifier finding no witness, or
-    both, and with the gamma_r decisions answering "exceeds" and
-    ``gamma_r_exact`` one too many: each report's violation branches are
-    reached, and what they print is pinned. With the gamma_r decisions
-    alone answering "exceeds", the reports are those of a passing pass."""
+    """The catalog sweeps with the certifier finding no near-RD set (for
+    every query, or for those of type 2 only), no witness of an existence
+    claim, or neither, and with the gamma_r decisions answering "exceeds"
+    and ``gamma_r_exact`` one too many: each report's violation branches
+    are reached, and what they print is pinned. The exact near-RD solves
+    still supply every printed value. With the gamma_r decisions alone
+    answering "exceeds", the reports are those of a passing pass."""
 
     @pytest.mark.parametrize("patches, want, digest", [
         pytest.param({}, _PASSING, _PASSING_DIGEST, id="as-is"),
         # the exact solves supply the gamma_r values, and the reports stay the same
         pytest.param({"gamma_r_at_most": _exceeds}, _PASSING, _PASSING_DIGEST, id="exact-fallback"),
-        pytest.param({"gamma_r_nerd_at_most": _exceeds}, [
+        pytest.param({"exists_set_of_size": _no_nerd_witness}, [
             (10, 0, 0), (42, 0, 0), (42, 0, 0), (42, 42, 0), (40, 40, 2), (76, 50, 26),
             (108, 0, 3), (108, 0, 0), (216, 216, 0), (35, 35, 0), (88, 0, 0), (20, 0, 0), (104, 0, 10), (4, 0, 4),
         ], "f86e831dd3f0c9bb7d6c209cdc838dabfabbe523689cb9bfd836458fce5cdf03", id="nerd"),
-        pytest.param({"gamma_r_nerd_at_most": _dom_exceeds}, [
+        pytest.param({"exists_set_of_size": _no_dom_witness}, [
             (10, 0, 0), (42, 0, 0), (42, 0, 0), (42, 0, 0), (40, 40, 2), (76, 50, 26),
             (108, 0, 3), (108, 0, 0), (216, 182, 28), (35, 35, 0), (88, 0, 0), (20, 0, 0), (104, 0, 10), (4, 0, 4),
         ], "68a8122d6065d7a11ed99c05c605e2bdf18a0f2f731c32c9e1772568d72dddcc", id="nerd-type-2"),
@@ -592,7 +691,7 @@ class TestCatalogViolationPaths:
             (108, 108, 0), (108, 108, 0), (216, 0, 28), (35, 0, 0), (88, 88, 0), (20, 20, 0), (104, 104, 0),
             (4, 4, 0),
         ], "8c031fd6f3cfef9152d4088263f50baa0d4eaaac48b69303050494f3d15a6449", id="certifier"),
-        pytest.param({"gamma_r_nerd_at_most": _exceeds, "exists_set_of_size": _no_witness}, [
+        pytest.param({"exists_set_of_size": _nothing_certified}, [
             (10, 0, 0), (42, 42, 0), (42, 42, 0), (42, 42, 0), (40, 40, 2), (76, 50, 26),
             (108, 108, 0), (108, 108, 0), (216, 216, 0), (35, 35, 0), (88, 88, 0), (20, 20, 0), (104, 104, 0),
             (4, 4, 0),
@@ -616,31 +715,28 @@ class TestCatalogViolationPaths:
             assert len(grew) == 12 + 108
 
     def test_solver_and_certifier_calls_per_pass(self, monkeypatch):
-        # a passing pass decides every near-RD bound, each at the size its
-        # claim states, and solves exactly only where a report prints the
-        # value or compares it for equality
+        # a passing pass certifies every near-RD bound, each in one call at
+        # the size its claim states, and solves exactly only where a report
+        # prints the value or compares it for equality
         calls = Counter()
         asked = []
-        solve_min, certify = kernels.solve_min, harness.exists_set_of_size
+        solve_min = kernels.solve_min
 
         def counted_solve(*args):
             calls["decided" if args[-1] is not None else "exact"] += 1
             return solve_min(*args)
 
-        def counted_certify(*args, **kwargs):
+        def counted_certify(g, size, force_in=0, force_out=0, q=None):
             calls["certified"] += 1
-            return certify(*args, **kwargs)
-
-        def recorded_decision(g, q, k):
-            asked.append((write_graph6(g), q.x, q.variant, k))
-            return gamma_r_nerd_at_most(g, q, k)
+            if q is not None:
+                asked.append((write_graph6(g), q.x, q.variant, size))
+            return _certify(g, size, force_in, force_out, q)
 
         monkeypatch.setattr(kernels, "solve_min", counted_solve)
         monkeypatch.setattr(harness, "exists_set_of_size", counted_certify)
-        monkeypatch.setattr(harness, "gamma_r_nerd_at_most", recorded_decision)
         reports = harness.verify_observation_1() + harness.verify_observations_2_to_6()
         assert all(r.passed for r in reports)
-        assert calls == {"decided": 1102, "exact": 62, "certified": 1745}
+        assert calls == {"decided": 537, "exact": 62, "certified": 2310}
         assert len(asked) == 565
         assert hashlib.sha256(json.dumps(asked).encode()).hexdigest() == (
             "38a635afe3bc83d232ce352a63487f4e18a7e2b9e247c5d92e5d90c48eca581c")

@@ -193,11 +193,8 @@ class TestLabelingMatchesSeed:
         assert len(seen) > 1000 and sum(seen) > 0
 
     def test_catalog_and_random_graphs(self):
-        corpus = [m.graph for m in all_family_members()] + [petersen_graph()]
-        corpus += random_graphs(600, 12, seed=61)
+        corpus = [m.graph for m in all_family_members()] + random_graphs(600, 12, seed=61)
         assert sum(self.check(g.n, g.adj, kernels.canonical_form) for g in corpus) > 0
-
-    def test_selected_kernel_returns_autos(self):
         # the automorphisms come back beside the seed's (cert, perm)
         g = petersen_graph()
         assert self.check(g.n, g.adj, kernels.canonical_form) > 0

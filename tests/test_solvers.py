@@ -8,6 +8,7 @@ import pytest
 from rdom.graph import Graph, bits_of, disjoint_union, mask_of, small_vertices, subdivide
 from rdom.enumeration import connected_classes
 from rdom.family import all_family_members
+from rdom.harness import exists_set_of_size
 from rdom.solvers import (
     NERD_TYPE1,
     NERD_TYPE2,
@@ -15,8 +16,8 @@ from rdom.solvers import (
     SolveOutcome,
     gamma_r_at_most,
     gamma_r_exact,
-    gamma_r_nerd_at_most,
     gamma_r_nerd_exact,
+    is_near_restrained_dominating,
     is_restrained_dominating,
 )
 from named_graphs import complete_graph, cycle_graph, path_graph, petersen_graph, star_graph
@@ -49,9 +50,31 @@ class TestPredicates:
             s = rng.randrange(1 << n)
             assert is_restrained_dominating(g, s) == naive_is_restrained(g, list(bits_of(s)))
 
+    def test_near_rd_predicate_matches_naive_on_the_catalog(self):
+        # every subset of each member of order <= 12, with each degree-2
+        # vertex and with all of them at once as the exempt set
+        checked = 0
+        for m in all_family_members():
+            g = m.graph
+            smalls = small_vertices(g)
+            for x in [1 << v for v in bits_of(smalls)] + [smalls]:
+                x_ids = list(bits_of(x))
+                for variant in (NERD_TYPE1, NERD_TYPE2):
+                    q = NerdQuery(x, variant)
+                    for s in range(1 << g.n):
+                        want = naive_is_nerd(g, bits_of(s), x_ids, variant)
+                        assert is_near_restrained_dominating(g, s, q) == want, (m.id, x, variant, s)
+                        checked += 1
+        assert checked == 100_352
+
     def test_subset_guard(self):
         with pytest.raises(ValueError):
             is_restrained_dominating(cycle_graph(3), 1 << 3)
+        for variant in (NERD_TYPE1, NERD_TYPE2):
+            with pytest.raises(ValueError, match="^set is not"):
+                is_near_restrained_dominating(cycle_graph(3), 1 << 3, NerdQuery(1, variant))
+            with pytest.raises(ValueError, match="exempt set is not"):
+                is_near_restrained_dominating(cycle_graph(3), 1, NerdQuery(1 << 3, variant))
 
 
 class TestGammaR:
@@ -110,9 +133,11 @@ class TestNerdSolver:
 
 
 class TestDecisions:
-    """The decisions held to the exact solvers: "exceeds" one below the
+    """The decision held to the exact solver: "exceeds" one below the
     minimum, and "within" at it with a witness the predicate accepts.
-    Neither outcome reads as optimal."""
+    Neither outcome reads as optimal. The near-RD bounds, which the harness
+    certifies by subset enumeration, are held to the exact near-RD solver
+    the same way."""
 
     @pytest.mark.parametrize("cls, max_n", [("cubic", 12), ("special-subcubic", 10), ("all", 7)])
     def test_gamma_r_on_corpora(self, cls, max_n):
@@ -146,14 +171,14 @@ class TestDecisions:
             for variant in (NERD_TYPE1, NERD_TYPE2):
                 q = NerdQuery(x, variant)
                 exact = gamma_r_nerd_exact(g, q)
-                if not exact.optimal:
-                    assert gamma_r_nerd_at_most(g, q, g.n).status == "exceeds"
-                    continue
-                if exact.size:
-                    assert gamma_r_nerd_at_most(g, q, exact.size - 1).status == "exceeds"
-                at = gamma_r_nerd_at_most(g, q, exact.size)
-                assert at.status == "within" and at.size == at.witness.bit_count() == exact.size
-                assert naive_is_nerd(g, list(bits_of(at.witness)), list(bits_of(x)), variant), (g.adj, x, variant)
+                # infeasible: no set at any size; optimal: none below the size
+                below = range(g.n + 1) if not exact.optimal else range(exact.size)
+                for size in below:
+                    assert exists_set_of_size(g, size, q=q) is None, (g.adj, x, variant, size)
+                if exact.optimal:
+                    hit = exists_set_of_size(g, exact.size, q=q)
+                    assert hit is not None and hit.bit_count() == exact.size, (g.adj, x, variant)
+                    assert naive_is_nerd(g, list(bits_of(hit)), list(bits_of(x)), variant), (g.adj, x, variant)
         assert len(cases) > 1000
 
 
