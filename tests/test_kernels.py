@@ -195,6 +195,8 @@ class TestLabelingMatchesSeed:
     def test_catalog_and_random_graphs(self):
         corpus = [m.graph for m in all_family_members()] + random_graphs(600, 12, seed=61)
         assert sum(self.check(g.n, g.adj, kernels.canonical_form) for g in corpus) > 0
+
+    def test_selected_kernel_returns_autos(self):
         # the automorphisms come back beside the seed's (cert, perm)
         g = petersen_graph()
         assert self.check(g.n, g.adj, kernels.canonical_form) > 0
