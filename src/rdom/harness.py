@@ -10,30 +10,30 @@ the items of ``sweep_roots`` and give each graph one :class:`Finding`
 out; ``_fold`` adds them to the reports in graph6 order. The cubic
 sweep's ``extremal:`` notes list the graphs with gamma_r = floor(2n/5).
 Only the lemma1 checks import ``rdom.construct``, where they run.
-Existence claims (a witness set of a stated size and shape exists) and the
-catalog's near-RD bounds, those of obs1d, obs1e, obs1f, obs4b, and obs4a
-apart from the type-2 relaxation of R2 and R10, are certified by
-``exists_set_of_size``, independently of the branch-and-bound solver: it
-enumerates the subsets of the exact cardinality in lexicographic order,
-skips only those whose closed neighborhoods cannot cover the vertices the
-claim requires dominated, and accepts a set only by the definition check
-``is_restrained_dominating`` or ``is_near_restrained_dominating``. The
-near-RD bounds go through ``_nerd_exceeds``, which solves exactly only
-when a bound fails.
 
-Upper bounds on gamma_r are decided, not minimized: ``gamma_r_at_most``
-settles ``gamma_r <= 2n/5`` and its ``extremal:`` notes, the key theorem
-for non-members with its tight non-member notes, ``known-a`` apart from
-stars, ``known-b``, and lemma1's solver check. The catalog's gamma_r
-values, obs1a's table value and gamma_r of the one- and two-fold
-subdivisions in obs2 and obs3, are found by ``_gamma_r_value``: decisions
-at one below each witness size found, until one exceeds; it solves
-exactly only when the value exceeds the stated bound. The exact solvers
-run only where a report prints the value or compares it for equality: on
-any violation, on catalog members in the key theorem, on stars, on the
-open-twin notes of obs1e, the frozen pairs of obs1f, and the type-2
-relaxation of R2 and R10 in obs4a, whose notes print the edges where it
-needs gamma_r + 1.
+The catalog sweeps, obs1a to obs6b, are certified independently of the
+branch-and-bound solver, each query by one subset walk set up once
+(``_certifier``): the existence claims (a witness set of a stated size and
+shape exists), the near-RD bounds of obs1d, obs1e, obs1f, obs4a and obs4b
+(``_nerd_exceeds``), the gamma_r values that obs1a, obs2 and obs3 compare
+(``_gamma_r_value``), and the near-RD values that passing reports print or
+compare, at R2's open twins in obs1e, the frozen pairs of obs1f and the
+type-2 relaxation of R2 and R10 in obs4a (``_least_nerd``). The walk
+enumerates the subsets of each size in lexicographic order, skips only
+those whose closed neighborhoods cannot cover the vertices the claim
+requires dominated, and accepts a set only by the definition check
+``is_restrained_dominating`` or ``is_near_restrained_dominating``; it
+walks no size below its root counting bound. A passing catalog pass never
+reaches the solver: an exact solve runs only when a claim fails, for the
+value its violation prints.
+
+The theorem sweeps decide their upper bounds on gamma_r, not minimize them:
+``gamma_r_at_most`` settles ``gamma_r <= 2n/5`` and its ``extremal:``
+notes, the key theorem for non-members with its tight non-member notes,
+``known-a`` apart from stars, ``known-b``, and lemma1's solver check.
+They solve exactly only where a report prints the value or compares it
+for equality: on any violation, on catalog members in the key theorem,
+and on stars.
 """
 
 from __future__ import annotations
@@ -43,7 +43,7 @@ import time
 from collections import Counter
 from functools import partial
 from itertools import combinations
-from typing import TYPE_CHECKING, Iterable, NamedTuple, Sequence
+from typing import TYPE_CHECKING, Callable, Iterable, NamedTuple, Sequence
 
 from rdom.enumeration import connected_classes, sweep_roots
 from rdom.family import all_family_members, weight
@@ -129,8 +129,8 @@ def exists_set_of_size(
     ``itertools.combinations`` order over the free vertices; its mask, or
     None if there is none (always when the two forcing sets meet). Under
     type 2 the exempt set joins force_out, so an exempt vertex forced in
-    leaves no witness. This is the certification route for existence claims
-    and the catalog's near-RD bounds: subset enumeration, no solver involved.
+    leaves no witness. This is the certification route for the catalog's
+    claims: subset enumeration, no solver involved.
 
     The walk picks the free vertices depth first in index order, so it
     visits the subsets in ``combinations`` order, and carries ``dom``, the
@@ -152,6 +152,22 @@ def exists_set_of_size(
     ``is_near_restrained_dominating``. Only sets that miss a vertex q
     requires dominated are skipped, so the walk returns exactly what
     testing every subset in ``combinations`` order would return."""
+    return _certifier(g, force_in, force_out, q)[1](size)
+
+
+def _certifier(
+    g: Graph, force_in: int = 0, force_out: int = 0, q: NerdQuery | None = None
+) -> tuple[int, Callable[[int], int | None]]:
+    """The subset walk of ``exists_set_of_size`` for one query, set up once:
+    ``(floor, find)``, where ``find(size)`` is ``exists_set_of_size`` at that
+    size and every size below ``floor`` has no witness.
+
+    ``floor`` is the walk's own root prune read as a size: the vertices of
+    ``need`` that force_in leaves undominated, ``u`` of them, take at least
+    ``ceil(u / reach)`` more vertices, so no witness is smaller than
+    ``|force_in| + ceil(u / reach)``. When no free vertex reaches them, or
+    the forcing sets meet, there is no witness at all and ``floor`` is
+    ``g.n + 1``. ``find`` answers a size below ``floor`` without walking."""
     _check_subset(g, force_in | force_out, "forcing set")
     need = g.vertex_mask()
     if q is not None:
@@ -160,14 +176,21 @@ def exists_set_of_size(
             need &= ~q.x
         else:
             force_out |= q.x
-    if force_in & force_out or force_in.bit_count() > size:
-        return None
     free = [v for v in range(g.n) if not ((force_in | force_out) >> v & 1)]
     closed = [g.adj[v] | 1 << v for v in free]
     reach = max(((c & need).bit_count() for c in closed), default=0)
     cover = [0] * (len(free) + 1)
     for i in range(len(free) - 1, -1, -1):
         cover[i] = cover[i + 1] | closed[i]
+    dom = 0
+    for v in bits_of(force_in):
+        dom |= g.adj[v] | 1 << v
+    base = force_in.bit_count()
+    undominated = (need & ~dom).bit_count()
+    if force_in & force_out or (undominated and not reach):
+        floor = g.n + 1
+    else:
+        floor = base + (-(-undominated // reach) if undominated else 0)
 
     accepts = is_restrained_dominating if q is None else partial(is_near_restrained_dominating, q=q)
 
@@ -187,21 +210,27 @@ def exists_set_of_size(
                 return pick
         return None
 
-    dom = 0
-    for v in bits_of(force_in):
-        dom |= g.adj[v] | 1 << v
-    left = size - force_in.bit_count()
-    if left:
-        return walk(0, dom, force_in, left)
-    return force_in if not need & ~dom and accepts(g, force_in) else None
+    def find(size: int) -> int | None:
+        if size < floor:
+            return None
+        if size > base:
+            return walk(0, dom, force_in, size - base)
+        # size == floor == base: force_in dominates need
+        return force_in if accepts(g, force_in) else None
+
+    return floor, find
 
 
-def exists_set_up_to(g: Graph, max_size: int, force_in: int = 0, force_out: int = 0) -> int | None:
-    """``exists_set_of_size`` for each size from |force_in| up to max_size
-    in turn: returns a smallest witness of size at most max_size, or None."""
-    _check_subset(g, force_in | force_out, "forcing set")
-    for size in range(force_in.bit_count(), max_size + 1):
-        mask = exists_set_of_size(g, size, force_in, force_out)
+def exists_set_up_to(
+    g: Graph, max_size: int, force_in: int = 0, force_out: int = 0, q: NerdQuery | None = None
+) -> int | None:
+    """``exists_set_of_size`` for each size up to max_size in turn, over one
+    walk set up once: returns a smallest witness of size at most max_size,
+    or None. The sizes start at the walk's root bound, below which none has
+    a witness."""
+    floor, find = _certifier(g, force_in, force_out, q)
+    for size in range(floor, max_size + 1):
+        mask = find(size)
         if mask is not None:
             return mask
     return None
@@ -282,26 +311,28 @@ _SUBDIV4_ENDS_TIGHT_MEMBERS = ("R4", "R5")
 
 def _nerd_exceeds(g: Graph, q: NerdQuery, k: int) -> SolveOutcome | None:
     """None when a near-RD set of size at most k exists for q; otherwise the
-    exact outcome, whose value the violation prints. The certifier asks each
-    size from k down to 0, as a near-RD set need not stay one when a vertex
-    joins it; the catalog's witnesses all have size k, so a passing bound
-    takes one call. Only a failing bound reaches the solver."""
-    if any(exists_set_of_size(g, size, q=q) is not None for size in range(k, -1, -1)):
+    exact outcome, whose value the violation prints. One walk asks each size
+    from k down to its root bound, as a near-RD set need not stay one when a
+    vertex joins it; the catalog's witnesses all have size k, so a passing
+    bound searches one size. Only a failing bound reaches the solver."""
+    floor, find = _certifier(g, q=q)
+    if any(find(size) is not None for size in range(k, floor - 1, -1)):
         return None
     return gamma_r_nerd_exact(g, q)
 
 
+def _least_nerd(g: Graph, q: NerdQuery) -> int | None:
+    """The least size of a near-RD set for q, certified: no size below it
+    has one. None when q admits none, which type 2 can."""
+    hit = exists_set_up_to(g, g.n, q=q)
+    return None if hit is None else hit.bit_count()
+
+
 def _gamma_r_value(g: Graph, k: int) -> int | None:
-    """gamma_r(g) when it is at most k, otherwise None, by decisions alone:
-    decide at k, then at one below the size of each witness found. The first
-    decision that exceeds proves the last witness size minimum. Unlike the
-    exact search, a decision does not explore the ties of a size for the
-    lex-least witness: it stops at its first accepted set."""
-    value = None
-    while k >= 0 and (out := gamma_r_at_most(g, k)).within:
-        value = out.size
-        k = value - 1
-    return value
+    """gamma_r(g) when it is at most k, otherwise None, certified: the size
+    of the smallest restrained dominating set ``exists_set_up_to`` finds."""
+    hit = exists_set_up_to(g, k)
+    return None if hit is None else hit.bit_count()
 
 
 def _free_orientation(report: VerificationReport, g: Graph, edge: str, hits: list, missing: str) -> bool:
@@ -339,7 +370,8 @@ def verify_observation_1() -> list[VerificationReport]:
     for m in all_family_members():
         g = m.graph
         # a value above the table's is solved exactly, for the violation to print
-        gr = _gamma_r_value(g, m.gamma_r) or gamma_r_exact(g).size
+        if (gr := _gamma_r_value(g, m.gamma_r)) is None:
+            gr = gamma_r_exact(g).size
         reports["a"].checked += 1
         if gr != m.gamma_r:
             reports["a"].add_violation(g, f"{m.id}: solver found {gr}, table says {m.gamma_r}")
@@ -356,9 +388,10 @@ def verify_observation_1() -> list[VerificationReport]:
             for key, kind in (("d", NERD_TYPE1), ("e", NERD_TYPE2)):
                 q = NerdQuery(1 << v, kind)
                 if kind == NERD_TYPE2 and twin_mask >> v & 1:
-                    out = gamma_r_nerd_exact(g, q)
+                    value = _least_nerd(g, q)
                     reports["e"].notes.append(
-                        f"{m.id}: open twin {v} exempted; dom relaxation gives {out.size}"
+                        f"{m.id}: open twin {v} exempted; dom relaxation gives "
+                        f"{'infeasible' if value is None else value}"
                     )
                     continue
                 reports[key].checked += 1
@@ -369,17 +402,17 @@ def verify_observation_1() -> list[VerificationReport]:
             reports["f"].checked += 1
             q = NerdQuery(1 << u | 1 << v, NERD_TYPE2)
             if (u, v) in exceptions:
-                out = gamma_r_nerd_exact(g, q)
+                value = _least_nerd(g, q)
                 expected = gr + 1 if (m.id, (u, v)) == ("R2", (3, 4)) else gr
-                if not out.optimal or out.size != expected:
+                if value != expected:
                     reports["f"].add_violation(
                         g,
-                        f"{m.id}: exceptional pair {{{u},{v}}} gives {out.size}, "
-                        f"certified value is {expected}",
+                        f"{m.id}: exceptional pair {{{u},{v}}} gives "
+                        f"{'infeasible' if value is None else value}, certified value is {expected}",
                     )
                 else:
                     reports["f"].notes.append(
-                        f"{m.id}: pair {{{u},{v}}} exceeds the generic bound, value {out.size}"
+                        f"{m.id}: pair {{{u},{v}}} exceeds the generic bound, value {value}"
                     )
             elif (out := _nerd_exceeds(g, q, gr - 1)) is not None:
                 reports["f"].add_violation(
@@ -428,22 +461,27 @@ def verify_observations_2_to_6() -> list[VerificationReport]:
             # t = 1 -------------------------------------------------------
             g1 = subdivide(g, (x, y), 1)
             reports["obs2"].checked += 1
-            gr1 = _gamma_r_value(g1, gr) or gamma_r_exact(g1).size
+            if (gr1 := _gamma_r_value(g1, gr)) is None:
+                gr1 = gamma_r_exact(g1).size
             witness_bound = gr if (m.id, (x, y)) in _SUBDIV1_WITNESS_EXCEPTIONS else gr1
             if gr1 > gr:
                 reports["obs2"].add_violation(g1, f"{edge}: gamma_r grew to {gr1}")
-            # no restrained dominating set of G_1 is smaller than gr1
-            elif all(exists_set_of_size(g1, size, force_in=1 << n, force_out=1 << x | 1 << y) is None
-                     for size in range(gr1, witness_bound + 1)):
-                reports["obs2"].add_violation(
-                    g1, f"{edge}: no witness with the new vertex, avoiding both ends"
-                )
-            elif witness_bound != gr1:
-                reports["obs2"].notes.append(f"{edge}: witness needs size {gr} (minimum dropped to {gr1})")
+            else:
+                # one walk for the sizes: no restrained dominating set of G_1 is smaller than gr1
+                find = _certifier(g1, force_in=1 << n, force_out=1 << x | 1 << y)[1]
+                if all(find(size) is None for size in range(gr1, witness_bound + 1)):
+                    reports["obs2"].add_violation(
+                        g1, f"{edge}: no witness with the new vertex, avoiding both ends"
+                    )
+                elif witness_bound != gr1:
+                    reports["obs2"].notes.append(
+                        f"{edge}: witness needs size {gr} (minimum dropped to {gr1})"
+                    )
             # t = 2 -------------------------------------------------------
             g2 = subdivide(g, (x, y), 2)
             reports["obs3"].checked += 1
-            gr2 = _gamma_r_value(g2, gr) or gamma_r_exact(g2).size
+            if (gr2 := _gamma_r_value(g2, gr)) is None:
+                gr2 = gamma_r_exact(g2).size
             if gr2 > gr:
                 reports["obs3"].add_violation(g2, f"{edge}: gamma_r grew to {gr2}")
             else:
@@ -458,20 +496,19 @@ def verify_observations_2_to_6() -> list[VerificationReport]:
                 ndom_q = NerdQuery(1 << end, NERD_TYPE1)
                 if m.id in _SUBDIV_BOUND_RELAXED_MEMBERS:
                     # R2 and R10 may need gamma_r + 1, which the note prints
-                    dom = gamma_r_nerd_exact(g3, dom_q)
-                    dom_fails = not dom.optimal or dom.size > gr + 1
+                    dom = _least_nerd(g3, dom_q)
+                    dom_fails = dom is None or dom > gr + 1
                 else:
-                    dom = _nerd_exceeds(g3, dom_q, gr)
-                    dom_fails = dom is not None
-                ndom = _nerd_exceeds(g3, ndom_q, gr)
-                if dom_fails or ndom is not None:
-                    dom = dom or gamma_r_nerd_exact(g3, dom_q)
-                    ndom = ndom or gamma_r_nerd_exact(g3, ndom_q)
+                    dom = None
+                    dom_fails = _nerd_exceeds(g3, dom_q, gr) is not None
+                if dom_fails or _nerd_exceeds(g3, ndom_q, gr) is not None:
+                    # the exact solves supply the values the violation prints
+                    dom_size, ndom_size = (gamma_r_nerd_exact(g3, q).size for q in (dom_q, ndom_q))
                     reports["obs4a"].add_violation(
-                        g3, f"{edge} path vertex {end}: dom={dom.size} ndom={ndom.size} vs gamma_r={gr}"
+                        g3, f"{edge} path vertex {end}: dom={dom_size} ndom={ndom_size} vs gamma_r={gr}"
                     )
-                elif dom is not None and dom.size > gr:
-                    reports["obs4a"].notes.append(f"{edge} path vertex {end}: dom needs {dom.size}")
+                elif dom is not None and dom > gr:
+                    reports["obs4a"].notes.append(f"{edge} path vertex {end}: dom needs {dom}")
             if m.id in _SUBDIV3_MIDDLE_MEMBERS:
                 reports["obs4b"].checked += 1
                 if (dom := _nerd_exceeds(g3, NerdQuery(1 << (n + 1), NERD_TYPE2), gr)) is not None:

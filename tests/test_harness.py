@@ -20,7 +20,8 @@ from rdom.graph import Graph, bits_of, large_vertices, open_twins, small_vertice
 from rdom.graph6 import parse_graph6, write_graph6
 from rdom.iso import are_isomorphic, canonical_certificate
 from rdom.solvers import (
-    NERD_TYPE1, NERD_TYPE2, NerdQuery, SolveOutcome, gamma_r_exact, is_restrained_dominating,
+    NERD_TYPE1, NERD_TYPE2, NerdQuery, SolveOutcome, gamma_r_exact, gamma_r_nerd_exact,
+    is_restrained_dominating,
 )
 
 from named_graphs import complete_graph, cycle_graph, petersen_graph, star_graph
@@ -89,6 +90,13 @@ class TestGammaRValue:
     def test_matches_the_exact_solver_on_the_catalog(self):
         for m in family.all_family_members():
             self._check(m.graph)
+
+    def test_a_value_of_zero_is_a_value(self):
+        # the order-0 graph: its empty set is the minimum, certified as 0, not None
+        g = Graph(0, [])
+        self._check(g)
+        for variant in (NERD_TYPE1, NERD_TYPE2):
+            assert harness._least_nerd(g, NerdQuery(0, variant)) == 0
 
 
 class TestExistenceSearch:
@@ -199,25 +207,72 @@ class TestExistenceSearch:
                     missing += not hit
         assert found > 3000 and missing > 10_000
 
+    def test_up_to_matches_plain_enumeration_on_random_graphs(self):
+        # one walk over the sizes returns the first set that testing every
+        # subset finds, size by size, for restrained domination and both
+        # near-RD variants, beside random forcing
+        rng = random.Random(818)
+        found = missing = 0
+        for g, force_in, force_out in random_forced_instances(600, 9, seed=313):
+            x = rng.randrange(1 << g.n)
+            for q in (None, NerdQuery(x, NERD_TYPE1), NerdQuery(x, NERD_TYPE2)):
+                if q is None:
+                    predicate = is_restrained_dominating
+                else:
+                    def predicate(h, mask, q=q):
+                        return naive_is_nerd(h, bits_of(mask), list(bits_of(q.x)), q.variant)
+                first = None
+                for size in range(g.n + 2):
+                    if first is None:
+                        first = plain_exists_set_of_size(g, size, predicate, force_in, force_out)
+                    assert harness.exists_set_up_to(g, size, force_in, force_out, q) == first, (
+                        write_graph6(g), size, force_in, force_out, q)
+                found += first is not None
+                missing += first is None
+        assert found > 1000 and missing > 600
+
+    def test_least_near_rd_size_matches_the_exact_solver_on_random_graphs(self):
+        # the certified least near-RD size, or None, is the exact solve's
+        # value, or infeasible, for both variants and random exempt sets
+        rng = random.Random(2025)
+        infeasible = 0
+        for g, _, _ in random_forced_instances(750, 10, seed=404):
+            x = rng.randrange(1 << g.n)
+            for variant in (NERD_TYPE1, NERD_TYPE2):
+                q = NerdQuery(x, variant)
+                exact = gamma_r_nerd_exact(g, q)
+                least = harness._least_nerd(g, q)
+                assert least == (exact.size if exact.optimal else None), (write_graph6(g), x, variant)
+                infeasible += least is None
+        assert infeasible > 300
+
     def test_counting_prune_counts_only_required_vertices(self):
         # K_1,6 with its center exempt under type 1 and forced out: only the
-        # six leaves need domination, each leaf reaches one of them, so three
-        # choices cannot cover them and the walk backs up at its root
-        # (counting the center as well, each choice would seem to reach two)
+        # six leaves need domination, each leaf reaches one of them, so the
+        # root bound is six and no smaller size enters the walk (counting
+        # the center as well, each choice would seem to reach two, and the
+        # bound would be three)
         g = star_graph(6)
+        q = NerdQuery(1, NERD_TYPE1)
+        assert harness._certifier(g, force_out=1, q=q)[0] == 6
         nodes = []
 
         def profile(frame, event, arg):
             if event == "call" and frame.f_code.co_name == "walk":
                 nodes.append(frame.f_globals["__name__"])
 
-        sys.setprofile(profile)
-        try:
-            hit = harness.exists_set_of_size(g, 3, force_out=1, q=NerdQuery(1, NERD_TYPE1))
-        finally:
-            sys.setprofile(None)
-        assert hit is None
-        assert nodes == ["rdom.harness"]
+        walked = {}
+        for size in (3, 6):
+            nodes.clear()
+            sys.setprofile(profile)
+            try:
+                hit = harness.exists_set_of_size(g, size, force_out=1, q=q)
+            finally:
+                sys.setprofile(None)
+            assert hit is None
+            walked[size] = list(nodes)
+        # at the bound the walk runs, one node per choice: the six leaves
+        assert walked == {3: [], 6: ["rdom.harness"] * 6}
 
     @pytest.mark.parametrize("variant", [NERD_TYPE1, NERD_TYPE2])
     def test_exempt_set_outside_the_vertex_set_is_an_error(self, variant):
@@ -385,8 +440,9 @@ class TestTheoremSweeps:
         # reaches the patch; so does one that starts working on its corpus
         monkeypatch.setattr(harness, "gamma_r_exact", lambda g: pytest.fail("solved"))
         # the upper bounds are decided or certified, so their entry points
-        # must fail too, the certifier's near-RD query path included
-        for name in ("gamma_r_at_most", "exists_set_of_size", "gamma_r_nerd_exact"):
+        # must fail too: the certifier's walk setup, behind every query it
+        # answers, and the exact near-RD solve
+        for name in ("gamma_r_at_most", "_certifier", "gamma_r_nerd_exact"):
             monkeypatch.setattr(harness, name, lambda *args, **kwargs: pytest.fail("solved"))
         with pytest.raises(ValueError, match="jobs"):
             sweep(**kwargs, jobs=0)
@@ -483,35 +539,41 @@ class TestTheoremSweeps:
         assert calls == [cls]
 
 
-_certify = harness.exists_set_of_size
+_certifier = harness._certifier
 
 
 def _exceeds(*args, **kwargs):
     return SolveOutcome("exceeds")
 
 
-def _nothing_certified(*args, **kwargs):
+def _certifying(keep):
+    """``harness._certifier`` with the searches of every query that keep(q)
+    rejects finding nothing. Every certifier entry point, the catalog's
+    gamma_r values and near-RD values included, sets up its walk there."""
+
+    def certifier(g, force_in=0, force_out=0, q=None):
+        floor, find = _certifier(g, force_in, force_out, q)
+        return (floor, find) if keep(q) else (floor, lambda size: None)
+
+    return certifier
+
+
+# the restrained dominating sets, those of the existence claims and of the
+# gamma_r values, are found nowhere; the near-RD queries are certified
+_no_witness = _certifying(lambda q: q is not None)
+_no_nerd_witness = _certifying(lambda q: q is None)
+# no type-2 near-RD set is certified; everything else is
+_no_dom_witness = _certifying(lambda q: q is None or q.variant == NERD_TYPE1)
+_nothing_certified = _certifying(lambda q: False)
+
+
+def _above_k(g, k):
+    # the certified gamma_r value answers "above k", so the exact solve supplies it
     return None
-
-
-def _no_witness(g, size, force_in=0, force_out=0, q=None):
-    # the existence claims find nothing; the near-RD bounds are certified
-    return None if q is None else _certify(g, size, force_in, force_out, q)
-
-
-def _no_nerd_witness(g, size, force_in=0, force_out=0, q=None):
-    return None if q is not None else _certify(g, size, force_in, force_out, q)
 
 
 def _one_too_many(g):
     return SolveOutcome("optimal", gamma_r_exact(g).size + 1)
-
-
-def _no_dom_witness(g, size, force_in=0, force_out=0, q=None):
-    # no type-2 near-RD set is certified; everything else is
-    if q is not None and q.variant == NERD_TYPE2:
-        return None
-    return _certify(g, size, force_in, force_out, q)
 
 
 def _one_too_few(g):
@@ -667,36 +729,38 @@ _PASSING_DIGEST = "b605a45f65ecc692b1d619ce8aaea92419c3227cbda3a28e7c85aa63a9455
 
 class TestCatalogViolationPaths:
     """The catalog sweeps with the certifier finding no near-RD set (for
-    every query, or for those of type 2 only), no witness of an existence
-    claim, or neither, and with the gamma_r decisions answering "exceeds"
+    every query, or for those of type 2 only), no restrained dominating set,
+    or neither, and with the certified gamma_r values answering "above k"
     and ``gamma_r_exact`` one too many: each report's violation branches
-    are reached, and what they print is pinned. The exact near-RD solves
-    still supply every printed value. With the gamma_r decisions alone
-    answering "exceeds", the reports are those of a passing pass."""
+    are reached, and what they print is pinned. A failing near-RD bound
+    prints the exact solve's value; a near-RD value that a note prints, or
+    that a frozen pair compares, reads "infeasible" when nothing is
+    certified. With the gamma_r values alone answering "above k", the exact
+    solves supply them, and the reports are those of a passing pass."""
 
     @pytest.mark.parametrize("patches, want, digest", [
         pytest.param({}, _PASSING, _PASSING_DIGEST, id="as-is"),
         # the exact solves supply the gamma_r values, and the reports stay the same
-        pytest.param({"gamma_r_at_most": _exceeds}, _PASSING, _PASSING_DIGEST, id="exact-fallback"),
-        pytest.param({"exists_set_of_size": _no_nerd_witness}, [
-            (10, 0, 0), (42, 0, 0), (42, 0, 0), (42, 42, 0), (40, 40, 2), (76, 50, 26),
+        pytest.param({"_gamma_r_value": _above_k}, _PASSING, _PASSING_DIGEST, id="exact-fallback"),
+        pytest.param({"_certifier": _no_nerd_witness}, [
+            (10, 0, 0), (42, 0, 0), (42, 0, 0), (42, 42, 0), (40, 40, 2), (76, 76, 0),
             (108, 0, 3), (108, 0, 0), (216, 216, 0), (35, 35, 0), (88, 0, 0), (20, 0, 0), (104, 0, 10), (4, 0, 4),
-        ], "f86e831dd3f0c9bb7d6c209cdc838dabfabbe523689cb9bfd836458fce5cdf03", id="nerd"),
-        pytest.param({"exists_set_of_size": _no_dom_witness}, [
-            (10, 0, 0), (42, 0, 0), (42, 0, 0), (42, 0, 0), (40, 40, 2), (76, 50, 26),
-            (108, 0, 3), (108, 0, 0), (216, 182, 28), (35, 35, 0), (88, 0, 0), (20, 0, 0), (104, 0, 10), (4, 0, 4),
-        ], "68a8122d6065d7a11ed99c05c605e2bdf18a0f2f731c32c9e1772568d72dddcc", id="nerd-type-2"),
-        pytest.param({"exists_set_of_size": _no_witness}, [
+        ], "394a5bb10258407b302c9220e245a509633eaee733fd73b1ce49b274602502e1", id="nerd"),
+        pytest.param({"_certifier": _no_dom_witness}, [
+            (10, 0, 0), (42, 0, 0), (42, 0, 0), (42, 0, 0), (40, 40, 2), (76, 76, 0),
+            (108, 0, 3), (108, 0, 0), (216, 216, 0), (35, 35, 0), (88, 0, 0), (20, 0, 0), (104, 0, 10), (4, 0, 4),
+        ], "72bcfdc8a98ef7f7c484898ac609029b474c6e5c1ed7a80fe73356ebb86ef7ea", id="nerd-type-2"),
+        pytest.param({"_certifier": _no_witness}, [
             (10, 0, 0), (42, 42, 0), (42, 42, 0), (42, 0, 0), (40, 0, 2), (76, 0, 26),
             (108, 108, 0), (108, 108, 0), (216, 0, 28), (35, 0, 0), (88, 88, 0), (20, 20, 0), (104, 104, 0),
             (4, 4, 0),
         ], "8c031fd6f3cfef9152d4088263f50baa0d4eaaac48b69303050494f3d15a6449", id="certifier"),
-        pytest.param({"exists_set_of_size": _nothing_certified}, [
-            (10, 0, 0), (42, 42, 0), (42, 42, 0), (42, 42, 0), (40, 40, 2), (76, 50, 26),
+        pytest.param({"_certifier": _nothing_certified}, [
+            (10, 0, 0), (42, 42, 0), (42, 42, 0), (42, 42, 0), (40, 40, 2), (76, 76, 0),
             (108, 108, 0), (108, 108, 0), (216, 216, 0), (35, 35, 0), (88, 88, 0), (20, 20, 0), (104, 104, 0),
             (4, 4, 0),
-        ], "1001276192be94821fe693c4dd811100471b1c12c2e0afae036afa9ccb93f2ef", id="both"),
-        pytest.param({"gamma_r_exact": _one_too_many, "gamma_r_at_most": _exceeds}, [
+        ], "7f18904f427c6824d35d139cc17d3de8001fee08622e279b80d5d776d680b54d", id="both"),
+        pytest.param({"gamma_r_exact": _one_too_many, "_gamma_r_value": _above_k}, [
             (10, 10, 0), (42, 5, 0), (42, 7, 0), (42, 0, 0), (40, 0, 2), (76, 26, 0),
             (108, 17, 0), (108, 108, 0), (216, 0, 28), (35, 0, 0), (88, 0, 0), (20, 0, 0), (104, 0, 10), (4, 0, 4),
         ], "de85e75f7ebda7c2753e2490c3e81197df0331016caa84678cbd2fcd4b8561a6", id="exact"),
@@ -715,10 +779,11 @@ class TestCatalogViolationPaths:
             assert len(grew) == 12 + 108
 
     def test_solver_and_certifier_calls_per_pass(self, monkeypatch):
-        # a passing pass certifies every near-RD bound, each in one call at
-        # the size its claim states, and solves exactly only where a report
-        # prints the value or compares it for equality
-        calls = Counter()
+        # a passing pass certifies every catalog claim, the gamma_r values and
+        # the near-RD values its notes print included, and never reaches the
+        # solver: each query sets up one walk, and each near-RD bound
+        # searches only the size its claim states
+        calls = Counter(decided=0, exact=0)
         asked = []
         solve_min = kernels.solve_min
 
@@ -726,20 +791,26 @@ class TestCatalogViolationPaths:
             calls["decided" if args[-1] is not None else "exact"] += 1
             return solve_min(*args)
 
-        def counted_certify(g, size, force_in=0, force_out=0, q=None):
-            calls["certified"] += 1
-            if q is not None:
-                asked.append((write_graph6(g), q.x, q.variant, size))
-            return _certify(g, size, force_in, force_out, q)
+        def counted_certifier(g, force_in=0, force_out=0, q=None):
+            calls["setups"] += 1
+            floor, find = _certifier(g, force_in, force_out, q)
+
+            def counted_find(size):
+                calls["sizes"] += 1
+                if q is not None:
+                    asked.append((write_graph6(g), q.x, q.variant, size))
+                return find(size)
+
+            return floor, counted_find
 
         monkeypatch.setattr(kernels, "solve_min", counted_solve)
-        monkeypatch.setattr(harness, "exists_set_of_size", counted_certify)
+        monkeypatch.setattr(harness, "_certifier", counted_certifier)
         reports = harness.verify_observation_1() + harness.verify_observations_2_to_6()
         assert all(r.passed for r in reports)
-        assert calls == {"decided": 537, "exact": 62, "certified": 2310}
-        assert len(asked) == 565
+        assert calls == {"decided": 0, "exact": 0, "setups": 1585, "sizes": 1989}
+        assert len(asked) == 704
         assert hashlib.sha256(json.dumps(asked).encode()).hexdigest() == (
-            "38a635afe3bc83d232ce352a63487f4e18a7e2b9e247c5d92e5d90c48eca581c")
+            "87676f8f7f3833c83d6b9a906f0b51f59aee13496e55728171bbdea96427cfcf")
 
 
 class TestReportMechanics:
