@@ -27,13 +27,13 @@ walks no size below its root counting bound. A passing catalog pass never
 reaches the solver: an exact solve runs only when a claim fails, for the
 value its violation prints.
 
-The theorem sweeps decide their upper bounds on gamma_r, not minimize them:
-``gamma_r_at_most`` settles ``gamma_r <= 2n/5`` and its ``extremal:``
-notes, the key theorem for non-members with its tight non-member notes,
-``known-a`` apart from stars, ``known-b``, and lemma1's solver check.
-They solve exactly only where a report prints the value or compares it
-for equality: on any violation, on catalog members in the key theorem,
-and on stars.
+The theorem sweeps certify their upper bounds on gamma_r the same way,
+over one walk per graph (``_within``): ``gamma_r <= 2n/5`` and its
+``extremal:`` notes, the key theorem for non-members with its tight
+non-member notes, ``known-a`` apart from stars, ``known-b``, and lemma1's
+bound on the minimum. The solver runs only where a report prints the
+value or compares it for equality: on any violation, on catalog members
+in the key theorem, and on stars.
 """
 
 from __future__ import annotations
@@ -65,7 +65,6 @@ from rdom.solvers import (
     NerdQuery,
     SolveOutcome,
     _check_subset,
-    gamma_r_at_most,
     gamma_r_exact,
     gamma_r_nerd_exact,
     is_near_restrained_dominating,
@@ -309,14 +308,22 @@ _SUBDIV3_MIDDLE_MEMBERS = ("R4", "R5", "R9")
 _SUBDIV4_ENDS_TIGHT_MEMBERS = ("R4", "R5")
 
 
+def _within(cert: tuple[int, Callable[[int], int | None]], k: int) -> bool:
+    """Whether the walk ``cert`` of ``_certifier`` finds a set of size at
+    most k. It asks size k first, then each smaller size down to its root
+    bound, and stops at the first hit. Neither a restrained dominating set
+    nor a near-RD set need stay one when a vertex joins it, so a miss at
+    one size says nothing of the sizes below it; a bound that holds with a
+    set of size k searches one size."""
+    floor, find = cert
+    return any(find(size) is not None for size in range(k, floor - 1, -1))
+
+
 def _nerd_exceeds(g: Graph, q: NerdQuery, k: int) -> SolveOutcome | None:
     """None when a near-RD set of size at most k exists for q; otherwise the
-    exact outcome, whose value the violation prints. One walk asks each size
-    from k down to its root bound, as a near-RD set need not stay one when a
-    vertex joins it; the catalog's witnesses all have size k, so a passing
-    bound searches one size. Only a failing bound reaches the solver."""
-    floor, find = _certifier(g, q=q)
-    if any(find(size) is not None for size in range(k, floor - 1, -1)):
+    exact outcome, whose value the violation prints. Only a failing bound
+    reaches the solver."""
+    if _within(_certifier(g, q=q), k):
         return None
     return gamma_r_nerd_exact(g, q)
 
@@ -543,9 +550,9 @@ def _key_theorem_worker(g: Graph) -> tuple[Finding]:
     rep = weight(g)
     member = rep.members[0] if rep.members else None  # g is connected
     plain = 5 * rep.n2 + 4 * rep.n3
-    if member is None and gamma_r_at_most(g, plain // 10).within:
+    if member is None and _within(cert := _certifier(g), plain // 10):
         # 10*gamma_r <= plain <= w, so it passes; tight iff gamma_r = w/10
-        tight = rep.w % 10 == 0 and not gamma_r_at_most(g, rep.w // 10 - 1).within
+        tight = rep.w % 10 == 0 and not _within(cert, rep.w // 10 - 1)
     else:
         # members, and non-members about to fail, report the exact value
         gr = gamma_r_exact(g).size
@@ -581,8 +588,10 @@ def _cubic_worker(g: Graph) -> tuple[Finding]:
     """The bound's finding on g; its note names g when gamma_r = floor(2n/5)."""
     n = g.n
     bound = 2 * n // 5
-    extremal = not gamma_r_at_most(g, bound - 1).within
-    if extremal and not gamma_r_at_most(g, bound).within:
+    cert = _certifier(g)
+    extremal = not _within(cert, bound - 1)
+    # no size below the bound has a set, so only the bound is left to ask
+    if extremal and cert[1](bound) is None:
         return (Finding((f"gamma_r = {gamma_r_exact(g).size} exceeds 2n/5 = {2 * n / 5}",)),)
     # cross-check against the weight route: cubic graphs weigh 4n and are
     # never catalog members, so the two bounds must coincide
@@ -627,13 +636,13 @@ def _known_bounds_worker(g: Graph) -> tuple[Finding, Finding | None]:
     n = g.n
     degs = sorted(g.degree(v) for v in range(n))
     fail_a = ()
-    found_b = None
+    found_b = cert = None
     tag = ""
     if degs and degs[0] >= 2:
         # connected with minimum degree 2: five edges on five vertices is C5
         if n == 5 and g.edge_count() == 5:
             tag = "C5"
-        elif gamma_r_at_most(g, n // 2).within:
+        elif _within(cert := _certifier(g), n // 2):
             found_b = Finding()
         else:
             found_b = Finding((f"gamma_r = {gamma_r_exact(g).size} exceeds n/2 = {n / 2}",))
@@ -645,7 +654,7 @@ def _known_bounds_worker(g: Graph) -> tuple[Finding, Finding | None]:
             fail_a = (f"star K_1,{n - 1} has gamma_r = {gr}, expected {n}",)
     # minimum degree 2 means n >= 3, where n // 2 <= n - 2: a pass of
     # known-b settles known-a
-    elif (found_b is None or found_b.violations) and not gamma_r_at_most(g, n - 2).within:
+    elif (found_b is None or found_b.violations) and not _within(cert or _certifier(g), n - 2):
         fail_a = (f"gamma_r = {gamma_r_exact(g).size} exceeds n - 2 = {n - 2}",)
     return Finding(fail_a, tag=tag), found_b
 
@@ -707,7 +716,7 @@ def _construction_problems(g: Graph, trace: Lemma1Trace) -> list[str]:
         problems.append("output is not a restrained dominating set")
     if d.bit_count() > ell:
         problems.append(f"|D| = {d.bit_count()} exceeds |L| = {ell}")
-    if not gamma_r_at_most(g, ell).within:
+    if not _within(_certifier(g), ell):
         problems.append(f"solver minimum {gamma_r_exact(g).size} exceeds |L| = {ell}")
     l2_1, l2_2, l2_3 = trace.l2_by_degree
     for v in bits_of(trace.s1):

@@ -1,8 +1,8 @@
 """The compute kernels, in pure Python.
 
-Two hot paths live here: the set-minimization search behind every solver
-variant and decision, and canonical labeling by refinement plus branching
-over color classes, pruned by the automorphisms it finds. This is rdom's only
+Two hot paths live here: the set-minimization search behind every exact
+solver, and canonical labeling by refinement plus branching over color
+classes, pruned by the automorphisms it finds. This is rdom's only
 kernel. ``solve_min`` validates its arguments before it searches: the
 search trusts its rows to be symmetric and does not check them.
 ``canonical_form`` goes unguarded: it sits on the enumeration hot path and
@@ -27,13 +27,8 @@ ACTIVE = "python"
 CERT_MAX_N = 16
 
 
-class _Found(Exception):
-    """Ends a bounded search at its first accepted leaf."""
-
-
-def solve_min(n, adj, dom_req, res_req, force_in=0, force_out=0, limit=None):
-    """Minimize |S| over vertex sets S subject to the parametric constraints,
-    or, given a ``limit``, decide whether some S has ``|S| <= limit``.
+def solve_min(n, adj, dom_req, res_req, force_in=0, force_out=0):
+    """Minimize |S| over vertex sets S subject to the parametric constraints.
 
     Constraints:
       * ``force_in`` is a subset of S and S avoids ``force_out``;
@@ -49,14 +44,6 @@ def solve_min(n, adj, dom_req, res_req, force_in=0, force_out=0, limit=None):
     Returns ``(size, bits)`` for an optimal S, or ``None`` when no S
     satisfies the constraints. Among optimal sets the one with the smallest
     bitmask value wins, so the witness is independent of search order.
-
-    With ``limit=k`` (an int ``k >= 0``; a ``bool`` or a negative value
-    raises ``ValueError``) the same search runs with its incumbent at
-    ``k`` instead of ``n + 1`` and stops at the first leaf it accepts. It
-    returns that leaf's ``(size, bits)``, with ``size <= k``, or ``None``
-    when no S of size at most ``k`` satisfies the constraints. The witness
-    is the first one in search order, not the lex-least, and its size need
-    not be optimal. ``limit=None`` is the exact search, node for node.
 
     Search: depth-first branch and bound over IN/OUT/UNDECIDED labels. The
     branch vertex is the lowest-index undecided vertex adjacent to (or
@@ -99,8 +86,6 @@ def solve_min(n, adj, dom_req, res_req, force_in=0, force_out=0, limit=None):
                        ("force_in", force_in), ("force_out", force_out)):
         if mask >> n:
             raise ValueError(f"{name} has bits outside range({n})")
-    if limit is not None and (isinstance(limit, bool) or not isinstance(limit, int) or limit < 0):
-        raise ValueError(f"limit must be None or an int >= 0, got {limit!r}")
     if force_in & force_out:
         return None
     full = (1 << n) - 1
@@ -111,9 +96,8 @@ def solve_min(n, adj, dom_req, res_req, force_in=0, force_out=0, limit=None):
         if d > maxdeg:
             maxdeg = d
     denom = maxdeg + 1
-    best_size = n + 1 if limit is None else limit
+    best_size = n + 1
     best_bits = -1
-    decide = limit is not None
 
     def search(inb, outb, cnt, dom, trapped):
         nonlocal best_size, best_bits
@@ -139,8 +123,6 @@ def solve_min(n, adj, dom_req, res_req, force_in=0, force_out=0, limit=None):
             if cnt < best_size or (cnt == best_size and (best_bits < 0 or inb < best_bits)):
                 best_size = cnt
                 best_bits = inb
-                if decide:
-                    raise _Found
             return
         bv = 1 << branch
         if cnt < best_size:
@@ -183,10 +165,7 @@ def solve_min(n, adj, dom_req, res_req, force_in=0, force_out=0, limit=None):
     for v in range(n):
         if dom_req >> v & 1 and not dom >> v & 1 and not closed[v] & und:
             return None
-    try:
-        search(force_in, force_out, force_in.bit_count(), dom, trapped)
-    except _Found:
-        pass
+    search(force_in, force_out, force_in.bit_count(), dom, trapped)
     if best_bits < 0:
         return None
     return best_size, best_bits

@@ -1,9 +1,9 @@
-"""Exact solvers, a decision and the set predicates for restrained domination.
+"""Exact solvers and the set predicates for restrained domination.
 
 All solvers reduce to one parametric minimization (see rdom.kernels): choose
 which vertices must be dominated, which vertices outside the solution must
 keep a neighbor outside it, and which vertices are forced in or out.
-``_solve`` turns each variant into those masks; the three public functions
+``_solve`` turns each variant into those masks; the two public solvers
 below call it and take no forcing sets of their own.
 
 Variants:
@@ -13,16 +13,13 @@ Variants:
     outside the solution, dominated, but excused from the outside-neighbor
     requirement)
 
-Decision: ``gamma_r_at_most`` asks whether a restrained dominating set of
-size at most k exists, through the same search with its ``limit`` set. Its
-outcome is "within", carrying the first witness the search accepts (not
-necessarily a minimum one), or "exceeds"; never "optimal", so a decision
-cannot be read as a value. Near-RD bounds are not decided here: the
-harness certifies them by subset enumeration against
-``is_near_restrained_dominating``, which reads the definition directly.
+The solvers supply values, the ones a report prints or compares. Upper
+bounds are not decided here: the harness certifies them by subset
+enumeration against ``is_restrained_dominating`` and
+``is_near_restrained_dominating``, which read the definitions directly.
 
-Every solver and the decision return a ``SolveOutcome``. It and ``NerdQuery``
-are NamedTuples; ``NerdQuery`` checks its variant however it is built,
+Every solver returns a ``SolveOutcome``. It and ``NerdQuery`` are
+NamedTuples; ``NerdQuery`` checks its variant however it is built,
 ``._replace`` included.
 """
 
@@ -60,7 +57,7 @@ class NerdQuery(_NerdFields):
 
 
 class SolveOutcome(NamedTuple):
-    status: str  # "optimal" | "infeasible", or a decision's "within" | "exceeds"
+    status: str  # "optimal" | "infeasible"
     size: int | None = None
     witness: VertexSet | None = None
     micros: int = 0
@@ -68,10 +65,6 @@ class SolveOutcome(NamedTuple):
     @property
     def optimal(self) -> bool:
         return self.status == "optimal"
-
-    @property
-    def within(self) -> bool:
-        return self.status == "within"
 
     def witness_ids(self) -> list[int]:
         return list(bits_of(self.witness)) if self.witness is not None else []
@@ -115,10 +108,9 @@ def is_near_restrained_dominating(g: Graph, s: VertexSet, q: NerdQuery) -> bool:
     return True
 
 
-def _solve(g: Graph, q: NerdQuery | None = None, limit: int | None = None) -> SolveOutcome:
-    """Restrained domination, or the near-RD relaxation q, minimized or,
-    given a limit, decided: the one place a query becomes the kernel's
-    masks."""
+def _solve(g: Graph, q: NerdQuery | None = None) -> SolveOutcome:
+    """Restrained domination, or the near-RD relaxation q, minimized: the
+    one place a query becomes the kernel's masks."""
     full = g.vertex_mask()
     dom_req = res_req = full
     force_out = 0
@@ -130,24 +122,18 @@ def _solve(g: Graph, q: NerdQuery | None = None, limit: int | None = None) -> So
             res_req = full & ~q.x
             force_out = q.x
     t0 = time.perf_counter()
-    res = kernels.solve_min(g.n, g.adj, dom_req, res_req, 0, force_out, limit)
+    res = kernels.solve_min(g.n, g.adj, dom_req, res_req, 0, force_out)
     micros = int((time.perf_counter() - t0) * 1e6)
     if res is None:
-        return SolveOutcome("infeasible" if limit is None else "exceeds", micros=micros)
+        return SolveOutcome("infeasible", micros=micros)
     size, bits = res
-    return SolveOutcome("optimal" if limit is None else "within", size, bits, micros)
+    return SolveOutcome("optimal", size, bits, micros)
 
 
 def gamma_r_exact(g: Graph) -> SolveOutcome:
     """Minimum restrained dominating set; always feasible, since the whole
     vertex set qualifies. Witness is the smallest optimal bitmask."""
     return _solve(g)
-
-
-def gamma_r_at_most(g: Graph, k: int) -> SolveOutcome:
-    """Whether a restrained dominating set of size at most k exists:
-    "within" with such a set, or "exceeds"."""
-    return _solve(g, limit=k)
 
 
 def gamma_r_nerd_exact(g: Graph, q: NerdQuery) -> SolveOutcome:

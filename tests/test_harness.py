@@ -439,32 +439,54 @@ class TestTheoremSweeps:
         # subtree roots are never cached, so a sweep that enumerates first
         # reaches the patch; so does one that starts working on its corpus
         monkeypatch.setattr(harness, "gamma_r_exact", lambda g: pytest.fail("solved"))
-        # the upper bounds are decided or certified, so their entry points
-        # must fail too: the certifier's walk setup, behind every query it
-        # answers, and the exact near-RD solve
-        for name in ("gamma_r_at_most", "_certifier", "gamma_r_nerd_exact"):
+        # the upper bounds are certified, so their entry points must fail
+        # too: the certifier's walk setup, behind every query it answers,
+        # and the exact near-RD solve
+        for name in ("_certifier", "gamma_r_nerd_exact"):
             monkeypatch.setattr(harness, name, lambda *args, **kwargs: pytest.fail("solved"))
         with pytest.raises(ValueError, match="jobs"):
             sweep(**kwargs, jobs=0)
 
     @pytest.mark.parametrize("sweep, kwargs, solves", [
-        pytest.param(harness.verify_cubic_bound, {"max_n": 10}, 0, id="cubic"),
+        pytest.param(harness.verify_cubic_bound, {"max_n": 12}, 0, id="cubic"),
+        pytest.param(harness.verify_cubic_bound, {"graphs": [petersen_graph()]}, 0, id="cubic-corpus"),
         pytest.param(harness.verify_key_theorem, {"max_n": 7}, 3, id="key-theorem"),  # R1, R2, R10
         pytest.param(harness.verify_known_bounds, {"max_n": 6}, 5, id="known-bounds"),  # the stars
+        pytest.param(harness.verify_lemma1, {"max_n": 10}, 0, id="lemma1"),
     ])
     def test_passing_upper_bounds_are_decided(self, sweep, kwargs, solves, monkeypatch):
-        # a passing graph takes an exact solve only where its report needs
-        # the value: catalog members and stars
+        # the subset walk certifies every passing bound: the kernel's search
+        # runs only where a report needs the value, for catalog members and
+        # stars
         solved = []
-        exact = harness.gamma_r_exact
+        solve_min = kernels.solve_min
 
-        def counted(g, *args):
-            solved.append(g)
-            return exact(g, *args)
+        def counted(*args):
+            solved.append(args)
+            return solve_min(*args)
 
-        monkeypatch.setattr(harness, "gamma_r_exact", counted)
+        monkeypatch.setattr(kernels, "solve_min", counted)
         assert all(r.passed for r in sweep(**kwargs))
         assert len(solved) == solves
+
+    @pytest.mark.parametrize("sweep, kwargs, setups, sizes", [
+        pytest.param(harness.verify_cubic_bound, {"max_n": 12}, 112, 160, id="cubic"),
+        # the 248 graphs less the 6 members, which are solved exactly; the
+        # count includes H?QHhrO, whose bound fails
+        pytest.param(harness.verify_key_theorem, {"max_n": 9}, 242, 246, id="key-theorem"),
+        # a seeded random cubic graph of order 20, not extremal, whose walk
+        # floor, 5, lies below its gamma_r, 6, and below the size asked, 7:
+        # a bottom-up walk asks two sizes
+        pytest.param(harness.verify_cubic_bound, {"graphs": [parse_graph6("SUC_O?BGIO?A?O@??@QA?@@aA???BG?I_")]},
+                     1, 1, id="cubic-corpus"),
+    ])
+    def test_walk_sizes_per_pass(self, sweep, kwargs, setups, sizes, monkeypatch):
+        # one walk setup per graph that reaches the walk; each bound asks its
+        # own size first and smaller ones only when that size has no set
+        calls = Counter()
+        monkeypatch.setattr(harness, "_certifier", _counting_certifier(calls, []))
+        sweep(**kwargs)
+        assert calls == {"setups": setups, "sizes": sizes}
 
     def test_key_theorem_classifies_each_graph_once(self, monkeypatch):
         # the weight's one classification also names the member
@@ -542,10 +564,6 @@ class TestTheoremSweeps:
 _certifier = harness._certifier
 
 
-def _exceeds(*args, **kwargs):
-    return SolveOutcome("exceeds")
-
-
 def _certifying(keep):
     """``harness._certifier`` with the searches of every query that keep(q)
     rejects finding nothing. Every certifier entry point, the catalog's
@@ -565,6 +583,47 @@ _no_nerd_witness = _certifying(lambda q: q is None)
 # no type-2 near-RD set is certified; everything else is
 _no_dom_witness = _certifying(lambda q: q is None or q.variant == NERD_TYPE1)
 _nothing_certified = _certifying(lambda q: False)
+
+
+def _counting_certifier(calls, asked):
+    """``harness._certifier`` counting its walk setups and the sizes they
+    are asked in calls, and appending each near-RD size asked to asked as
+    ``(graph6, q.x, q.variant, size)``."""
+
+    def certifier(g, force_in=0, force_out=0, q=None):
+        calls["setups"] += 1
+        floor, find = _certifier(g, force_in, force_out, q)
+
+        def counted_find(size):
+            calls["sizes"] += 1
+            if q is not None:
+                asked.append((write_graph6(g), q.x, q.variant, size))
+            return find(size)
+
+        return floor, counted_find
+
+    return certifier
+
+
+def _one_size_up(g, force_in=0, force_out=0, q=None):
+    # every set the walk finds turns up one size later: each gamma_r reads one more
+    floor, find = _certifier(g, force_in, force_out, q)
+    return floor + 1, lambda size: find(size - 1)
+
+
+def _key_theorem_solved(g, gr):
+    # members are solved anyway; a non-member when its bound 5*n2 + 4*n3 fails
+    rep = weight(g)
+    return bool(rep.members) or gr + 1 > (5 * rep.n2 + 4 * rep.n3) // 10
+
+
+def _known_bounds_solved(g, gr):
+    # stars are solved anyway; a graph when known-a fails, or known-b on
+    # minimum degree 2 apart from C5
+    degs = sorted(g.degree(v) for v in range(g.n))
+    star = degs == [1] * (g.n - 1) + [g.n - 1]
+    c5 = g.n == 5 and g.edge_count() == 5
+    return star or gr + 1 > g.n - 2 or degs[0] >= 2 and not c5 and gr + 1 > g.n // 2
 
 
 def _above_k(g, k):
@@ -610,15 +669,15 @@ _LEMMA1_TAMPERS = {
 
 
 class TestViolationPaths:
-    """The theorem sweeps with ``gamma_r_at_most`` patched to answer
-    "exceeds", so that every decided bound fails and the reports must list
-    the graphs; and with ``gamma_r_exact``, ``weight`` or the Lemma 1
-    construction patched to answer wrongly, so that each of their fault
-    branches is reached and its message pinned."""
+    """The theorem sweeps with the certifier finding no restrained
+    dominating set, so that every certified bound fails and the reports
+    must list the graphs; and with ``gamma_r_exact``, ``weight`` or the
+    Lemma 1 construction patched to answer wrongly, so that each of their
+    fault branches is reached and its message pinned."""
 
     @pytest.fixture
     def nothing_within(self, monkeypatch):
-        monkeypatch.setattr(harness, "gamma_r_at_most", _exceeds)
+        monkeypatch.setattr(harness, "_certifier", _no_witness)
 
     @pytest.mark.parametrize("sweep, max_n, cls, want", [
         pytest.param(harness.verify_cubic_bound, 10, "cubic", [
@@ -699,6 +758,32 @@ class TestViolationPaths:
         construct = rdom.construct.lemma1_construct
         monkeypatch.setattr(rdom.construct, "lemma1_construct", lambda g: tamper(g, construct(g)))
         assert harness.audit_lemma1(parse_graph6(g6)) == problems
+
+    @pytest.mark.parametrize("sweep, max_n, cls, solved", [
+        pytest.param(harness.verify_cubic_bound, 10, "cubic", lambda g, gr: gr + 1 > 2 * g.n // 5, id="cubic"),
+        pytest.param(harness.verify_key_theorem, 8, "special-subcubic", _key_theorem_solved, id="key-theorem"),
+        pytest.param(harness.verify_known_bounds, 6, "all", _known_bounds_solved, id="known-bounds"),
+        pytest.param(harness.verify_lemma1, 12, "degree-bipartite", lambda g, gr: (
+            gr + 1 > large_vertices(g).bit_count()), id="lemma1"),
+    ])
+    def test_graphs_at_their_bound_reach_the_solver(self, sweep, max_n, cls, solved, monkeypatch):
+        # with every gamma_r read one more, exactly the graphs whose gamma_r
+        # meets a bound fail it and are solved, with the catalog members and
+        # stars that are solved anyway: a bound off by one either way, or a
+        # walk that skips a size, solves a different set
+        want = {write_graph6(g) for n in range(2, max_n + 1) for g in connected_classes(n, cls)
+                if solved(g, gamma_r_exact(g).size)}
+        got = set()
+        exact = harness.gamma_r_exact
+
+        def recorded(g):
+            got.add(write_graph6(g))
+            return exact(g)
+
+        monkeypatch.setattr(harness, "_certifier", _one_size_up)
+        monkeypatch.setattr(harness, "gamma_r_exact", recorded)
+        sweep(max_n)
+        assert want and got == want
 
     @pytest.mark.parametrize("patched", [False, True], ids=["as-is", "nothing-within"])
     def test_corpus_report_does_not_depend_on_input_order(self, patched, request):
@@ -783,31 +868,19 @@ class TestCatalogViolationPaths:
         # the near-RD values its notes print included, and never reaches the
         # solver: each query sets up one walk, and each near-RD bound
         # searches only the size its claim states
-        calls = Counter(decided=0, exact=0)
+        calls = Counter(solved=0)
         asked = []
         solve_min = kernels.solve_min
 
         def counted_solve(*args):
-            calls["decided" if args[-1] is not None else "exact"] += 1
+            calls["solved"] += 1
             return solve_min(*args)
 
-        def counted_certifier(g, force_in=0, force_out=0, q=None):
-            calls["setups"] += 1
-            floor, find = _certifier(g, force_in, force_out, q)
-
-            def counted_find(size):
-                calls["sizes"] += 1
-                if q is not None:
-                    asked.append((write_graph6(g), q.x, q.variant, size))
-                return find(size)
-
-            return floor, counted_find
-
         monkeypatch.setattr(kernels, "solve_min", counted_solve)
-        monkeypatch.setattr(harness, "_certifier", counted_certifier)
+        monkeypatch.setattr(harness, "_certifier", _counting_certifier(calls, asked))
         reports = harness.verify_observation_1() + harness.verify_observations_2_to_6()
         assert all(r.passed for r in reports)
-        assert calls == {"decided": 0, "exact": 0, "setups": 1585, "sizes": 1989}
+        assert calls == {"solved": 0, "setups": 1585, "sizes": 1989}
         assert len(asked) == 704
         assert hashlib.sha256(json.dumps(asked).encode()).hexdigest() == (
             "87676f8f7f3833c83d6b9a906f0b51f59aee13496e55728171bbdea96427cfcf")

@@ -13,7 +13,7 @@ from rdom.iso import canonical_graph
 from named_graphs import complete_graph, cycle_graph, petersen_graph
 
 from oracles import (
-    brute_automorphisms, brute_orbits, encode_graph6_oracle, naive_meets, seed_canonical_form, seed_solve_min,
+    brute_automorphisms, brute_orbits, encode_graph6_oracle, seed_canonical_form, seed_solve_min,
 )
 
 
@@ -97,50 +97,11 @@ class TestSearchMatchesSeed:
         assert self.check(corpus, seed=55) > 0
 
     def test_contradictory_forcing_is_infeasible(self):
-        # a vertex forced both in and out admits no set, exact or bounded
+        # a vertex forced both in and out admits no set
         g = complete_graph(4)
         full = g.vertex_mask()
-        for limit in (None, 0, 1, 2, 3, 4):
-            assert kernels.solve_min(g.n, g.adj, full, full, 1, 1, limit) is None, limit
+        assert kernels.solve_min(g.n, g.adj, full, full, 1, 1) is None
 
-
-class TestBoundedSearch:
-    """``solve_min(..., limit=k)`` on the instances TestSearchMatchesSeed
-    draws, for every k in 0..n: ``None`` exactly when the seed's optimum
-    is ``None`` or above k, and otherwise a witness of at most k vertices
-    that honors the forcing masks and, by a predicate that is not the
-    solver, the constraints."""
-
-    def check(self, corpus, seed):
-        rng = random.Random(seed)
-        within = exceeds = 0
-        for g in corpus:
-            for dom, res, fi, fo in solve_configs(g, rng):
-                best = seed_solve_min(g.n, g.adj, dom, res, fi, fo)
-                for k in range(g.n + 1):
-                    got = kernels.solve_min(g.n, g.adj, dom, res, fi, fo, k)
-                    case = (g.adj, dom, res, fi, fo, k)
-                    if best is None or best[0] > k:
-                        assert got is None, case
-                        exceeds += 1
-                        continue
-                    size, bits = got
-                    assert size == bits.bit_count() <= k, case
-                    assert bits & fi == fi and not bits & fo, case
-                    assert naive_meets(g.n, g.adj, dom, res, bits), case
-                    within += 1
-        assert within and exceeds
-
-    def test_catalog_and_petersen(self):
-        self.check([m.graph for m in all_family_members()] + [petersen_graph()], seed=51)
-
-    def test_random_small_graphs(self):
-        self.check(random_graphs(400, 14, seed=52), seed=53)
-
-    def test_random_cubic_graphs(self):
-        rng = random.Random(54)
-        corpus = [random_cubic(n, rng) for n in (16, 18, 20) for _ in range(10)]
-        self.check(corpus, seed=55)
 
 
 def is_automorphism(n, adj, g):
@@ -292,11 +253,6 @@ class TestSolveGuard:
         (3, [0b010, 0, 0], 7, 7),  # asymmetric row
         (3, [0b010, 0b001, 0], 8, 7),  # dom_req outside range(n)
         (3, [0b010, 0b001, 0], 7, 7, 0, -1),  # negative force_out
-        (3, [0b010, 0b001, 0], 7, 7, 0, 0, -1),  # negative limit
-        (3, [0b010, 0b001, 0], 7, 7, 0, 0, "2"),  # limit not an int
-        (3, [0b010, 0b001, 0], 7, 7, 0, 0, 2.0),
-        (3, [0b010, 0b001, 0], 7, 7, 0, 0, True),  # a bool is not a limit
-        (3, [0b010, 0b001, 0], 7, 7, 0, 0, False),
     ])
     def test_rejects(self, args):
         with pytest.raises(ValueError):

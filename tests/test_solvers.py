@@ -8,13 +8,12 @@ import pytest
 from rdom.graph import Graph, bits_of, disjoint_union, mask_of, small_vertices, subdivide
 from rdom.enumeration import connected_classes
 from rdom.family import all_family_members
-from rdom.harness import exists_set_of_size
+from rdom.harness import _certifier, _within, exists_set_of_size
 from rdom.solvers import (
     NERD_TYPE1,
     NERD_TYPE2,
     NerdQuery,
     SolveOutcome,
-    gamma_r_at_most,
     gamma_r_exact,
     gamma_r_nerd_exact,
     is_near_restrained_dominating,
@@ -133,11 +132,10 @@ class TestNerdSolver:
 
 
 class TestDecisions:
-    """The decision held to the exact solver: "exceeds" one below the
-    minimum, and "within" at it with a witness the predicate accepts.
-    Neither outcome reads as optimal. The near-RD bounds, which the harness
-    certifies by subset enumeration, are held to the exact near-RD solver
-    the same way."""
+    """The harness's certified bound check held to the exact solver: no
+    restrained dominating set of size at most gamma_r - 1, and one at
+    gamma_r that a predicate other than the walk's accepts. The near-RD
+    bounds are held to the exact near-RD solver the same way."""
 
     @pytest.mark.parametrize("cls, max_n", [("cubic", 12), ("special-subcubic", 10), ("all", 7)])
     def test_gamma_r_on_corpora(self, cls, max_n):
@@ -145,12 +143,12 @@ class TestDecisions:
         for n in range(1, max_n + 1):
             for g in connected_classes(n, cls):
                 gr = gamma_r_exact(g).size
-                below = gamma_r_at_most(g, gr - 1)
-                assert below.status == "exceeds" and below.witness is None, g.adj
-                at = gamma_r_at_most(g, gr)
-                assert at.status == "within" and not at.optimal, g.adj
-                assert at.size == at.witness.bit_count() == gr, g.adj
-                assert is_restrained_dominating(g, at.witness), g.adj
+                cert = _certifier(g)
+                assert not _within(cert, gr - 1), g.adj
+                assert _within(cert, gr), g.adj
+                hit = cert[1](gr)
+                assert hit.bit_count() == gr, g.adj
+                assert naive_is_restrained(g, list(bits_of(hit))), g.adj
                 checked += 1
         assert checked > 100
 
