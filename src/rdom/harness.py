@@ -11,29 +11,26 @@ out; ``_fold`` adds them to the reports in graph6 order. The cubic
 sweep's ``extremal:`` notes list the graphs with gamma_r = floor(2n/5).
 Only the lemma1 checks import ``rdom.construct``, where they run.
 
-The catalog sweeps, obs1a to obs6b, are certified independently of the
-branch-and-bound solver, each query by one subset walk set up once
-(``_certifier``): the existence claims (a witness set of a stated size and
-shape exists), the near-RD bounds of obs1d, obs1e, obs1f, obs4a and obs4b
-(``_nerd_exceeds``), the gamma_r values that obs1a, obs2 and obs3 compare
-(``_gamma_r_value``), and the near-RD values that passing reports print or
-compare, at R2's open twins in obs1e, the frozen pairs of obs1f and the
-type-2 relaxation of R2 and R10 in obs4a (``_least_nerd``). The walk
-enumerates the subsets of each size in lexicographic order, skips only
-those whose closed neighborhoods cannot cover the vertices the claim
-requires dominated, and accepts a set only by the definition check
-``is_restrained_dominating`` or ``is_near_restrained_dominating``; it
-walks no size below its root counting bound. A passing catalog pass never
-reaches the solver: an exact solve runs only when a claim fails, for the
-value its violation prints.
-
-The theorem sweeps certify their upper bounds on gamma_r the same way,
-over one walk per graph (``_within``): ``gamma_r <= 2n/5`` and its
+The subset walk certifies every claim independently of the
+branch-and-bound solver, each query by one walk set up once
+(``_certifier``) and asked in one of two ways. ``_within(cert, k)`` scans
+from size k down to the walk's floor and answers an upper bound: the
+catalog's near-RD bounds of obs1d, obs1e, obs1f, obs4a and obs4b, and the
+theorem sweeps' bounds on gamma_r (``gamma_r <= 2n/5`` and its
 ``extremal:`` notes, the key theorem for non-members with its tight
 non-member notes, ``known-a`` apart from stars, ``known-b``, and lemma1's
-bound on the minimum. The solver runs only where a report prints the
-value or compares it for equality: on any violation, on catalog members
-in the key theorem, and on stars.
+bound on the minimum). ``_least(cert, k)`` scans from the floor up to k
+and gives the least size with a set: the gamma_r values that obs1a, obs2
+and obs3 compare, the near-RD values that passing reports print or
+compare (at R2's open twins in obs1e, the frozen pairs of obs1f and the
+type-2 relaxation of R2 and R10 in obs4a), and the witnesses of obs5 and
+obs6. The existence claims of obs1b, obs1c, obs2 and obs3 ask the sizes
+they state. The walk accepts a set only by the definition check
+``is_restrained_dominating`` or ``is_near_restrained_dominating``, and
+returns what testing every subset would (``_certifier`` proves it). The
+solver runs only where a report prints a value or compares it for
+equality and no walk supplies it: on any violation, on a gamma_r value
+above its table's, on catalog members in the key theorem, and on stars.
 """
 
 from __future__ import annotations
@@ -63,7 +60,6 @@ from rdom.solvers import (
     NERD_TYPE1,
     NERD_TYPE2,
     NerdQuery,
-    SolveOutcome,
     _check_subset,
     gamma_r_exact,
     gamma_r_nerd_exact,
@@ -128,8 +124,16 @@ def exists_set_of_size(
     ``itertools.combinations`` order over the free vertices; its mask, or
     None if there is none (always when the two forcing sets meet). Under
     type 2 the exempt set joins force_out, so an exempt vertex forced in
-    leaves no witness. This is the certification route for the catalog's
-    claims: subset enumeration, no solver involved.
+    leaves no witness."""
+    return _certifier(g, force_in, force_out, q)[1](size)
+
+
+def _certifier(
+    g: Graph, force_in: int = 0, force_out: int = 0, q: NerdQuery | None = None
+) -> tuple[int, Callable[[int], int | None]]:
+    """The subset walk for one query, set up once: ``(floor, find)``, where
+    ``find(size)`` is ``exists_set_of_size`` at that size and every size
+    below ``floor`` has no witness.
 
     The walk picks the free vertices depth first in index order, so it
     visits the subsets in ``combinations`` order, and carries ``dom``, the
@@ -150,16 +154,7 @@ def exists_set_of_size(
     the definition check, ``is_restrained_dominating`` or
     ``is_near_restrained_dominating``. Only sets that miss a vertex q
     requires dominated are skipped, so the walk returns exactly what
-    testing every subset in ``combinations`` order would return."""
-    return _certifier(g, force_in, force_out, q)[1](size)
-
-
-def _certifier(
-    g: Graph, force_in: int = 0, force_out: int = 0, q: NerdQuery | None = None
-) -> tuple[int, Callable[[int], int | None]]:
-    """The subset walk of ``exists_set_of_size`` for one query, set up once:
-    ``(floor, find)``, where ``find(size)`` is ``exists_set_of_size`` at that
-    size and every size below ``floor`` has no witness.
+    testing every subset in ``combinations`` order would return.
 
     ``floor`` is the walk's own root prune read as a size: the vertices of
     ``need`` that force_in leaves undominated, ``u`` of them, take at least
@@ -218,21 +213,6 @@ def _certifier(
         return force_in if accepts(g, force_in) else None
 
     return floor, find
-
-
-def exists_set_up_to(
-    g: Graph, max_size: int, force_in: int = 0, force_out: int = 0, q: NerdQuery | None = None
-) -> int | None:
-    """``exists_set_of_size`` for each size up to max_size in turn, over one
-    walk set up once: returns a smallest witness of size at most max_size,
-    or None. The sizes start at the walk's root bound, below which none has
-    a witness."""
-    floor, find = _certifier(g, force_in, force_out, q)
-    for size in range(floor, max_size + 1):
-        mask = find(size)
-        if mask is not None:
-            return mask
-    return None
 
 
 def _timed(reports: list[VerificationReport], t0: float) -> list[VerificationReport]:
@@ -319,34 +299,21 @@ def _within(cert: tuple[int, Callable[[int], int | None]], k: int) -> bool:
     return any(find(size) is not None for size in range(k, floor - 1, -1))
 
 
-def _nerd_exceeds(g: Graph, q: NerdQuery, k: int) -> SolveOutcome | None:
-    """None when a near-RD set of size at most k exists for q; otherwise the
-    exact outcome, whose value the violation prints. Only a failing bound
-    reaches the solver."""
-    if _within(_certifier(g, q=q), k):
-        return None
-    return gamma_r_nerd_exact(g, q)
-
-
-def _least_nerd(g: Graph, q: NerdQuery) -> int | None:
-    """The least size of a near-RD set for q, certified: no size below it
-    has one. None when q admits none, which type 2 can."""
-    hit = exists_set_up_to(g, g.n, q=q)
-    return None if hit is None else hit.bit_count()
-
-
-def _gamma_r_value(g: Graph, k: int) -> int | None:
-    """gamma_r(g) when it is at most k, otherwise None, certified: the size
-    of the smallest restrained dominating set ``exists_set_up_to`` finds."""
-    hit = exists_set_up_to(g, k)
-    return None if hit is None else hit.bit_count()
+def _least(cert: tuple[int, Callable[[int], int | None]], k: int) -> int | None:
+    """The least size at which the walk ``cert`` of ``_certifier`` finds a
+    set, if it is at most k, otherwise None. It asks each size from its
+    root bound up to k and stops at the first hit; no size below the bound
+    has a set, so the hit is the least size of any."""
+    floor, find = cert
+    return next((size for size in range(floor, k + 1) if find(size) is not None), None)
 
 
 def _free_orientation(report: VerificationReport, g: Graph, edge: str, hits: list, missing: str) -> bool:
-    """Read a claim on a path end with the free edge orientation, given the
-    witness found under the forward and the reversed labeling of the edge,
-    or None: a violation naming what is missing when both are None, a note
-    when one is. Returns whether either labeling admits a witness."""
+    """Read a claim on a path end with the free edge orientation, given what
+    the walk found under the forward and the reversed labeling of the edge,
+    a witness or its least size, or None: a violation naming what is
+    missing when both are None, a note when one is. Returns whether either
+    labeling admits a witness."""
     if hits == [None, None]:
         report.add_violation(g, f"{edge}: {missing}")
         return False
@@ -377,7 +344,7 @@ def verify_observation_1() -> list[VerificationReport]:
     for m in all_family_members():
         g = m.graph
         # a value above the table's is solved exactly, for the violation to print
-        if (gr := _gamma_r_value(g, m.gamma_r)) is None:
+        if (gr := _least(_certifier(g), m.gamma_r)) is None:
             gr = gamma_r_exact(g).size
         reports["a"].checked += 1
         if gr != m.gamma_r:
@@ -395,21 +362,23 @@ def verify_observation_1() -> list[VerificationReport]:
             for key, kind in (("d", NERD_TYPE1), ("e", NERD_TYPE2)):
                 q = NerdQuery(1 << v, kind)
                 if kind == NERD_TYPE2 and twin_mask >> v & 1:
-                    value = _least_nerd(g, q)
+                    value = _least(_certifier(g, q=q), g.n)
                     reports["e"].notes.append(
                         f"{m.id}: open twin {v} exempted; dom relaxation gives "
                         f"{'infeasible' if value is None else value}"
                     )
                     continue
                 reports[key].checked += 1
-                if (out := _nerd_exceeds(g, q, gr - 1)) is not None:
-                    reports[key].add_violation(g, f"{m.id}: {kind} relaxation at vertex {v} gives {out.size}")
+                if not _within(_certifier(g, q=q), gr - 1):
+                    reports[key].add_violation(
+                        g, f"{m.id}: {kind} relaxation at vertex {v} gives {gamma_r_nerd_exact(g, q).size}"
+                    )
         exceptions = _PAIR_RELAXATION_EXCEPTIONS.get(m.id, frozenset())
         for u, v in combinations(smalls, 2):
             reports["f"].checked += 1
             q = NerdQuery(1 << u | 1 << v, NERD_TYPE2)
             if (u, v) in exceptions:
-                value = _least_nerd(g, q)
+                value = _least(_certifier(g, q=q), g.n)
                 expected = gr + 1 if (m.id, (u, v)) == ("R2", (3, 4)) else gr
                 if value != expected:
                     reports["f"].add_violation(
@@ -421,9 +390,9 @@ def verify_observation_1() -> list[VerificationReport]:
                     reports["f"].notes.append(
                         f"{m.id}: pair {{{u},{v}}} exceeds the generic bound, value {value}"
                     )
-            elif (out := _nerd_exceeds(g, q, gr - 1)) is not None:
+            elif not _within(_certifier(g, q=q), gr - 1):
                 reports["f"].add_violation(
-                    g, f"{m.id}: dom relaxation at pair {{{u},{v}}} gives {out.size}"
+                    g, f"{m.id}: dom relaxation at pair {{{u},{v}}} gives {gamma_r_nerd_exact(g, q).size}"
                 )
     return _timed([reports[k] for k in "abcdef"], t0)
 
@@ -468,7 +437,7 @@ def verify_observations_2_to_6() -> list[VerificationReport]:
             # t = 1 -------------------------------------------------------
             g1 = subdivide(g, (x, y), 1)
             reports["obs2"].checked += 1
-            if (gr1 := _gamma_r_value(g1, gr)) is None:
+            if (gr1 := _least(_certifier(g1), gr)) is None:
                 gr1 = gamma_r_exact(g1).size
             witness_bound = gr if (m.id, (x, y)) in _SUBDIV1_WITNESS_EXCEPTIONS else gr1
             if gr1 > gr:
@@ -487,7 +456,7 @@ def verify_observations_2_to_6() -> list[VerificationReport]:
             # t = 2 -------------------------------------------------------
             g2 = subdivide(g, (x, y), 2)
             reports["obs3"].checked += 1
-            if (gr2 := _gamma_r_value(g2, gr)) is None:
+            if (gr2 := _least(_certifier(g2), gr)) is None:
                 gr2 = gamma_r_exact(g2).size
             if gr2 > gr:
                 reports["obs3"].add_violation(g2, f"{edge}: gamma_r grew to {gr2}")
@@ -503,12 +472,12 @@ def verify_observations_2_to_6() -> list[VerificationReport]:
                 ndom_q = NerdQuery(1 << end, NERD_TYPE1)
                 if m.id in _SUBDIV_BOUND_RELAXED_MEMBERS:
                     # R2 and R10 may need gamma_r + 1, which the note prints
-                    dom = _least_nerd(g3, dom_q)
+                    dom = _least(_certifier(g3, q=dom_q), g3.n)
                     dom_fails = dom is None or dom > gr + 1
                 else:
                     dom = None
-                    dom_fails = _nerd_exceeds(g3, dom_q, gr) is not None
-                if dom_fails or _nerd_exceeds(g3, ndom_q, gr) is not None:
+                    dom_fails = not _within(_certifier(g3, q=dom_q), gr)
+                if dom_fails or not _within(_certifier(g3, q=ndom_q), gr):
                     # the exact solves supply the values the violation prints
                     dom_size, ndom_size = (gamma_r_nerd_exact(g3, q).size for q in (dom_q, ndom_q))
                     reports["obs4a"].add_violation(
@@ -518,24 +487,24 @@ def verify_observations_2_to_6() -> list[VerificationReport]:
                     reports["obs4a"].notes.append(f"{edge} path vertex {end}: dom needs {dom}")
             if m.id in _SUBDIV3_MIDDLE_MEMBERS:
                 reports["obs4b"].checked += 1
-                if (dom := _nerd_exceeds(g3, NerdQuery(1 << (n + 1), NERD_TYPE2), gr)) is not None:
+                mid_q = NerdQuery(1 << (n + 1), NERD_TYPE2)
+                if not _within(_certifier(g3, q=mid_q), gr):
                     reports["obs4b"].add_violation(
-                        g3, f"{edge} middle vertex: dom={dom.size} vs gamma_r={gr}"
+                        g3, f"{edge} middle vertex: dom={gamma_r_nerd_exact(g3, mid_q).size} vs gamma_r={gr}"
                     )
             # t = 4 -------------------------------------------------------
             g4 = subdivide(g, (x, y), 4)
             reports[key5].checked += 1
-            if exists_set_up_to(
-                g4, bound5, force_in=1 << n | 1 << (n + 3), force_out=1 << (n + 1) | 1 << (n + 2)
-            ) is None:
+            ends = _certifier(g4, force_in=1 << n | 1 << (n + 3), force_out=1 << (n + 1) | 1 << (n + 2))
+            if _least(ends, bound5) is None:
                 reports[key5].add_violation(g4, f"{edge}: no witness meeting the path in exactly its ends")
             key6 = "obs6b" if twin_mask & (1 << x | 1 << y) else "obs6a"
             bound6 = gr + 1 if key6 == "obs6b" or m.id in _SUBDIV4_RELAXED_MEMBERS else gr
             reports[key6].checked += 1
-            hits = [exists_set_up_to(g4, bound6, force_in=1 << v) for v in (n + 1, n + 2)]
-            if _free_orientation(reports[key6], g4, edge, hits, "no witness through a second path vertex"):
-                # exists_set_up_to returns smallest witnesses: is there none of size <= gr?
-                if min(hit.bit_count() for hit in hits if hit is not None) > gr:
+            sizes = [_least(_certifier(g4, force_in=1 << v), bound6) for v in (n + 1, n + 2)]
+            if _free_orientation(reports[key6], g4, edge, sizes, "no witness through a second path vertex"):
+                # the least sizes: is there no witness of size <= gr?
+                if min(size for size in sizes if size is not None) > gr:
                     reports[key6].notes.append(f"{edge}: witness needs size {bound6}")
     return _timed(list(reports.values()), t0)
 

@@ -27,11 +27,11 @@ ACTIVE = "python"
 CERT_MAX_N = 16
 
 
-def solve_min(n, adj, dom_req, res_req, force_in=0, force_out=0):
+def solve_min(n, adj, dom_req, res_req, force_out=0):
     """Minimize |S| over vertex sets S subject to the parametric constraints.
 
     Constraints:
-      * ``force_in`` is a subset of S and S avoids ``force_out``;
+      * S avoids ``force_out``;
       * every vertex flagged in ``dom_req`` is dominated: N[v] meets S;
       * every vertex flagged in ``res_req`` that lies outside S has a
         neighbor outside S.
@@ -82,12 +82,9 @@ def solve_min(n, adj, dom_req, res_req, force_in=0, force_out=0):
             if not adj[low.bit_length() - 1] >> v & 1:
                 raise ValueError(f"asymmetric adjacency at vertex {v}")
             rest ^= low
-    for name, mask in (("dom_req", dom_req), ("res_req", res_req),
-                       ("force_in", force_in), ("force_out", force_out)):
+    for name, mask in (("dom_req", dom_req), ("res_req", res_req), ("force_out", force_out)):
         if mask >> n:
             raise ValueError(f"{name} has bits outside range({n})")
-    if force_in & force_out:
-        return None
     full = (1 << n) - 1
     closed = [adj[v] | (1 << v) for v in range(n)]
     maxdeg = 0
@@ -151,21 +148,19 @@ def solve_min(n, adj, dom_req, res_req, force_in=0, force_out=0):
         search(inb, outb | bv, cnt, dom, trapped)
 
     # the root checks every vertex once; below it each edge checks only
-    # what its own decision can have changed
-    dom = trapped = 0
+    # what its own decision can have changed. Nothing is IN yet, so only an
+    # isolated res_req vertex is trapped.
+    trapped = 0
     for v in range(n):
-        bv = 1 << v
-        if force_in & bv:
-            dom |= closed[v]
-        elif res_req & bv and not adj[v] & ~force_in:
-            trapped |= bv
+        if res_req >> v & 1 and not adj[v]:
+            trapped |= 1 << v
     if trapped & force_out:
         return None
-    und = full & ~(force_in | force_out)
+    und = full & ~force_out
     for v in range(n):
-        if dom_req >> v & 1 and not dom >> v & 1 and not closed[v] & und:
+        if dom_req >> v & 1 and not closed[v] & und:
             return None
-    search(force_in, force_out, force_in.bit_count(), dom, trapped)
+    search(0, force_out, 0, 0, trapped)
     if best_bits < 0:
         return None
     return best_size, best_bits

@@ -2,7 +2,7 @@
 
 All solvers reduce to one parametric minimization (see rdom.kernels): choose
 which vertices must be dominated, which vertices outside the solution must
-keep a neighbor outside it, and which vertices are forced in or out.
+keep a neighbor outside it, and which vertices are forced out.
 ``_solve`` turns each variant into those masks; the two public solvers
 below call it and take no forcing sets of their own.
 
@@ -122,7 +122,7 @@ def _solve(g: Graph, q: NerdQuery | None = None) -> SolveOutcome:
             res_req = full & ~q.x
             force_out = q.x
     t0 = time.perf_counter()
-    res = kernels.solve_min(g.n, g.adj, dom_req, res_req, 0, force_out)
+    res = kernels.solve_min(g.n, g.adj, dom_req, res_req, force_out)
     micros = int((time.perf_counter() - t0) * 1e6)
     if res is None:
         return SolveOutcome("infeasible", micros=micros)

@@ -7,6 +7,7 @@ import os
 import random
 import sys
 import time
+import types
 from collections import Counter
 from itertools import combinations
 
@@ -77,11 +78,15 @@ def catalog_forced_instances():
 
 
 class TestGammaRValue:
+    """The gamma_r values of obs1a, obs2 and obs3: the least size the walk
+    finds up to k, or None when gamma_r is above k."""
+
     @staticmethod
     def _check(g):
         gr = gamma_r_exact(g).size
+        cert = harness._certifier(g)
         for k in (gr - 1, gr, gr + 1):
-            assert harness._gamma_r_value(g, k) == (gr if gr <= k else None), (write_graph6(g), k)
+            assert harness._least(cert, k) == (gr if gr <= k else None), (write_graph6(g), k)
 
     def test_matches_the_exact_solver_on_random_graphs(self):
         for g, _, _ in random_forced_instances(400, 12, seed=2020):
@@ -96,7 +101,7 @@ class TestGammaRValue:
         g = Graph(0, [])
         self._check(g)
         for variant in (NERD_TYPE1, NERD_TYPE2):
-            assert harness._least_nerd(g, NerdQuery(0, variant)) == 0
+            assert harness._least(harness._certifier(g, q=NerdQuery(0, variant)), g.n) == 0
 
 
 class TestExistenceSearch:
@@ -123,13 +128,13 @@ class TestExistenceSearch:
 
     def test_up_to_finds_smallest_band(self):
         g = complete_graph(4)
-        assert harness.exists_set_up_to(g, 2).bit_count() == 1
+        assert harness._least(harness._certifier(g), 2) == 1
 
     def test_contradictory_forcing_has_no_witness(self):
         g = complete_graph(4)
         for size in range(5):
             assert harness.exists_set_of_size(g, size, force_in=1, force_out=1) is None
-            assert harness.exists_set_up_to(g, size, force_in=1, force_out=1) is None
+            assert harness._least(harness._certifier(g, force_in=1, force_out=1), size) is None
 
     @pytest.mark.parametrize("size", [0, 1, 6])
     @pytest.mark.parametrize("forcing", [
@@ -140,7 +145,7 @@ class TestExistenceSearch:
         with pytest.raises(ValueError, match="forcing set is not a subset of the vertex set"):
             harness.exists_set_of_size(g, size, **forcing)
         with pytest.raises(ValueError, match="forcing set is not a subset of the vertex set"):
-            harness.exists_set_up_to(g, size, **forcing)
+            harness._least(harness._certifier(g, **forcing), size)
 
     def test_matches_plain_enumeration_on_random_graphs(self):
         # the pruned walk returns the first restrained dominating set in
@@ -208,9 +213,10 @@ class TestExistenceSearch:
         assert found > 3000 and missing > 10_000
 
     def test_up_to_matches_plain_enumeration_on_random_graphs(self):
-        # one walk over the sizes returns the first set that testing every
-        # subset finds, size by size, for restrained domination and both
-        # near-RD variants, beside random forcing
+        # over one walk, the least size with a set up to k, and whether any
+        # size up to k has one, are what testing every subset finds, at
+        # every k, for restrained domination and both near-RD variants,
+        # beside random forcing
         rng = random.Random(818)
         found = missing = 0
         for g, force_in, force_out in random_forced_instances(600, 9, seed=313):
@@ -221,15 +227,33 @@ class TestExistenceSearch:
                 else:
                     def predicate(h, mask, q=q):
                         return naive_is_nerd(h, bits_of(mask), list(bits_of(q.x)), q.variant)
-                first = None
-                for size in range(g.n + 2):
-                    if first is None:
-                        first = plain_exists_set_of_size(g, size, predicate, force_in, force_out)
-                    assert harness.exists_set_up_to(g, size, force_in, force_out, q) == first, (
-                        write_graph6(g), size, force_in, force_out, q)
-                found += first is not None
-                missing += first is None
+                least = next((size for size in range(g.n + 1) if plain_exists_set_of_size(
+                    g, size, predicate, force_in, force_out) is not None), None)
+                cert = harness._certifier(g, force_in, force_out, q)
+                for k in range(-1, g.n + 2):
+                    want = least if least is not None and least <= k else None
+                    assert harness._least(cert, k) == want, (write_graph6(g), k, force_in, force_out, q)
+                    assert harness._within(cert, k) == (want is not None), (
+                        write_graph6(g), k, force_in, force_out, q)
+                found += least is not None
+                missing += least is None
         assert found > 1000 and missing > 600
+
+    def test_walk_reaches_no_solver(self):
+        # the walk and its two scans read the definitions only: none of
+        # their code, nested functions included, names the kernel or an
+        # exact solver
+        def codes(code):
+            yield code
+            for const in code.co_consts:
+                if isinstance(const, types.CodeType):
+                    yield from codes(const)
+
+        for fn in (harness.exists_set_of_size, harness._certifier, harness._within, harness._least):
+            used = {name for code in codes(fn.__code__)
+                    for name in code.co_names + code.co_varnames + code.co_freevars}
+            assert not used & {"kernels", "gamma_r_exact", "gamma_r_nerd_exact"}, fn.__name__
+        assert {code.co_name for code in codes(harness._certifier.__code__)} >= {"walk", "find"}
 
     def test_least_near_rd_size_matches_the_exact_solver_on_random_graphs(self):
         # the certified least near-RD size, or None, is the exact solve's
@@ -241,7 +265,7 @@ class TestExistenceSearch:
             for variant in (NERD_TYPE1, NERD_TYPE2):
                 q = NerdQuery(x, variant)
                 exact = gamma_r_nerd_exact(g, q)
-                least = harness._least_nerd(g, q)
+                least = harness._least(harness._certifier(g, q=q), g.n)
                 assert least == (exact.size if exact.optimal else None), (write_graph6(g), x, variant)
                 infeasible += least is None
         assert infeasible > 300
@@ -565,24 +589,29 @@ _certifier = harness._certifier
 
 
 def _certifying(keep):
-    """``harness._certifier`` with the searches of every query that keep(q)
-    rejects finding nothing. Every certifier entry point, the catalog's
-    gamma_r values and near-RD values included, sets up its walk there."""
+    """``harness._certifier`` with the searches of every query that
+    keep(q, forced) rejects finding nothing, where forced is the union of
+    its forcing sets. Every claim, the catalog's gamma_r values and near-RD
+    values included, sets up its walk there."""
 
     def certifier(g, force_in=0, force_out=0, q=None):
         floor, find = _certifier(g, force_in, force_out, q)
-        return (floor, find) if keep(q) else (floor, lambda size: None)
+        return (floor, find) if keep(q, force_in | force_out) else (floor, lambda size: None)
 
     return certifier
 
 
 # the restrained dominating sets, those of the existence claims and of the
 # gamma_r values, are found nowhere; the near-RD queries are certified
-_no_witness = _certifying(lambda q: q is not None)
-_no_nerd_witness = _certifying(lambda q: q is None)
+_no_witness = _certifying(lambda q, forced: q is not None)
+_no_nerd_witness = _certifying(lambda q, forced: q is None)
 # no type-2 near-RD set is certified; everything else is
-_no_dom_witness = _certifying(lambda q: q is None or q.variant == NERD_TYPE1)
-_nothing_certified = _certifying(lambda q: False)
+_no_dom_witness = _certifying(lambda q, forced: q is None or q.variant == NERD_TYPE1)
+_nothing_certified = _certifying(lambda q, forced: False)
+# no restrained dominating set without forcing is certified: in the catalog
+# sweeps those queries are exactly the gamma_r values of obs1a, obs2 and
+# obs3, which the exact solves then supply
+_no_unforced_witness = _certifying(lambda q, forced: q is not None or forced)
 
 
 def _counting_certifier(calls, asked):
@@ -624,11 +653,6 @@ def _known_bounds_solved(g, gr):
     star = degs == [1] * (g.n - 1) + [g.n - 1]
     c5 = g.n == 5 and g.edge_count() == 5
     return star or gr + 1 > g.n - 2 or degs[0] >= 2 and not c5 and gr + 1 > g.n // 2
-
-
-def _above_k(g, k):
-    # the certified gamma_r value answers "above k", so the exact solve supplies it
-    return None
 
 
 def _one_too_many(g):
@@ -815,18 +839,19 @@ _PASSING_DIGEST = "b605a45f65ecc692b1d619ce8aaea92419c3227cbda3a28e7c85aa63a9455
 class TestCatalogViolationPaths:
     """The catalog sweeps with the certifier finding no near-RD set (for
     every query, or for those of type 2 only), no restrained dominating set,
-    or neither, and with the certified gamma_r values answering "above k"
-    and ``gamma_r_exact`` one too many: each report's violation branches
-    are reached, and what they print is pinned. A failing near-RD bound
-    prints the exact solve's value; a near-RD value that a note prints, or
-    that a frozen pair compares, reads "infeasible" when nothing is
-    certified. With the gamma_r values alone answering "above k", the exact
-    solves supply them, and the reports are those of a passing pass."""
+    or neither, and with no gamma_r value certified (the unforced
+    restrained-domination queries find nothing) and ``gamma_r_exact`` one
+    too many: each report's violation branches are reached, and what they
+    print is pinned. A failing near-RD bound prints the exact solve's
+    value; a near-RD value that a note prints, or that a frozen pair
+    compares, reads "infeasible" when nothing is certified. With the
+    gamma_r values alone uncertified, the exact solves supply them, and the
+    reports are those of a passing pass."""
 
     @pytest.mark.parametrize("patches, want, digest", [
         pytest.param({}, _PASSING, _PASSING_DIGEST, id="as-is"),
         # the exact solves supply the gamma_r values, and the reports stay the same
-        pytest.param({"_gamma_r_value": _above_k}, _PASSING, _PASSING_DIGEST, id="exact-fallback"),
+        pytest.param({"_certifier": _no_unforced_witness}, _PASSING, _PASSING_DIGEST, id="exact-fallback"),
         pytest.param({"_certifier": _no_nerd_witness}, [
             (10, 0, 0), (42, 0, 0), (42, 0, 0), (42, 42, 0), (40, 40, 2), (76, 76, 0),
             (108, 0, 3), (108, 0, 0), (216, 216, 0), (35, 35, 0), (88, 0, 0), (20, 0, 0), (104, 0, 10), (4, 0, 4),
@@ -845,7 +870,7 @@ class TestCatalogViolationPaths:
             (108, 108, 0), (108, 108, 0), (216, 216, 0), (35, 35, 0), (88, 88, 0), (20, 20, 0), (104, 104, 0),
             (4, 4, 0),
         ], "7f18904f427c6824d35d139cc17d3de8001fee08622e279b80d5d776d680b54d", id="both"),
-        pytest.param({"gamma_r_exact": _one_too_many, "_gamma_r_value": _above_k}, [
+        pytest.param({"gamma_r_exact": _one_too_many, "_certifier": _no_unforced_witness}, [
             (10, 10, 0), (42, 5, 0), (42, 7, 0), (42, 0, 0), (40, 0, 2), (76, 26, 0),
             (108, 17, 0), (108, 108, 0), (216, 0, 28), (35, 0, 0), (88, 0, 0), (20, 0, 0), (104, 0, 10), (4, 0, 4),
         ], "de85e75f7ebda7c2753e2490c3e81197df0331016caa84678cbd2fcd4b8561a6", id="exact"),

@@ -50,23 +50,20 @@ def random_cubic(n, rng):
 
 def solve_configs(g, rng):
     """Full RD, domination only, one exempt vertex of each near-RD type,
-    and random dom/res/forcing masks (some of them infeasible)."""
+    and random dom/res/force_out masks (some of them infeasible)."""
     full = g.vertex_mask()
-    configs = [(full, full, 0, 0), (full, 0, 0, 0)]
+    configs = [(full, full, 0), (full, 0, 0)]
     if g.n:
         x = 1 << rng.randrange(g.n)
-        configs += [(full & ~x, full, 0, 0), (full, full & ~x, 0, x)]
+        configs += [(full & ~x, full, 0), (full, full & ~x, x)]
     for _ in range(3):
-        fi = fo = 0
+        fo = 0
         for v in range(g.n):
-            r = rng.random()
-            if r < 0.12:
-                fi |= 1 << v
-            elif r < 0.24:
+            if rng.random() < 0.24:
                 fo |= 1 << v
         dom = rng.choice((full, full & rng.getrandbits(max(g.n, 1))))
         res = rng.choice((full, full & rng.getrandbits(max(g.n, 1))))
-        configs.append((dom, res, fi, fo))
+        configs.append((dom, res, fo))
     return configs
 
 
@@ -79,9 +76,9 @@ class TestSearchMatchesSeed:
         rng = random.Random(seed)
         infeasible = 0
         for g in corpus:
-            for dom, res, fi, fo in solve_configs(g, rng):
-                want = seed_solve_min(g.n, g.adj, dom, res, fi, fo)
-                assert kernels.solve_min(g.n, g.adj, dom, res, fi, fo) == want, (g.adj, dom, res, fi, fo)
+            for dom, res, fo in solve_configs(g, rng):
+                want = seed_solve_min(g.n, g.adj, dom, res, 0, fo)
+                assert kernels.solve_min(g.n, g.adj, dom, res, fo) == want, (g.adj, dom, res, fo)
                 infeasible += want is None
         return infeasible
 
@@ -95,13 +92,6 @@ class TestSearchMatchesSeed:
         rng = random.Random(54)
         corpus = [random_cubic(n, rng) for n in (16, 18, 20) for _ in range(10)]
         assert self.check(corpus, seed=55) > 0
-
-    def test_contradictory_forcing_is_infeasible(self):
-        # a vertex forced both in and out admits no set
-        g = complete_graph(4)
-        full = g.vertex_mask()
-        assert kernels.solve_min(g.n, g.adj, full, full, 1, 1) is None
-
 
 
 def is_automorphism(n, adj, g):
@@ -252,7 +242,7 @@ class TestSolveGuard:
         (2, [0b110, 0b001], 3, 3),  # bit outside range(n)
         (3, [0b010, 0, 0], 7, 7),  # asymmetric row
         (3, [0b010, 0b001, 0], 8, 7),  # dom_req outside range(n)
-        (3, [0b010, 0b001, 0], 7, 7, 0, -1),  # negative force_out
+        (3, [0b010, 0b001, 0], 7, 7, -1),  # negative force_out
     ])
     def test_rejects(self, args):
         with pytest.raises(ValueError):
