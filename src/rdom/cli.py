@@ -18,13 +18,8 @@ from rdom import __version__
 from rdom.family import all_family_members
 from rdom.graph import bits_of, is_cubic, mask_of
 from rdom.graph6 import iter_graph6, write_graph6
-from rdom.solvers import (
-    NERD_TYPE1,
-    NERD_TYPE2,
-    NerdQuery,
-    gamma_r_exact,
-    gamma_r_nerd_exact,
-)
+from rdom.certify import NERD_TYPE1, NERD_TYPE2, NerdQuery
+from rdom.solvers import gamma_r_exact, gamma_r_nerd_exact
 
 # harness, enumeration and construct are imported by the subcommands that use
 # them, so that "rdom solve" and "rdom family" do not load the sweeps

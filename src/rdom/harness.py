@@ -11,26 +11,29 @@ out; ``_fold`` adds them to the reports in graph6 order. The cubic
 sweep's ``extremal:`` notes list the graphs with gamma_r = floor(2n/5).
 Only the lemma1 checks import ``rdom.construct``, where they run.
 
-The subset walk certifies every claim independently of the
-branch-and-bound solver, each query by one walk set up once
-(``_certifier``) and asked in one of two ways. ``_within(cert, k)`` scans
-from size k down to the walk's floor and answers an upper bound: the
-catalog's near-RD bounds of obs1d, obs1e, obs1f, obs4a and obs4b, and the
-theorem sweeps' bounds on gamma_r (``gamma_r <= 2n/5`` and its
-``extremal:`` notes, the key theorem for non-members with its tight
-non-member notes, ``known-a`` apart from stars, ``known-b``, and lemma1's
-bound on the minimum). ``_least(cert, k)`` scans from the floor up to k
-and gives the least size with a set: the gamma_r values that obs1a, obs2
-and obs3 compare, the near-RD values that passing reports print or
-compare (at R2's open twins in obs1e, the frozen pairs of obs1f and the
-type-2 relaxation of R2 and R10 in obs4a), and the witnesses of obs5 and
-obs6. The existence claims of obs1b, obs1c, obs2 and obs3 ask the sizes
-they state. The walk accepts a set only by the definition check
+The subset walk of ``rdom.certify`` certifies every claim independently
+of the branch-and-bound solver, each query by one walk set up once
+(``certify._certifier``, looked up on the module at every call, as
+``exists_set_of_size`` does, so that one stand-in reaches every query)
+and asked in one of two ways. ``_within(cert, k)`` scans from size k
+down to the walk's floor and answers an upper bound: the catalog's
+near-RD bounds of obs1d, obs1e, obs1f, obs4a and obs4b, and the theorem
+sweeps' bounds on gamma_r (``gamma_r <= 2n/5`` and its ``extremal:``
+notes, the key theorem for non-members with its tight non-member notes,
+``known-a`` apart from stars, ``known-b``, and lemma1's bound on the
+minimum). ``_least(cert, k)`` scans from the floor up to k and gives the
+least size with a set: the gamma_r values that obs1a, obs2 and obs3
+compare, the near-RD values that passing reports print or compare (at
+R2's open twins in obs1e, the frozen pairs of obs1f and the type-2
+relaxation of R2 and R10 in obs4a), and the witnesses of obs5 and obs6.
+The existence claims of obs1b, obs1c, obs2 and obs3 ask the sizes they
+state. The walk accepts a set only by the definition check
 ``is_restrained_dominating`` or ``is_near_restrained_dominating``, and
-returns what testing every subset would (``_certifier`` proves it). The
-solver runs only where a report prints a value or compares it for
-equality and no walk supplies it: on any violation, on a gamma_r value
-above its table's, on catalog members in the key theorem, and on stars.
+returns what testing every subset would (``certify._certifier`` proves
+it). The solver runs only where a report prints a value or compares it
+for equality and no walk supplies it: on any violation, on a gamma_r
+value above its table's, on catalog members in the key theorem, and on
+stars.
 """
 
 from __future__ import annotations
@@ -40,8 +43,18 @@ import time
 from collections import Counter
 from functools import partial
 from itertools import combinations
-from typing import TYPE_CHECKING, Callable, Iterable, NamedTuple, Sequence
+from typing import TYPE_CHECKING, Iterable, NamedTuple, Sequence
 
+from rdom import certify
+from rdom.certify import (
+    NERD_TYPE1,
+    NERD_TYPE2,
+    NerdQuery,
+    _least,
+    _within,
+    exists_set_of_size,
+    is_restrained_dominating,
+)
 from rdom.enumeration import connected_classes, sweep_roots
 from rdom.family import all_family_members, weight
 from rdom.graph import (
@@ -56,16 +69,7 @@ from rdom.graph import (
     subdivide,
 )
 from rdom.graph6 import write_graph6
-from rdom.solvers import (
-    NERD_TYPE1,
-    NERD_TYPE2,
-    NerdQuery,
-    _check_subset,
-    gamma_r_exact,
-    gamma_r_nerd_exact,
-    is_near_restrained_dominating,
-    is_restrained_dominating,
-)
+from rdom.solvers import gamma_r_exact, gamma_r_nerd_exact
 
 if TYPE_CHECKING:
     from rdom.construct import Lemma1Trace
@@ -114,105 +118,6 @@ class Finding(NamedTuple):
     violations: tuple[str, ...] = ()
     note: str | None = None
     tag: str = ""
-
-
-def exists_set_of_size(
-    g: Graph, size: int, force_in: int = 0, force_out: int = 0, q: NerdQuery | None = None
-) -> int | None:
-    """The first restrained dominating set of the exact size, or with q the
-    first near-RD set for q, containing force_in and avoiding force_out, in
-    ``itertools.combinations`` order over the free vertices; its mask, or
-    None if there is none (always when the two forcing sets meet). Under
-    type 2 the exempt set joins force_out, so an exempt vertex forced in
-    leaves no witness."""
-    return _certifier(g, force_in, force_out, q)[1](size)
-
-
-def _certifier(
-    g: Graph, force_in: int = 0, force_out: int = 0, q: NerdQuery | None = None
-) -> tuple[int, Callable[[int], int | None]]:
-    """The subset walk for one query, set up once: ``(floor, find)``, where
-    ``find(size)`` is ``exists_set_of_size`` at that size and every size
-    below ``floor`` has no witness.
-
-    The walk picks the free vertices depth first in index order, so it
-    visits the subsets in ``combinations`` order, and carries ``dom``, the
-    union of the closed neighborhoods of the vertices chosen so far. Let
-    ``need`` be the vertices the set must dominate: every vertex, or with a
-    type-1 query every vertex outside the exempt set. Every set below the
-    choice of ``free[i]`` lies inside the chosen vertices and ``free[i:]``,
-    so its closed neighborhoods cover at most ``dom | cover[i]``, where
-    ``cover[i]`` is the union of the closed neighborhoods of ``free[i:]``.
-    When that misses a vertex of ``need``, none of those sets dominates
-    ``need``, and since ``cover`` shrinks as i grows, neither does any set
-    below a later choice at this depth: the walk backs up. It also backs up
-    when the vertices of ``need`` outside ``dom`` outnumber ``left`` times
-    ``reach``, the most vertices of ``need`` in the closed neighborhood of
-    a free vertex: the ``left`` vertices still to be chosen add at most
-    ``reach`` of them each to ``dom``, so no set below this node dominates
-    ``need``. A full-size set that dominates ``need`` is accepted only by
-    the definition check, ``is_restrained_dominating`` or
-    ``is_near_restrained_dominating``. Only sets that miss a vertex q
-    requires dominated are skipped, so the walk returns exactly what
-    testing every subset in ``combinations`` order would return.
-
-    ``floor`` is the walk's own root prune read as a size: the vertices of
-    ``need`` that force_in leaves undominated, ``u`` of them, take at least
-    ``ceil(u / reach)`` more vertices, so no witness is smaller than
-    ``|force_in| + ceil(u / reach)``. When no free vertex reaches them, or
-    the forcing sets meet, there is no witness at all and ``floor`` is
-    ``g.n + 1``. ``find`` answers a size below ``floor`` without walking."""
-    _check_subset(g, force_in | force_out, "forcing set")
-    need = g.vertex_mask()
-    if q is not None:
-        _check_subset(g, q.x, "exempt set")
-        if q.variant == NERD_TYPE1:
-            need &= ~q.x
-        else:
-            force_out |= q.x
-    free = [v for v in range(g.n) if not ((force_in | force_out) >> v & 1)]
-    closed = [g.adj[v] | 1 << v for v in free]
-    reach = max(((c & need).bit_count() for c in closed), default=0)
-    cover = [0] * (len(free) + 1)
-    for i in range(len(free) - 1, -1, -1):
-        cover[i] = cover[i + 1] | closed[i]
-    dom = 0
-    for v in bits_of(force_in):
-        dom |= g.adj[v] | 1 << v
-    base = force_in.bit_count()
-    undominated = (need & ~dom).bit_count()
-    if force_in & force_out or (undominated and not reach):
-        floor = g.n + 1
-    else:
-        floor = base + (-(-undominated // reach) if undominated else 0)
-
-    accepts = is_restrained_dominating if q is None else partial(is_near_restrained_dominating, q=q)
-
-    def walk(start: int, dom: int, mask: int, left: int) -> int | None:
-        if (need & ~dom).bit_count() > left * reach:
-            return None
-        for i in range(start, len(free) - left + 1):
-            if need & ~(dom | cover[i]):
-                break
-            pick = mask | 1 << free[i]
-            if left > 1:
-                hit = walk(i + 1, dom | closed[i], pick, left - 1)
-                if hit is not None:
-                    return hit
-            # the last choice completes a set: it is tested here, not a level down
-            elif not need & ~(dom | closed[i]) and accepts(g, pick):
-                return pick
-        return None
-
-    def find(size: int) -> int | None:
-        if size < floor:
-            return None
-        if size > base:
-            return walk(0, dom, force_in, size - base)
-        # size == floor == base: force_in dominates need
-        return force_in if accepts(g, force_in) else None
-
-    return floor, find
 
 
 def _timed(reports: list[VerificationReport], t0: float) -> list[VerificationReport]:
@@ -288,26 +193,6 @@ _SUBDIV3_MIDDLE_MEMBERS = ("R4", "R5", "R9")
 _SUBDIV4_ENDS_TIGHT_MEMBERS = ("R4", "R5")
 
 
-def _within(cert: tuple[int, Callable[[int], int | None]], k: int) -> bool:
-    """Whether the walk ``cert`` of ``_certifier`` finds a set of size at
-    most k. It asks size k first, then each smaller size down to its root
-    bound, and stops at the first hit. Neither a restrained dominating set
-    nor a near-RD set need stay one when a vertex joins it, so a miss at
-    one size says nothing of the sizes below it; a bound that holds with a
-    set of size k searches one size."""
-    floor, find = cert
-    return any(find(size) is not None for size in range(k, floor - 1, -1))
-
-
-def _least(cert: tuple[int, Callable[[int], int | None]], k: int) -> int | None:
-    """The least size at which the walk ``cert`` of ``_certifier`` finds a
-    set, if it is at most k, otherwise None. It asks each size from its
-    root bound up to k and stops at the first hit; no size below the bound
-    has a set, so the hit is the least size of any."""
-    floor, find = cert
-    return next((size for size in range(floor, k + 1) if find(size) is not None), None)
-
-
 def _free_orientation(report: VerificationReport, g: Graph, edge: str, hits: list, missing: str) -> bool:
     """Read a claim on a path end with the free edge orientation, given what
     the walk found under the forward and the reversed labeling of the edge,
@@ -344,7 +229,7 @@ def verify_observation_1() -> list[VerificationReport]:
     for m in all_family_members():
         g = m.graph
         # a value above the table's is solved exactly, for the violation to print
-        if (gr := _least(_certifier(g), m.gamma_r)) is None:
+        if (gr := _least(certify._certifier(g), m.gamma_r)) is None:
             gr = gamma_r_exact(g).size
         reports["a"].checked += 1
         if gr != m.gamma_r:
@@ -362,14 +247,14 @@ def verify_observation_1() -> list[VerificationReport]:
             for key, kind in (("d", NERD_TYPE1), ("e", NERD_TYPE2)):
                 q = NerdQuery(1 << v, kind)
                 if kind == NERD_TYPE2 and twin_mask >> v & 1:
-                    value = _least(_certifier(g, q=q), g.n)
+                    value = _least(certify._certifier(g, q=q), g.n)
                     reports["e"].notes.append(
                         f"{m.id}: open twin {v} exempted; dom relaxation gives "
                         f"{'infeasible' if value is None else value}"
                     )
                     continue
                 reports[key].checked += 1
-                if not _within(_certifier(g, q=q), gr - 1):
+                if not _within(certify._certifier(g, q=q), gr - 1):
                     reports[key].add_violation(
                         g, f"{m.id}: {kind} relaxation at vertex {v} gives {gamma_r_nerd_exact(g, q).size}"
                     )
@@ -378,7 +263,7 @@ def verify_observation_1() -> list[VerificationReport]:
             reports["f"].checked += 1
             q = NerdQuery(1 << u | 1 << v, NERD_TYPE2)
             if (u, v) in exceptions:
-                value = _least(_certifier(g, q=q), g.n)
+                value = _least(certify._certifier(g, q=q), g.n)
                 expected = gr + 1 if (m.id, (u, v)) == ("R2", (3, 4)) else gr
                 if value != expected:
                     reports["f"].add_violation(
@@ -390,7 +275,7 @@ def verify_observation_1() -> list[VerificationReport]:
                     reports["f"].notes.append(
                         f"{m.id}: pair {{{u},{v}}} exceeds the generic bound, value {value}"
                     )
-            elif not _within(_certifier(g, q=q), gr - 1):
+            elif not _within(certify._certifier(g, q=q), gr - 1):
                 reports["f"].add_violation(
                     g, f"{m.id}: dom relaxation at pair {{{u},{v}}} gives {gamma_r_nerd_exact(g, q).size}"
                 )
@@ -437,14 +322,14 @@ def verify_observations_2_to_6() -> list[VerificationReport]:
             # t = 1 -------------------------------------------------------
             g1 = subdivide(g, (x, y), 1)
             reports["obs2"].checked += 1
-            if (gr1 := _least(_certifier(g1), gr)) is None:
+            if (gr1 := _least(certify._certifier(g1), gr)) is None:
                 gr1 = gamma_r_exact(g1).size
             witness_bound = gr if (m.id, (x, y)) in _SUBDIV1_WITNESS_EXCEPTIONS else gr1
             if gr1 > gr:
                 reports["obs2"].add_violation(g1, f"{edge}: gamma_r grew to {gr1}")
             else:
                 # one walk for the sizes: no restrained dominating set of G_1 is smaller than gr1
-                find = _certifier(g1, force_in=1 << n, force_out=1 << x | 1 << y)[1]
+                find = certify._certifier(g1, force_in=1 << n, force_out=1 << x | 1 << y)[1]
                 if all(find(size) is None for size in range(gr1, witness_bound + 1)):
                     reports["obs2"].add_violation(
                         g1, f"{edge}: no witness with the new vertex, avoiding both ends"
@@ -456,7 +341,7 @@ def verify_observations_2_to_6() -> list[VerificationReport]:
             # t = 2 -------------------------------------------------------
             g2 = subdivide(g, (x, y), 2)
             reports["obs3"].checked += 1
-            if (gr2 := _least(_certifier(g2), gr)) is None:
+            if (gr2 := _least(certify._certifier(g2), gr)) is None:
                 gr2 = gamma_r_exact(g2).size
             if gr2 > gr:
                 reports["obs3"].add_violation(g2, f"{edge}: gamma_r grew to {gr2}")
@@ -472,12 +357,12 @@ def verify_observations_2_to_6() -> list[VerificationReport]:
                 ndom_q = NerdQuery(1 << end, NERD_TYPE1)
                 if m.id in _SUBDIV_BOUND_RELAXED_MEMBERS:
                     # R2 and R10 may need gamma_r + 1, which the note prints
-                    dom = _least(_certifier(g3, q=dom_q), g3.n)
+                    dom = _least(certify._certifier(g3, q=dom_q), g3.n)
                     dom_fails = dom is None or dom > gr + 1
                 else:
                     dom = None
-                    dom_fails = not _within(_certifier(g3, q=dom_q), gr)
-                if dom_fails or not _within(_certifier(g3, q=ndom_q), gr):
+                    dom_fails = not _within(certify._certifier(g3, q=dom_q), gr)
+                if dom_fails or not _within(certify._certifier(g3, q=ndom_q), gr):
                     # the exact solves supply the values the violation prints
                     dom_size, ndom_size = (gamma_r_nerd_exact(g3, q).size for q in (dom_q, ndom_q))
                     reports["obs4a"].add_violation(
@@ -488,20 +373,20 @@ def verify_observations_2_to_6() -> list[VerificationReport]:
             if m.id in _SUBDIV3_MIDDLE_MEMBERS:
                 reports["obs4b"].checked += 1
                 mid_q = NerdQuery(1 << (n + 1), NERD_TYPE2)
-                if not _within(_certifier(g3, q=mid_q), gr):
+                if not _within(certify._certifier(g3, q=mid_q), gr):
                     reports["obs4b"].add_violation(
                         g3, f"{edge} middle vertex: dom={gamma_r_nerd_exact(g3, mid_q).size} vs gamma_r={gr}"
                     )
             # t = 4 -------------------------------------------------------
             g4 = subdivide(g, (x, y), 4)
             reports[key5].checked += 1
-            ends = _certifier(g4, force_in=1 << n | 1 << (n + 3), force_out=1 << (n + 1) | 1 << (n + 2))
+            ends = certify._certifier(g4, force_in=1 << n | 1 << (n + 3), force_out=1 << (n + 1) | 1 << (n + 2))
             if _least(ends, bound5) is None:
                 reports[key5].add_violation(g4, f"{edge}: no witness meeting the path in exactly its ends")
             key6 = "obs6b" if twin_mask & (1 << x | 1 << y) else "obs6a"
             bound6 = gr + 1 if key6 == "obs6b" or m.id in _SUBDIV4_RELAXED_MEMBERS else gr
             reports[key6].checked += 1
-            sizes = [_least(_certifier(g4, force_in=1 << v), bound6) for v in (n + 1, n + 2)]
+            sizes = [_least(certify._certifier(g4, force_in=1 << v), bound6) for v in (n + 1, n + 2)]
             if _free_orientation(reports[key6], g4, edge, sizes, "no witness through a second path vertex"):
                 # the least sizes: is there no witness of size <= gr?
                 if min(size for size in sizes if size is not None) > gr:
@@ -519,7 +404,7 @@ def _key_theorem_worker(g: Graph) -> tuple[Finding]:
     rep = weight(g)
     member = rep.members[0] if rep.members else None  # g is connected
     plain = 5 * rep.n2 + 4 * rep.n3
-    if member is None and _within(cert := _certifier(g), plain // 10):
+    if member is None and _within(cert := certify._certifier(g), plain // 10):
         # 10*gamma_r <= plain <= w, so it passes; tight iff gamma_r = w/10
         tight = rep.w % 10 == 0 and not _within(cert, rep.w // 10 - 1)
     else:
@@ -557,7 +442,7 @@ def _cubic_worker(g: Graph) -> tuple[Finding]:
     """The bound's finding on g; its note names g when gamma_r = floor(2n/5)."""
     n = g.n
     bound = 2 * n // 5
-    cert = _certifier(g)
+    cert = certify._certifier(g)
     extremal = not _within(cert, bound - 1)
     # no size below the bound has a set, so only the bound is left to ask
     if extremal and cert[1](bound) is None:
@@ -611,7 +496,7 @@ def _known_bounds_worker(g: Graph) -> tuple[Finding, Finding | None]:
         # connected with minimum degree 2: five edges on five vertices is C5
         if n == 5 and g.edge_count() == 5:
             tag = "C5"
-        elif _within(cert := _certifier(g), n // 2):
+        elif _within(cert := certify._certifier(g), n // 2):
             found_b = Finding()
         else:
             found_b = Finding((f"gamma_r = {gamma_r_exact(g).size} exceeds n/2 = {n / 2}",))
@@ -623,7 +508,7 @@ def _known_bounds_worker(g: Graph) -> tuple[Finding, Finding | None]:
             fail_a = (f"star K_1,{n - 1} has gamma_r = {gr}, expected {n}",)
     # minimum degree 2 means n >= 3, where n // 2 <= n - 2: a pass of
     # known-b settles known-a
-    elif (found_b is None or found_b.violations) and not _within(cert or _certifier(g), n - 2):
+    elif (found_b is None or found_b.violations) and not _within(cert or certify._certifier(g), n - 2):
         fail_a = (f"gamma_r = {gamma_r_exact(g).size} exceeds n - 2 = {n - 2}",)
     return Finding(fail_a, tag=tag), found_b
 
@@ -685,7 +570,7 @@ def _construction_problems(g: Graph, trace: Lemma1Trace) -> list[str]:
         problems.append("output is not a restrained dominating set")
     if d.bit_count() > ell:
         problems.append(f"|D| = {d.bit_count()} exceeds |L| = {ell}")
-    if not _within(_certifier(g), ell):
+    if not _within(certify._certifier(g), ell):
         problems.append(f"solver minimum {gamma_r_exact(g).size} exceeds |L| = {ell}")
     l2_1, l2_2, l2_3 = trace.l2_by_degree
     for v in bits_of(trace.s1):

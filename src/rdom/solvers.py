@@ -1,4 +1,4 @@
-"""Exact solvers and the set predicates for restrained domination.
+"""Exact solvers for restrained domination and its near-RD relaxations.
 
 All solvers reduce to one parametric minimization (see rdom.kernels): choose
 which vertices must be dominated, which vertices outside the solution must
@@ -8,19 +8,18 @@ below call it and take no forcing sets of their own.
 
 Variants:
   * ``gamma_r_exact``       restrained domination number
-  * ``gamma_r_nerd_exact``  near-RD relaxations, type 1 ("ndom": the exempt
-    set need not be dominated) and type 2 ("dom": the exempt set is forced
-    outside the solution, dominated, but excused from the outside-neighbor
-    requirement)
+  * ``gamma_r_nerd_exact``  near-RD relaxations for a ``NerdQuery``, type 1
+    ("ndom": the exempt set need not be dominated) and type 2 ("dom": the
+    exempt set is forced outside the solution, dominated, but excused from
+    the outside-neighbor requirement)
 
 The solvers supply values, the ones a report prints or compares. Upper
-bounds are not decided here: the harness certifies them by subset
-enumeration against ``is_restrained_dominating`` and
-``is_near_restrained_dominating``, which read the definitions directly.
+bounds are not decided here: ``rdom.certify`` certifies them by subset
+enumeration. ``_solve`` holds the kernel to the same definitions: every
+witness it returns passes ``is_restrained_dominating`` or
+``is_near_restrained_dominating``, or the solve raises.
 
-Every solver returns a ``SolveOutcome``. It and ``NerdQuery`` are
-NamedTuples; ``NerdQuery`` checks its variant however it is built,
-``._replace`` included.
+Every solver returns a ``SolveOutcome``, a NamedTuple.
 """
 
 from __future__ import annotations
@@ -29,31 +28,14 @@ import time
 from typing import NamedTuple
 
 from rdom import kernels
+from rdom.certify import (
+    NERD_TYPE1,
+    NerdQuery,
+    _check_subset,
+    is_near_restrained_dominating,
+    is_restrained_dominating,
+)
 from rdom.graph import Graph, VertexSet, bits_of
-
-NERD_TYPE1 = "ndom"
-NERD_TYPE2 = "dom"
-
-
-class _NerdFields(NamedTuple):
-    x: VertexSet
-    variant: str
-
-
-class NerdQuery(_NerdFields):
-    """Exempt set plus variant tag for near-RD solves."""
-
-    __slots__ = ()
-
-    def __new__(cls, x: VertexSet, variant: str):
-        if variant not in (NERD_TYPE1, NERD_TYPE2):
-            raise ValueError(f"variant must be {NERD_TYPE1!r} or {NERD_TYPE2!r}")
-        return super().__new__(cls, x, variant)
-
-    @classmethod
-    def _make(cls, iterable):
-        # ``_replace`` builds through here: keep it behind the variant check
-        return cls(*iterable)
 
 
 class SolveOutcome(NamedTuple):
@@ -70,47 +52,10 @@ class SolveOutcome(NamedTuple):
         return list(bits_of(self.witness)) if self.witness is not None else []
 
 
-def _check_subset(g: Graph, s: VertexSet, name: str = "set") -> None:
-    if s & ~g.vertex_mask():
-        raise ValueError(f"{name} is not a subset of the vertex set")
-
-
-def is_restrained_dominating(g: Graph, s: VertexSet) -> bool:
-    """True iff s dominates g and every vertex outside s also has a neighbor
-    outside s (the complement induces no isolated vertex)."""
-    _check_subset(g, s)
-    outside = g.vertex_mask() & ~s
-    for v in bits_of(outside):
-        if not g.adj[v] & s:
-            return False
-        if not g.adj[v] & outside:
-            return False
-    return True
-
-
-def is_near_restrained_dominating(g: Graph, s: VertexSet, q: NerdQuery) -> bool:
-    """True iff s is a near-RD set for q. Every vertex outside s must have a
-    neighbor in s, except the exempt vertices under type 1, and a neighbor
-    outside s, except the exempt vertices under type 2, which must also lie
-    outside s."""
-    _check_subset(g, s)
-    _check_subset(g, q.x, "exempt set")
-    type2 = q.variant == NERD_TYPE2
-    if type2 and s & q.x:
-        return False
-    outside = g.vertex_mask() & ~s
-    for v in bits_of(outside):
-        exempt = q.x >> v & 1
-        if not g.adj[v] & s and not (exempt and not type2):
-            return False
-        if not g.adj[v] & outside and not (exempt and type2):
-            return False
-    return True
-
-
 def _solve(g: Graph, q: NerdQuery | None = None) -> SolveOutcome:
     """Restrained domination, or the near-RD relaxation q, minimized: the
-    one place a query becomes the kernel's masks."""
+    one place a query becomes the kernel's masks, and the one place the
+    kernel's witness is checked against the definition."""
     full = g.vertex_mask()
     dom_req = res_req = full
     force_out = 0
@@ -127,6 +72,8 @@ def _solve(g: Graph, q: NerdQuery | None = None) -> SolveOutcome:
     if res is None:
         return SolveOutcome("infeasible", micros=micros)
     size, bits = res
+    if not (is_restrained_dominating(g, bits) if q is None else is_near_restrained_dominating(g, bits, q)):
+        raise RuntimeError(f"the kernel's witness {bits:#x} fails the definition check")
     return SolveOutcome("optimal", size, bits, micros)
 
 

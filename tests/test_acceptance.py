@@ -13,13 +13,14 @@ import time
 import pytest
 
 from rdom import harness
+from rdom.certify import is_restrained_dominating
 from rdom.construct import gamma_r_cycle, gamma_r_path, lemma1_construct
 from rdom.enumeration import connected_classes
 from rdom.family import all_family_members, weight
 from rdom.graph import mask_of
 from rdom.graph6 import parse_graph6, write_graph6
 from rdom.iso import are_isomorphic
-from rdom.solvers import gamma_r_exact, is_restrained_dominating
+from rdom.solvers import gamma_r_exact
 from named_graphs import complete_bipartite, complete_graph, cycle_graph, path_graph, petersen_graph
 from oracles import lex_least_mask, naive_min_rd
 

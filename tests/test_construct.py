@@ -2,12 +2,13 @@ from __future__ import annotations
 
 import pytest
 
+from rdom.certify import is_restrained_dominating
 from rdom.construct import Lemma1Trace, gamma_r_cycle, gamma_r_path, lemma1_construct
 from rdom.enumeration import connected_classes
 from rdom.graph import is_degree_bipartite, large_vertices, subdivide
 from rdom.graph6 import parse_graph6
 from rdom.harness import audit_lemma1
-from rdom.solvers import gamma_r_exact, is_restrained_dominating
+from rdom.solvers import gamma_r_exact
 from named_graphs import complete_bipartite, complete_graph, cycle_graph, path_graph, petersen_graph
 
 

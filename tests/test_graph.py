@@ -6,6 +6,7 @@ import re
 
 import pytest
 
+from rdom.certify import NerdQuery
 from rdom.graph import (
     Graph,
     bits_of,
@@ -21,7 +22,6 @@ from rdom.graph import (
 )
 from rdom.family import family_member
 from rdom.iso import canonical_certificate, are_isomorphic
-from rdom.solvers import NerdQuery
 from named_graphs import complete_bipartite, complete_graph, cycle_graph, path_graph, petersen_graph, relabel, star_graph
 
 

@@ -1,5 +1,6 @@
 from __future__ import annotations
 
+import ast
 import concurrent.futures
 import hashlib
 import json
@@ -10,22 +11,21 @@ import time
 import types
 from collections import Counter
 from itertools import combinations
+from pathlib import Path
 
 import pytest
 
 import rdom.construct
-from rdom import family, harness, kernels
+from rdom import certify, family, harness, kernels
 from rdom.enumeration import connected_classes
 from rdom.family import classify_brdom, weight
 from rdom.graph import Graph, bits_of, large_vertices, open_twins, small_vertices, subdivide
 from rdom.graph6 import parse_graph6, write_graph6
 from rdom.iso import are_isomorphic, canonical_certificate
-from rdom.solvers import (
-    NERD_TYPE1, NERD_TYPE2, NerdQuery, SolveOutcome, gamma_r_exact, gamma_r_nerd_exact,
-    is_restrained_dominating,
-)
+from rdom.certify import NERD_TYPE1, NERD_TYPE2, NerdQuery, is_restrained_dominating
+from rdom.solvers import SolveOutcome, gamma_r_exact, gamma_r_nerd_exact
 
-from named_graphs import complete_graph, cycle_graph, petersen_graph, star_graph
+from named_graphs import complete_graph, cycle_graph, path_graph, petersen_graph, star_graph
 from oracles import (
     naive_is_nerd, naive_is_restrained, naive_min_nerd, naive_min_rd, naive_minimum, plain_exists_set_of_size,
 )
@@ -84,9 +84,9 @@ class TestGammaRValue:
     @staticmethod
     def _check(g):
         gr = gamma_r_exact(g).size
-        cert = harness._certifier(g)
+        cert = certify._certifier(g)
         for k in (gr - 1, gr, gr + 1):
-            assert harness._least(cert, k) == (gr if gr <= k else None), (write_graph6(g), k)
+            assert certify._least(cert, k) == (gr if gr <= k else None), (write_graph6(g), k)
 
     def test_matches_the_exact_solver_on_random_graphs(self):
         for g, _, _ in random_forced_instances(400, 12, seed=2020):
@@ -101,40 +101,40 @@ class TestGammaRValue:
         g = Graph(0, [])
         self._check(g)
         for variant in (NERD_TYPE1, NERD_TYPE2):
-            assert harness._least(harness._certifier(g, q=NerdQuery(0, variant)), g.n) == 0
+            assert certify._least(certify._certifier(g, q=NerdQuery(0, variant)), g.n) == 0
 
 
 class TestExistenceSearch:
     def test_exact_size_and_forcing(self):
         g = petersen_graph()
-        hit = harness.exists_set_of_size(g, 4, force_in=1 << 0)
+        hit = certify.exists_set_of_size(g, 4, force_in=1 << 0)
         assert hit is not None
         assert hit.bit_count() == 4 and hit & 1
         assert is_restrained_dominating(g, hit)
 
     def test_force_out_respected(self):
         g = cycle_graph(5)
-        hit = harness.exists_set_of_size(g, 3, force_out=0b11)
+        hit = certify.exists_set_of_size(g, 3, force_out=0b11)
         assert hit is not None and not hit & 0b11
 
     def test_none_when_impossible(self):
         g = star_graph(4)
-        assert harness.exists_set_of_size(g, 4) is None
+        assert certify.exists_set_of_size(g, 4) is None
 
     def test_counting_prune_keeps_the_equality_case(self):
         # one vertex of K_4 dominates all four: the undominated count equals
         # left * reach, which must not prune
-        assert harness.exists_set_of_size(complete_graph(4), 1) == 1
+        assert certify.exists_set_of_size(complete_graph(4), 1) == 1
 
     def test_up_to_finds_smallest_band(self):
         g = complete_graph(4)
-        assert harness._least(harness._certifier(g), 2) == 1
+        assert certify._least(certify._certifier(g), 2) == 1
 
     def test_contradictory_forcing_has_no_witness(self):
         g = complete_graph(4)
         for size in range(5):
-            assert harness.exists_set_of_size(g, size, force_in=1, force_out=1) is None
-            assert harness._least(harness._certifier(g, force_in=1, force_out=1), size) is None
+            assert certify.exists_set_of_size(g, size, force_in=1, force_out=1) is None
+            assert certify._least(certify._certifier(g, force_in=1, force_out=1), size) is None
 
     @pytest.mark.parametrize("size", [0, 1, 6])
     @pytest.mark.parametrize("forcing", [
@@ -143,9 +143,9 @@ class TestExistenceSearch:
     def test_forcing_outside_the_vertex_set_is_an_error(self, forcing, size):
         g = complete_graph(4)
         with pytest.raises(ValueError, match="forcing set is not a subset of the vertex set"):
-            harness.exists_set_of_size(g, size, **forcing)
+            certify.exists_set_of_size(g, size, **forcing)
         with pytest.raises(ValueError, match="forcing set is not a subset of the vertex set"):
-            harness._least(harness._certifier(g, **forcing), size)
+            certify._least(certify._certifier(g, **forcing), size)
 
     def test_matches_plain_enumeration_on_random_graphs(self):
         # the pruned walk returns the first restrained dominating set in
@@ -154,7 +154,7 @@ class TestExistenceSearch:
         for g, force_in, force_out in random_forced_instances(5000, 11, seed=151):
             for size in range(g.n + 1):
                 want = plain_exists_set_of_size(g, size, is_restrained_dominating, force_in, force_out)
-                assert harness.exists_set_of_size(g, size, force_in, force_out) == want, (
+                assert certify.exists_set_of_size(g, size, force_in, force_out) == want, (
                     write_graph6(g), size, force_in, force_out)
                 found += want is not None
                 missing += want is None
@@ -165,7 +165,7 @@ class TestExistenceSearch:
         for g, force_in, force_out, gr in catalog_forced_instances():
             for size in range(max(gr - 1, 0), gr + 2):
                 want = plain_exists_set_of_size(g, size, is_restrained_dominating, force_in, force_out)
-                assert harness.exists_set_of_size(g, size, force_in, force_out) == want, (
+                assert certify.exists_set_of_size(g, size, force_in, force_out) == want, (
                     write_graph6(g), size, force_in, force_out)
                 checked += 1
         assert checked == 3 * (2 * 42 + 13 * 108)  # 42 degree-2 vertices, 108 edges
@@ -180,7 +180,7 @@ class TestExistenceSearch:
             return naive_is_nerd(h, bits_of(mask), x_ids, q.variant)
 
         want = plain_exists_set_of_size(g, size, nerd, force_in, force_out)
-        assert harness.exists_set_of_size(g, size, force_in, force_out, q) == want, (
+        assert certify.exists_set_of_size(g, size, force_in, force_out, q) == want, (
             write_graph6(g), q, size, force_in, force_out)
         return want is not None
 
@@ -229,11 +229,11 @@ class TestExistenceSearch:
                         return naive_is_nerd(h, bits_of(mask), list(bits_of(q.x)), q.variant)
                 least = next((size for size in range(g.n + 1) if plain_exists_set_of_size(
                     g, size, predicate, force_in, force_out) is not None), None)
-                cert = harness._certifier(g, force_in, force_out, q)
+                cert = certify._certifier(g, force_in, force_out, q)
                 for k in range(-1, g.n + 2):
                     want = least if least is not None and least <= k else None
-                    assert harness._least(cert, k) == want, (write_graph6(g), k, force_in, force_out, q)
-                    assert harness._within(cert, k) == (want is not None), (
+                    assert certify._least(cert, k) == want, (write_graph6(g), k, force_in, force_out, q)
+                    assert certify._within(cert, k) == (want is not None), (
                         write_graph6(g), k, force_in, force_out, q)
                 found += least is not None
                 missing += least is None
@@ -249,11 +249,26 @@ class TestExistenceSearch:
                 if isinstance(const, types.CodeType):
                     yield from codes(const)
 
-        for fn in (harness.exists_set_of_size, harness._certifier, harness._within, harness._least):
+        for fn in (certify.exists_set_of_size, certify._certifier, certify._within, certify._least):
             used = {name for code in codes(fn.__code__)
                     for name in code.co_names + code.co_varnames + code.co_freevars}
             assert not used & {"kernels", "gamma_r_exact", "gamma_r_nerd_exact"}, fn.__name__
-        assert {code.co_name for code in codes(harness._certifier.__code__)} >= {"walk", "find"}
+        assert {code.co_name for code in codes(certify._certifier.__code__)} >= {"walk", "find"}
+
+    def test_certify_imports_only_the_standard_library_and_graph(self):
+        # the definition checks and the walk stay independent of the solver
+        # they check. Importing rdom.certify runs rdom/__init__, which loads
+        # the kernels, so its import statements are read instead
+        path = Path(certify.__file__)
+        imported = []
+        for node in ast.walk(ast.parse(path.read_text(), str(path))):
+            if isinstance(node, ast.Import):
+                imported += [alias.name for alias in node.names]
+            elif isinstance(node, ast.ImportFrom):
+                imported.append("." * node.level + (node.module or ""))
+        assert "rdom.graph" in imported
+        assert [name for name in imported
+                if name != "rdom.graph" and name.split(".")[0] not in sys.stdlib_module_names] == []
 
     def test_least_near_rd_size_matches_the_exact_solver_on_random_graphs(self):
         # the certified least near-RD size, or None, is the exact solve's
@@ -265,7 +280,7 @@ class TestExistenceSearch:
             for variant in (NERD_TYPE1, NERD_TYPE2):
                 q = NerdQuery(x, variant)
                 exact = gamma_r_nerd_exact(g, q)
-                least = harness._least(harness._certifier(g, q=q), g.n)
+                least = certify._least(certify._certifier(g, q=q), g.n)
                 assert least == (exact.size if exact.optimal else None), (write_graph6(g), x, variant)
                 infeasible += least is None
         assert infeasible > 300
@@ -278,41 +293,49 @@ class TestExistenceSearch:
         # bound would be three)
         g = star_graph(6)
         q = NerdQuery(1, NERD_TYPE1)
-        assert harness._certifier(g, force_out=1, q=q)[0] == 6
-        nodes = []
-
-        def profile(frame, event, arg):
-            if event == "call" and frame.f_code.co_name == "walk":
-                nodes.append(frame.f_globals["__name__"])
-
-        walked = {}
-        for size in (3, 6):
-            nodes.clear()
-            sys.setprofile(profile)
-            try:
-                hit = harness.exists_set_of_size(g, size, force_out=1, q=q)
-            finally:
-                sys.setprofile(None)
-            assert hit is None
-            walked[size] = list(nodes)
+        assert certify._certifier(g, force_out=1, q=q)[0] == 6
+        walked = {size: _walk_nodes(lambda: certify.exists_set_of_size(g, size, force_out=1, q=q))
+                  for size in (3, 6)}
         # at the bound the walk runs, one node per choice: the six leaves
-        assert walked == {3: [], 6: ["rdom.harness"] * 6}
+        assert walked == {3: (None, []), 6: (None, ["rdom.certify"] * 6)}
+
+    @pytest.mark.parametrize("g, size, nodes", [
+        # a leaf passed over once the center is chosen ends the branch, and
+        # choosing the center skips the leaves passed over before it
+        pytest.param(star_graph(6), 6, 11, id="star"),
+        pytest.param(path_graph(8), 5, 11, id="path"),
+    ])
+    def test_walk_backs_up_on_a_trap(self, g, size, nodes):
+        # no set of the size exists, so the walk runs to exhaustion; without
+        # the trap it takes 21 nodes on the star and 50 on the path
+        assert plain_exists_set_of_size(g, size, is_restrained_dominating) is None
+        assert _walk_nodes(lambda: certify.exists_set_of_size(g, size)) == (None, ["rdom.certify"] * nodes)
+
+    def test_a_vertex_trapped_by_the_forcing_leaves_no_witness(self):
+        # P_3 with its end 0 forced out and its middle forced in: the end has
+        # no neighbor left outside, unless type 2 exempts it
+        g = path_graph(3)
+        for q in (None, NerdQuery(0b001, NERD_TYPE1)):
+            assert certify._certifier(g, force_in=0b010, force_out=0b001, q=q)[0] == g.n + 1
+        q = NerdQuery(0b001, NERD_TYPE2)
+        cert = certify._certifier(g, force_in=0b010, force_out=0b001, q=q)
+        assert certify._least(cert, g.n) == 2 and cert[1](2) == 0b110
 
     @pytest.mark.parametrize("variant", [NERD_TYPE1, NERD_TYPE2])
     def test_exempt_set_outside_the_vertex_set_is_an_error(self, variant):
         g = complete_graph(4)
         for size in (0, 1, 4):
             with pytest.raises(ValueError, match="exempt set is not a subset of the vertex set"):
-                harness.exists_set_of_size(g, size, q=NerdQuery(1 << 4 | 1, variant))
+                certify.exists_set_of_size(g, size, q=NerdQuery(1 << 4 | 1, variant))
 
     def test_type_2_exempt_vertex_forced_in_has_no_witness(self):
         # type 2 keeps its exempt set outside, so forcing one in leaves none
         g = cycle_graph(5)
         q = NerdQuery(0b1, NERD_TYPE2)
         for size in range(6):
-            assert harness.exists_set_of_size(g, size, force_in=0b1, q=q) is None
+            assert certify.exists_set_of_size(g, size, force_in=0b1, q=q) is None
         # the same forcing under type 1 admits a witness
-        assert harness.exists_set_of_size(g, 5, force_in=0b1, q=q._replace(variant=NERD_TYPE1)) == 0b11111
+        assert certify.exists_set_of_size(g, 5, force_in=0b1, q=q._replace(variant=NERD_TYPE1)) == 0b11111
 
 
 class TestFrozenExceptions:
@@ -405,8 +428,8 @@ class TestTheoremSweeps:
         (rep,) = harness.verify_key_theorem(9)
         assert rep.violations == [("H?QHhrO", "10*gamma_r = 40 exceeds weight 39")]
         g = parse_graph6("H?QHhrO")
-        assert harness.exists_set_of_size(g, 3) is None
-        assert harness.exists_set_of_size(g, 4) is not None
+        assert certify.exists_set_of_size(g, 3) is None
+        assert certify.exists_set_of_size(g, 4) is not None
 
     def test_cubic_bound_small(self):
         (rep,) = harness.verify_cubic_bound(8)
@@ -466,8 +489,8 @@ class TestTheoremSweeps:
         # the upper bounds are certified, so their entry points must fail
         # too: the certifier's walk setup, behind every query it answers,
         # and the exact near-RD solve
-        for name in ("_certifier", "gamma_r_nerd_exact"):
-            monkeypatch.setattr(harness, name, lambda *args, **kwargs: pytest.fail("solved"))
+        for owner, name in ((certify, "_certifier"), (harness, "gamma_r_nerd_exact")):
+            monkeypatch.setattr(owner, name, lambda *args, **kwargs: pytest.fail("solved"))
         with pytest.raises(ValueError, match="jobs"):
             sweep(**kwargs, jobs=0)
 
@@ -508,7 +531,7 @@ class TestTheoremSweeps:
         # one walk setup per graph that reaches the walk; each bound asks its
         # own size first and smaller ones only when that size has no set
         calls = Counter()
-        monkeypatch.setattr(harness, "_certifier", _counting_certifier(calls, []))
+        monkeypatch.setattr(certify, "_certifier", _counting_certifier(calls, []))
         sweep(**kwargs)
         assert calls == {"setups": setups, "sizes": sizes}
 
@@ -585,11 +608,27 @@ class TestTheoremSweeps:
         assert calls == [cls]
 
 
-_certifier = harness._certifier
+def _walk_nodes(call):
+    """call's result and, for each node of the subset walk it ran, the name
+    of the module that holds the walk."""
+    nodes = []
+
+    def profile(frame, event, arg):
+        if event == "call" and frame.f_code.co_name == "walk":
+            nodes.append(frame.f_globals["__name__"])
+
+    sys.setprofile(profile)
+    try:
+        return call(), nodes
+    finally:
+        sys.setprofile(None)
+
+
+_certifier = certify._certifier
 
 
 def _certifying(keep):
-    """``harness._certifier`` with the searches of every query that
+    """``certify._certifier`` with the searches of every query that
     keep(q, forced) rejects finding nothing, where forced is the union of
     its forcing sets. Every claim, the catalog's gamma_r values and near-RD
     values included, sets up its walk there."""
@@ -615,7 +654,7 @@ _no_unforced_witness = _certifying(lambda q, forced: q is not None or forced)
 
 
 def _counting_certifier(calls, asked):
-    """``harness._certifier`` counting its walk setups and the sizes they
+    """``certify._certifier`` counting its walk setups and the sizes they
     are asked in calls, and appending each near-RD size asked to asked as
     ``(graph6, q.x, q.variant, size)``."""
 
@@ -701,7 +740,7 @@ class TestViolationPaths:
 
     @pytest.fixture
     def nothing_within(self, monkeypatch):
-        monkeypatch.setattr(harness, "_certifier", _no_witness)
+        monkeypatch.setattr(certify, "_certifier", _no_witness)
 
     @pytest.mark.parametrize("sweep, max_n, cls, want", [
         pytest.param(harness.verify_cubic_bound, 10, "cubic", [
@@ -804,7 +843,7 @@ class TestViolationPaths:
             got.add(write_graph6(g))
             return exact(g)
 
-        monkeypatch.setattr(harness, "_certifier", _one_size_up)
+        monkeypatch.setattr(certify, "_certifier", _one_size_up)
         monkeypatch.setattr(harness, "gamma_r_exact", recorded)
         sweep(max_n)
         assert want and got == want
@@ -877,7 +916,7 @@ class TestCatalogViolationPaths:
     ])
     def test_reports_list_every_violation(self, patches, want, digest, monkeypatch):
         for name, fake in patches.items():
-            monkeypatch.setattr(harness, name, fake)
+            monkeypatch.setattr(certify if name == "_certifier" else harness, name, fake)
         reports = harness.verify_observation_1() + harness.verify_observations_2_to_6()
         assert [(r.checked, len(r.violations), len(r.notes)) for r in reports] == want
         dicts = [r.to_dict() for r in reports]
@@ -902,7 +941,7 @@ class TestCatalogViolationPaths:
             return solve_min(*args)
 
         monkeypatch.setattr(kernels, "solve_min", counted_solve)
-        monkeypatch.setattr(harness, "_certifier", _counting_certifier(calls, asked))
+        monkeypatch.setattr(certify, "_certifier", _counting_certifier(calls, asked))
         reports = harness.verify_observation_1() + harness.verify_observations_2_to_6()
         assert all(r.passed for r in reports)
         assert calls == {"solved": 0, "setups": 1585, "sizes": 1989}

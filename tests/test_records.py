@@ -12,10 +12,11 @@ import pytest
 
 import rdom
 from rdom import harness
+from rdom.certify import NERD_TYPE1, NERD_TYPE2, NerdQuery
 from rdom.construct import lemma1_construct
 from rdom.family import family_member, weight
 from rdom.graph6 import parse_graph6
-from rdom.solvers import NERD_TYPE1, NERD_TYPE2, NerdQuery, gamma_r_exact
+from rdom.solvers import gamma_r_exact
 
 from named_graphs import petersen_graph
 

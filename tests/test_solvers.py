@@ -5,20 +5,21 @@ from itertools import combinations
 
 import pytest
 
+from rdom import kernels
 from rdom.graph import Graph, bits_of, disjoint_union, mask_of, small_vertices, subdivide
 from rdom.enumeration import connected_classes
 from rdom.family import all_family_members
-from rdom.harness import _certifier, _within, exists_set_of_size
-from rdom.solvers import (
+from rdom.certify import (
     NERD_TYPE1,
     NERD_TYPE2,
     NerdQuery,
-    SolveOutcome,
-    gamma_r_exact,
-    gamma_r_nerd_exact,
+    _certifier,
+    _within,
+    exists_set_of_size,
     is_near_restrained_dominating,
     is_restrained_dominating,
 )
+from rdom.solvers import SolveOutcome, gamma_r_exact, gamma_r_nerd_exact
 from named_graphs import complete_graph, cycle_graph, path_graph, petersen_graph, star_graph
 from oracles import lex_least_mask, naive_is_nerd, naive_is_restrained, naive_min_nerd, naive_min_rd
 
@@ -178,6 +179,30 @@ class TestDecisions:
                     assert hit is not None and hit.bit_count() == exact.size, (g.adj, x, variant)
                     assert naive_is_nerd(g, list(bits_of(hit)), list(bits_of(x)), variant), (g.adj, x, variant)
         assert len(cases) > 1000
+
+
+class TestWitnessGate:
+    @pytest.mark.parametrize("q", [None, NerdQuery(0b1, NERD_TYPE1), NerdQuery(0b1, NERD_TYPE2)],
+                             ids=["gamma_r", "ndom", "dom"])
+    def test_a_kernel_witness_that_fails_the_definition_raises(self, q, monkeypatch):
+        # a kernel that answers each subset of C5 in turn: the solver hands
+        # on exactly the ones the naive oracle accepts and raises on the rest
+        g = cycle_graph(5)
+        raised = 0
+        for s in range(1 << g.n):
+            monkeypatch.setattr(kernels, "solve_min", lambda *args, s=s: (s.bit_count(), s))
+            if q is None:
+                ok = naive_is_restrained(g, list(bits_of(s)))
+            else:
+                ok = naive_is_nerd(g, list(bits_of(s)), list(bits_of(q.x)), q.variant)
+            if ok:
+                out = gamma_r_exact(g) if q is None else gamma_r_nerd_exact(g, q)
+                assert out.witness == s
+                continue
+            with pytest.raises(RuntimeError, match="fails the definition check"):
+                gamma_r_exact(g) if q is None else gamma_r_nerd_exact(g, q)
+            raised += 1
+        assert raised > 16
 
 
 class TestOracleEquivalence:
