@@ -15,6 +15,9 @@ same definitions.
     (``"dom"``: the exempt set lies outside the set and is dominated, but is
     excused from the outside-neighbor requirement). It is a NamedTuple that
     checks its variant however it is built, ``._replace`` included.
+  * ``_constraints`` turns a query into three masks, the one reading of a
+    query that both searches share: this module's walk and the kernel
+    behind ``rdom.solvers``.
   * ``_certifier`` sets up the walk for one query once. ``exists_set_of_size``
     asks it one size; ``_within(cert, k)`` asks size k and then each smaller
     size down to the walk's floor, for upper bounds; ``_least(cert, k)`` asks
@@ -91,6 +94,21 @@ def is_near_restrained_dominating(g: Graph, s: VertexSet, q: NerdQuery) -> bool:
     return True
 
 
+def _constraints(g: Graph, q: NerdQuery | None) -> tuple[int, int, int]:
+    """What a set must satisfy on g for q, or for restrained domination when
+    q is None, as ``(need, res, out)``: the vertices it must dominate, the
+    vertices that need a neighbor outside it when they lie outside it, and
+    the vertices forced out of it. Type 1 drops the exempt set from
+    ``need``; type 2 drops it from ``res`` and forces it out."""
+    full = g.vertex_mask()
+    if q is None:
+        return full, full, 0
+    _check_subset(g, q.x, "exempt set")
+    if q.variant == NERD_TYPE1:
+        return full & ~q.x, full, 0
+    return full, full & ~q.x, q.x
+
+
 def exists_set_of_size(
     g: Graph, size: int, force_in: int = 0, force_out: int = 0, q: NerdQuery | None = None
 ) -> int | None:
@@ -160,14 +178,8 @@ def _certifier(
     is no witness at all and ``floor`` is ``g.n + 1``. ``find`` answers a
     size below ``floor`` without walking."""
     _check_subset(g, force_in | force_out, "forcing set")
-    need = res = g.vertex_mask()
-    if q is not None:
-        _check_subset(g, q.x, "exempt set")
-        if q.variant == NERD_TYPE1:
-            need &= ~q.x
-        else:
-            force_out |= q.x
-            res &= ~q.x
+    need, res, out = _constraints(g, q)
+    force_out |= out
     adj = g.adj
     free = [v for v in range(g.n) if not ((force_in | force_out) >> v & 1)]
     closed = [adj[v] | 1 << v for v in free]

@@ -5,6 +5,10 @@ Verification reports go to stdout as JSON (with --json), the human
 summary always goes to stderr. Exit codes: 0 all checks passed, 1 any
 violation, 2 usage or input errors, 141 when stdout is closed before the
 output ends (as by "| head"), which stops the command without a traceback.
+A usage or input error prints "error: ..." to stderr; solve and lemma1
+print a bad input line's error as "error: line N: ..." and go on with the
+next line. Graph6 input, a file or stdin, is read one line at a time, so
+solve and lemma1 write each record as soon as its line is done.
 """
 
 from __future__ import annotations
@@ -28,26 +32,23 @@ USAGE_ERROR = 2
 BROKEN_PIPE = 141  # 128 + SIGPIPE, what a shell reports for a killed writer
 
 
-def _read_graph_lines(path: str | None):
-    """The lines of a graph6 file, or of stdin for None or "-", as bytes: a
-    non-ASCII line is then that line's graph6 error, not the whole input's."""
+def _input_graphs(path: str | None):
+    """``iter_graph6`` over a graph6 file, or stdin for None or "-", read one
+    line at a time as bytes: a non-ASCII line is then that line's graph6
+    error, not the whole input's."""
     if path is None or path == "-":
-        return sys.stdin.buffer.readlines()
-    with open(path, "rb") as fh:
-        return fh.readlines()
+        yield from iter_graph6(sys.stdin.buffer)
+    else:
+        with open(path, "rb") as fh:
+            yield from iter_graph6(fh)
 
 
 def _each_graph(path: str | None, step) -> int:
-    """Print step's JSON record of each graph of the input. An OSError is a
-    usage error; a bad graph6 line, or a ValueError from step, is that line's
-    error: "error: line N: ..." and exit status 2, and the loop goes on."""
-    try:
-        lines = _read_graph_lines(path)
-    except OSError as exc:
-        print(f"error: {exc}", file=sys.stderr)
-        return USAGE_ERROR
+    """Print step's JSON record of each graph of the input. A bad graph6
+    line, or a ValueError from step, is that line's error: "error: line N:
+    ..." and exit status 2, and the loop goes on."""
     status = 0
-    for lineno, g, err in iter_graph6(lines):
+    for lineno, g, err in _input_graphs(path):
         try:
             if err is not None:
                 raise ValueError(err)
@@ -99,8 +100,7 @@ def cmd_family(args) -> int:
 
 def cmd_solve(args) -> int:
     if (args.x is None) != (args.nerd is None):
-        print("error: --nerd and --x must be given together", file=sys.stderr)
-        return USAGE_ERROR
+        raise ValueError("--nerd and --x must be given together")
 
     def solve(g):
         if args.nerd is None:
@@ -124,11 +124,7 @@ def cmd_solve(args) -> int:
 def cmd_formulas(args) -> int:
     from rdom.construct import gamma_r_cycle, gamma_r_path
 
-    try:
-        value = gamma_r_path(args.n) if args.shape == "path" else gamma_r_cycle(args.n)
-    except ValueError as exc:
-        print(f"error: {exc}", file=sys.stderr)
-        return USAGE_ERROR
+    value = gamma_r_path(args.n) if args.shape == "path" else gamma_r_cycle(args.n)
     print(json.dumps({"shape": args.shape, "n": args.n, "gamma_r": value}))
     return 0
 
@@ -157,19 +153,14 @@ def cmd_lemma1(args) -> int:
 def cmd_enumerate(args) -> int:
     from rdom.enumeration import enumerate_graphs
 
-    try:
-        graphs = enumerate_graphs(args.n, args.graph_class, connected_only=args.connected)
-    except ValueError as exc:
-        print(f"error: {exc}", file=sys.stderr)
-        return USAGE_ERROR
-    for g in graphs:
+    for g in enumerate_graphs(args.n, args.graph_class, connected_only=args.connected):
         print(write_graph6(g))
     return 0
 
 
 def _cubic_corpus(path: str) -> list:
     graphs = []
-    for lineno, g, err in iter_graph6(_read_graph_lines(path)):
+    for lineno, g, err in _input_graphs(path):
         if err is not None:
             raise ValueError(f"line {lineno}: {err}")
         if not is_cubic(g):
@@ -179,20 +170,14 @@ def _cubic_corpus(path: str) -> list:
 
 
 def cmd_verify(args) -> int:
-    """Run one sweep and print its reports; a ValueError or OSError is a
-    usage or input error."""
     from rdom import harness
 
-    try:
-        if args.what == "observations":
-            reports = harness.verify_observation_1() + harness.verify_observations_2_to_6()
-        elif args.what == "cubic-bound" and args.input is not None:
-            reports = harness.verify_cubic_bound(graphs=_cubic_corpus(args.input), jobs=args.jobs)
-        else:
-            reports = getattr(harness, args.sweep)(args.max_n, jobs=args.jobs)
-    except (ValueError, OSError) as exc:
-        print(f"error: {exc}", file=sys.stderr)
-        return USAGE_ERROR
+    if args.what == "observations":
+        reports = harness.verify_observation_1() + harness.verify_observations_2_to_6()
+    elif args.what == "cubic-bound" and args.input is not None:
+        reports = harness.verify_cubic_bound(graphs=_cubic_corpus(args.input), jobs=args.jobs)
+    else:
+        reports = getattr(harness, args.sweep)(args.max_n, jobs=args.jobs)
     for rep in reports:
         print(rep.summary(), file=sys.stderr)
     if args.json:
@@ -250,6 +235,9 @@ def build_parser() -> argparse.ArgumentParser:
 
 
 def main(argv=None) -> int:
+    """Run one command and return its exit status: the one place where a
+    command's ValueError or OSError becomes "error: ..." and status 2, and a
+    closed stdout becomes status 141."""
     parser = build_parser()
     try:
         try:
@@ -267,6 +255,10 @@ def main(argv=None) -> int:
         devnull = os.open(os.devnull, os.O_WRONLY)
         os.dup2(devnull, sys.stdout.fileno())
         return BROKEN_PIPE
+    except (ValueError, OSError) as exc:
+        # BrokenPipeError is an OSError: it is caught above, first
+        print(f"error: {exc}", file=sys.stderr)
+        return USAGE_ERROR
     return status
 
 

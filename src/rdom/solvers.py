@@ -3,8 +3,9 @@
 All solvers reduce to one parametric minimization (see rdom.kernels): choose
 which vertices must be dominated, which vertices outside the solution must
 keep a neighbor outside it, and which vertices are forced out.
-``_solve`` turns each variant into those masks; the two public solvers
-below call it and take no forcing sets of their own.
+``_solve`` takes those masks from ``rdom.certify._constraints``, the
+subset walk's reading of the same query; the two public solvers below
+call it and take no forcing sets of their own.
 
 Variants:
   * ``gamma_r_exact``       restrained domination number
@@ -29,9 +30,8 @@ from typing import NamedTuple
 
 from rdom import kernels
 from rdom.certify import (
-    NERD_TYPE1,
     NerdQuery,
-    _check_subset,
+    _constraints,
     is_near_restrained_dominating,
     is_restrained_dominating,
 )
@@ -54,18 +54,9 @@ class SolveOutcome(NamedTuple):
 
 def _solve(g: Graph, q: NerdQuery | None = None) -> SolveOutcome:
     """Restrained domination, or the near-RD relaxation q, minimized: the
-    one place a query becomes the kernel's masks, and the one place the
-    kernel's witness is checked against the definition."""
-    full = g.vertex_mask()
-    dom_req = res_req = full
-    force_out = 0
-    if q is not None:
-        _check_subset(g, q.x, "exempt set")
-        if q.variant == NERD_TYPE1:
-            dom_req = full & ~q.x
-        else:
-            res_req = full & ~q.x
-            force_out = q.x
+    kernel gets the masks of ``certify._constraints``, and its witness is
+    checked against the definition here."""
+    dom_req, res_req, force_out = _constraints(g, q)
     t0 = time.perf_counter()
     res = kernels.solve_min(g.n, g.adj, dom_req, res_req, force_out)
     micros = int((time.perf_counter() - t0) * 1e6)

@@ -5,6 +5,7 @@ import io
 import json
 import os
 import re
+import select
 import shlex
 import subprocess
 import sys
@@ -126,25 +127,73 @@ def test_solve_non_utf8_stdin_is_a_line_error(capsys, monkeypatch):
     assert len(out.splitlines()) == 2
 
 
-@pytest.mark.parametrize("lines_read", [0, 1], ids=["closed-before-output", "closed-after-first-line"])
-def test_closed_stdout_is_not_a_traceback(lines_read):
-    env = dict(os.environ, PYTHONPATH=str(Path(rdom.__file__).resolve().parents[1]),
-               PYTHONUNBUFFERED="1")
+def subprocess_env():
+    """The environment of a child ``python -m rdom.cli``: this rdom, and
+    stdout unbuffered, so each record leaves the child when it is printed."""
+    return dict(os.environ, PYTHONPATH=str(Path(rdom.__file__).resolve().parents[1]),
+                PYTHONUNBUFFERED="1")
+
+
+# command: its argv, its stdin, and a check of its first output line
+CLOSED_STDOUT_COMMANDS = {
+    "family": (["family"], "", lambda line: json.loads(line)["id"] == "R1"),
+    "enumerate": (["enumerate", "--class", "cubic", "--n", "12", "--connected"], "",
+                  lambda line: parse_graph6(line).n == 12),
+    "solve": (["solve"], (write_graph6(petersen_graph()) + "\n") * 6,
+              lambda line: json.loads(line)["value"] == 4),
+}
+
+
+@pytest.mark.parametrize("lines_read, command", [
+    # the family cases keep the ids they had as the only command
+    pytest.param(lines_read, command, id=when if command == "family" else f"{when}-{command}")
+    for lines_read, when in ((0, "closed-before-output"), (1, "closed-after-first-line"))
+    for command in CLOSED_STDOUT_COMMANDS])
+def test_closed_stdout_is_not_a_traceback(tmp_path, lines_read, command):
+    argv, stdin, first = CLOSED_STDOUT_COMMANDS[command]
+    source = tmp_path / "stdin.g6"
+    source.write_text(stdin)
     read, write = os.pipe()
     if not lines_read:
         os.close(read)  # no reader at all: the first line already fails
-    proc = subprocess.Popen([sys.executable, "-m", "rdom.cli", "family"],
-                            stdout=write, stderr=subprocess.PIPE, env=env)
+    with open(source, "rb") as fh:
+        proc = subprocess.Popen([sys.executable, "-m", "rdom.cli", *argv], stdin=fh,
+                                stdout=write, stderr=subprocess.PIPE, env=subprocess_env())
     os.close(write)
     if lines_read:
         with os.fdopen(read, "rb") as out:
-            assert json.loads(out.readline())["id"] == "R1"
+            assert first(out.readline())
     err = proc.stderr.read().decode()
     proc.stderr.close()
     code = proc.wait()
-    assert "Traceback" not in err and "Error" not in err, err
-    # a reader that leaves after one line may still have taken all ten
+    # a closed stdout is neither a traceback nor a usage error
+    assert "Traceback" not in err and "Error" not in err and "error:" not in err, err
+    # a reader that leaves after one line may still have taken all the output
     assert code == BROKEN_PIPE if not lines_read else code in (0, BROKEN_PIPE)
+
+
+@pytest.mark.parametrize("command, line, first", [
+    ("solve", write_graph6(petersen_graph()), lambda record: record["value"] == 4),
+    ("lemma1", write_graph6(complete_bipartite(2, 3)), lambda record: len(record["rd_set"]) == 2),
+], ids=["solve", "lemma1"])
+def test_each_record_leaves_before_the_input_ends(command, line, first):
+    # one line in, stdin left open: its record must come out while the
+    # command still waits for the next line
+    proc = subprocess.Popen([sys.executable, "-m", "rdom.cli", command], stdin=subprocess.PIPE,
+                            stdout=subprocess.PIPE, stderr=subprocess.PIPE, env=subprocess_env())
+    try:
+        proc.stdin.write(line.encode() + b"\n")
+        proc.stdin.flush()
+        ready, _, _ = select.select([proc.stdout], [], [], 30)
+        assert ready, "no record of the first line within 30 s while stdin stays open"
+        assert first(json.loads(proc.stdout.readline()))
+        proc.stdin.close()
+        assert proc.wait(timeout=30) == 0, proc.stderr.read().decode()
+    finally:
+        proc.kill()
+        proc.wait()
+        for stream in (proc.stdin, proc.stdout, proc.stderr):
+            stream.close()
 
 
 def test_formulas(capsys):
